@@ -11,24 +11,11 @@ from fractions import Fraction
 
 from hahnroot.cli import poly_text
 from hahnroot.corpus import corpus
-from hahnroot.envelope import finite_intersection_points, intersection_points, maxexp_base, maxram
+from hahnroot.envelope import companion_points, maxexp_base, maxram
 from hahnroot.expand import expand_roots
 from hahnroot.hahn import expands_at, ramifies_at
-from hahnroot.ore import addpol, is_additive
-
-
-def prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+from hahnroot.intpoly import prime_factors
+from hahnroot.ore import is_additive
 
 
 def strip_p(n, p):
@@ -40,21 +27,20 @@ def strip_p(n, p):
 def check_poly(g, depth):
     p = g.ctx.p
     problems = []
-    P = addpol(g)
+    P, points = companion_points(g)
     dense = P.to_poly()
     if not dense.divmod(g)[1].is_zero():
         problems.append("companion not divisible")
     if not is_additive(dense):
         problems.append("companion not additive")
-    points = intersection_points(P)
-    finite = {b.r for b in finite_intersection_points(P)}
+    finite = {b.r for b in points if b.is_finite}
     n_top = max(P.support)
     if len(points) > n_top * (n_top + 1) // 2 + 1:
         problems.append("intersection count bound")
 
     tree = expand_roots(g, depth)
-    m = maxram(g)
-    d_sharp = maxexp_base(g, "sharp")
+    m = maxram(P, points)
+    d_sharp = maxexp_base(P, points)
     statuses = {}
     for leaf in tree.leaves():
         statuses[leaf.status] = statuses.get(leaf.status, 0) + 1

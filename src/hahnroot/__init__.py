@@ -2,11 +2,20 @@
 companions, intersection points, and ramification/residue bounds."""
 
 from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots, frobenius_solve
-from .ratfun import RatFun, leading_term, rebase
+from .ratfun import RatFun, leading_term
 from .hahn import HahnSeries, truncate, is_approximation, ramifies_at, expands_at
-from .hasse import Poly, NewtonLine, hasse_derivative, taylor_coeffs, evaluate, newton_data, gamma_J
+from .hasse import Poly, NewtonLine, hasse_derivative, taylor_at, evaluate, newton_data, gamma_J
 from .ore import AdditivePolynomial, addpol, is_additive
-from .envelope import Breakpoint, intersection_points, maxram, maxexp, maxexp_base, order_type_bound
+from .envelope import (
+    Breakpoint,
+    companion_points,
+    intersection_points,
+    maxexp,
+    maxexp_base,
+    maxram,
+    order_type_bound,
+    paper_base,
+)
 from .expand import (
     AccumulationReport,
     BranchNode,
@@ -20,13 +29,13 @@ from .cli import Command, parse_polynomial, poly_text, run
 
 __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots", "frobenius_solve",
-    "RatFun", "leading_term", "rebase",
+    "RatFun", "leading_term",
     "HahnSeries", "truncate", "is_approximation", "ramifies_at", "expands_at",
-    "Poly", "NewtonLine", "hasse_derivative", "taylor_coeffs", "evaluate",
+    "Poly", "NewtonLine", "hasse_derivative", "taylor_at", "evaluate",
     "newton_data", "gamma_J",
     "AdditivePolynomial", "addpol", "is_additive",
-    "Breakpoint", "intersection_points", "maxram", "maxexp", "maxexp_base",
-    "order_type_bound",
+    "Breakpoint", "companion_points", "intersection_points", "maxram", "maxexp",
+    "maxexp_base", "paper_base", "order_type_bound",
     "AccumulationReport", "BranchNode", "ExpansionTree", "accumulation_analysis",
     "approximation_terms", "branch_step", "expand_roots",
     "Command", "parse_polynomial", "poly_text", "run",

@@ -306,34 +306,36 @@ def run(cmd: Command) -> tuple[int, str]:
             lines.extend(_branch_text(n) for n in leaves)
         elif cmd.verb == "addpol":
             P = ore.addpol(f)
+            text = additive_text(P)
             payload["additive"] = {
-                "text": additive_text(P),
+                "text": text,
                 "coeffs": {str(i): to_text(a) for i, a in sorted(P.coeffs.items())},
             }
-            lines.append(additive_text(P))
+            lines.append(text)
         elif cmd.verb == "intersections":
-            P = ore.addpol(f)
-            pts = envelope.intersection_points(P)
-            payload["additive"] = additive_text(P)
+            P, pts = envelope.companion_points(f)
+            text = additive_text(P)
+            payload["additive"] = text
             payload["points"] = [
                 {"r": _fraction_str(b.r), "J": sorted(b.J)} for b in pts
             ]
-            lines.append(f"additive companion: {additive_text(P)}")
+            lines.append(f"additive companion: {text}")
             for b in pts:
                 lines.append(f"  r = {_fraction_str(b.r)}, J = {sorted(b.J)}")
             if not pts:
                 lines.append("  (no intersection points)")
         elif cmd.verb == "bounds":
-            m_ram = envelope.maxram(f)
-            base_sharp = envelope.maxexp_base(f, "sharp")
-            base_paper = envelope.maxexp_base(f, "paper")
-            m_order, label = envelope.order_type_bound(f)
+            companion = envelope.companion_points(f)
+            m_ram = envelope.maxram(*companion)
+            base_sharp = envelope.maxexp_base(*companion)
+            base_paper = envelope.paper_base(f)
+            m_order, label = envelope.order_type_bound(*companion)
             payload["maxram"] = m_ram
             payload["maxexp_sharp_base"] = base_sharp
-            payload["maxexp_sharp"] = str(envelope.maxexp(f, "sharp"))
+            payload["maxexp_sharp"] = str(envelope.maxexp(base_sharp))
             payload["maxexp_paper_base"] = base_paper
             if cmd.mode == "paper":
-                payload["maxexp_paper"] = str(envelope.maxexp(f, "paper"))
+                payload["maxexp_paper"] = str(envelope.maxexp(base_paper))
             payload["order_m"] = m_order
             payload["order_bound"] = label
             lines.append(f"maxram: {m_ram}")
@@ -341,7 +343,7 @@ def run(cmd: Command) -> tuple[int, str]:
             lines.append(f"maxexp (paper): {base_paper}!")
             lines.append(f"order bound: {label}")
         elif cmd.verb == "order-bound":
-            m_order, label = envelope.order_type_bound(f)
+            m_order, label = envelope.order_type_bound(*envelope.companion_points(f))
             payload["order_m"] = m_order
             payload["order_bound"] = label
             lines.append(f"order bound: {label}")

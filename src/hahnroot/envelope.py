@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .hahn import prime_exponent
 from .hasse import Poly
 from .ore import AdditivePolynomial, addpol
 
@@ -80,64 +81,57 @@ def finite_intersection_points(P: AdditivePolynomial) -> list[Breakpoint]:
     return [b for b in intersection_points(P) if b.is_finite]
 
 
-def maxram(f: Poly) -> int:
+def companion_points(f: Poly) -> tuple[AdditivePolynomial, list[Breakpoint]]:
+    """The additive companion P of f and its intersection points.
+
+    Every bound below is read off this pair, so one request builds the
+    companion and walks its envelope once.
+    """
+    P = addpol(f)
+    return P, intersection_points(P)
+
+
+def maxram(P: AdditivePolynomial, points: list[Breakpoint]) -> int:
     """A modulus m coprime to p such that every root of f has its support in
     the group (1/(m*p^inf))Z.
 
-    m multiplies, over each prime q != p, the highest power of q dividing a
-    denominator among the finite breakpoints of the additive companion of f.
+    m is the lcm of the p-free parts of the finite breakpoints' denominators:
+    over each prime q != p, the highest power of q dividing one of them.
     """
-    P = addpol(f)
-    p = P.p
-    exponents: dict[int, int] = {}
-    for b in finite_intersection_points(P):
-        d = Fraction(b.r).denominator
-        q = 2
-        while d > 1:
-            if d % q == 0:
-                e = 0
-                while d % q == 0:
-                    d //= q
-                    e += 1
-                if q != p:
-                    exponents[q] = max(exponents.get(q, 0), e)
-            q += 1
     m = 1
-    for q, e in exponents.items():
-        m *= q**e
+    for b in points:
+        if b.is_finite:
+            d = Fraction(b.r).denominator
+            m = math.lcm(m, d // P.p ** prime_exponent(d, P.p))
     return m
 
 
-def maxexp_base(f: Poly, mode: str = "sharp") -> int:
-    """The residue-degree base D whose factorial bounds coefficient fields.
-
-    mode "paper": D = prod_{i=1..n} p^i for n = deg f.
-    mode "sharp": D = prod over finite breakpoints s of p^(max J(s)).
-    """
-    p = f.ctx.p
-    if mode == "paper":
-        n = f.degree
-        return p ** (n * (n + 1) // 2)
-    if mode == "sharp":
-        P = addpol(f)
-        d = 1
-        for b in finite_intersection_points(P):
-            d *= p ** max(b.J)
-        return d
-    raise ValueError(f"unknown maxexp mode {mode!r}")
+def maxexp_base(P: AdditivePolynomial, points: list[Breakpoint]) -> int:
+    """The sharp residue-degree base D whose factorial bounds coefficient
+    fields: the product over finite breakpoints s of p^(max J(s))."""
+    d = 1
+    for b in points:
+        if b.is_finite:
+            d *= P.p ** max(b.J)
+    return d
 
 
-def maxexp(f: Poly, mode: str = "sharp") -> int:
-    """A residue-field degree bound: every root of f has coefficients in
-    F_{p^m} with m = maxexp(f).  Returned exactly; never used to build fields."""
-    return math.factorial(maxexp_base(f, mode))
+def paper_base(f: Poly) -> int:
+    """The a-priori residue-degree base prod_{i=1..n} p^i for n = deg f."""
+    n = f.degree
+    return f.ctx.p ** (n * (n + 1) // 2)
 
 
-def order_type_bound(f: Poly) -> tuple[int, str]:
+def maxexp(base: int) -> int:
+    """A residue-field degree bound from a base D: every root of f has
+    coefficients in F_{p^m} with m = D!.  Returned exactly; never used to
+    build fields."""
+    return math.factorial(base)
+
+
+def order_type_bound(P: AdditivePolynomial, points: list[Breakpoint]) -> tuple[int, str]:
     """(m, "w^m"): the support of any root of f has order type at most
     omega^m, with m the number of intersection points of the companion."""
-    P = addpol(f)
-    points = intersection_points(P)
     m = len(points)
     lines = len(P.coeffs)
     if lines >= 2:

@@ -555,12 +555,6 @@ class RootsResult:
     embed: Embedding
     roots: tuple[tuple[FF, int], ...]
 
-    def multiset(self) -> list[FF]:
-        out = []
-        for root, mult in self.roots:
-            out.extend([root] * mult)
-        return out
-
 
 def poly_roots(g: list[FF]) -> RootsResult:
     """All roots of g in the algebraic closure, with multiplicities.

@@ -19,16 +19,6 @@ from .ratfun import RatFun
 INF = math.inf
 
 
-def split_denominator(r: Fraction, p: int) -> tuple[int, int]:
-    """(e, m) with denominator(r) = p^e * m and gcd(m, p) = 1."""
-    d = r.denominator
-    e = 0
-    while d % p == 0:
-        d //= p
-        e += 1
-    return e, d
-
-
 def prime_exponent(n: int, q: int) -> int:
     """Multiplicity of the prime q in the positive integer n."""
     e = 0
@@ -84,13 +74,6 @@ class HahnSeries:
         return cls(ctx, ((Fraction(exponent), coeff),))
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.cut is None
-
-    def support(self) -> list[Fraction]:
-        return [e for e, _ in self.terms]
 
     def valuation(self) -> Fraction | float:
         return self.terms[0][0] if self.terms else INF
@@ -235,18 +218,3 @@ def series_text(x: HahnSeries) -> str:
         body += f" (exact {op} {x.cut})"
     return body
 
-
-def series_to_json(x: HahnSeries) -> dict:
-    precision: dict | str
-    if x.cut is None:
-        precision = "exact"
-    elif x.cut_inclusive:
-        precision = {"known_through": str(x.cut)}
-    else:
-        precision = {"known_below": str(x.cut)}
-    return {
-        "p": x.ctx.p,
-        "field": x.ctx.label,
-        "terms": [{"exp": str(e), "coeff": str(c)} for e, c in x.terms],
-        "precision": precision,
-    }

@@ -214,10 +214,6 @@ def taylor_at(f: Poly, w) -> list[RatFun]:
     return out
 
 
-def taylor_coeffs(f: Poly, lam: RatFun) -> list[RatFun]:
-    return taylor_at(f, lam)
-
-
 def evaluate(f: Poly, w) -> RatFun:
     """f(w), exactly, for a finite exact series or rational-function point."""
     x = _as_ratfun(w)

@@ -141,7 +141,8 @@ def eval_(a: list[int], x: int, p: int) -> int:
     return y
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -163,7 +164,7 @@ def is_irreducible(g: list[int], p: int) -> bool:
     if k == 1:
         return True
     x = [0, 1]
-    checkpoints = {k // q for q in _prime_factors(k)}
+    checkpoints = {k // q for q in prime_factors(k)}
     frob = x
     for j in range(1, k + 1):
         frob = pow_mod(frob, p, g, p)

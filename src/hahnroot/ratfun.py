@@ -278,10 +278,6 @@ def leading_term(a: RatFun) -> tuple[Fraction, FF]:
     return Fraction(e, a.M), a.num[e]
 
 
-def rebase(a: RatFun, M_new: int) -> RatFun:
-    return a.rebase(M_new)
-
-
 def laurent_terms(a: RatFun, count: int) -> list[tuple[Fraction, FF]]:
     """The first `count` terms of the Laurent expansion of a, exactly.
 

@@ -13,6 +13,7 @@ import pytest
 from hahnroot.cli import Command, parse_polynomial, run
 from hahnroot.corpus import corpus, random_poly, random_ratfun
 from hahnroot.envelope import (
+    companion_points,
     finite_intersection_points,
     intersection_points,
     maxexp_base,
@@ -107,7 +108,7 @@ def test_criterion_1_golden_cubic_run():
     assert all(z * z == two for z, _ in nonzero)
     assert nonzero[0][0] + nonzero[1][0] == acc.ctx.zero
 
-    assert maxram(f) % 2 == 0
+    assert maxram(*companion_points(f)) % 2 == 0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -136,7 +137,7 @@ def test_criterion_2_artin_schreier_family(p):
     assert {z for z, _ in acc.solutions} == set(ctx.elements())
     assert not any(flag for _, flag in acc.solutions)
 
-    assert maxram(f) == 1
+    assert maxram(*companion_points(f)) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 2 (p={p}): PASS (Artin-Schreier depth 20, {elapsed:.2f}s)")
@@ -163,8 +164,8 @@ def test_criterion_3_end_to_end_square_root():
         (float("inf"), frozenset({0, 1})),
     ]
 
-    assert maxram(f) == 2
-    assert order_type_bound(f) == (2, "ω^2")
+    assert maxram(P, points) == 2
+    assert order_type_bound(P, points) == (2, "ω^2")
 
     code, out = run(Command("roots", 3, "X^2-t", depth=5, fmt="json"))
     assert code == 0 and '"status": "exact_root"' in out
@@ -303,12 +304,13 @@ def test_criterion_7_residual_ascent_as_stated(corpus_polys, corpus_trees):
     )
 
 
-def test_criterion_8_bound_soundness(corpus_polys, corpus_trees):
+def test_criterion_8_bound_soundness(corpus_polys, corpus_trees, corpus_addpols):
     exps_checked = coeffs_checked = 0
-    for g, tree in zip(corpus_polys, corpus_trees):
+    for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
         p = g.ctx.p
-        m = maxram(g)
-        d_sharp = maxexp_base(g, "sharp")
+        points = intersection_points(P)
+        m = maxram(P, points)
+        d_sharp = maxexp_base(P, points)
         for leaf in tree.leaves():
             for e, _ in leaf.w.terms:
                 exps_checked += 1

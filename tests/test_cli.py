@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hahnroot import envelope, ore
 from hahnroot.cli import Command, ParseError, main, parse_polynomial, poly_text, run
 from hahnroot.corpus import corpus
 from hahnroot.ffield import field_ctx
@@ -120,6 +121,43 @@ def test_order_bound_command():
     code, out = run(Command("order-bound", 3, "X^2-t", fmt="json"))
     doc = json.loads(out)
     assert doc["order_m"] == 2 and doc["order_bound"] == "ω^2"
+
+
+def test_each_verb_builds_the_companion_once(monkeypatch):
+    builds = []
+
+    def counting(addpol):
+        def wrapper(f):
+            builds.append(f)
+            return addpol(f)
+
+        return wrapper
+
+    monkeypatch.setattr(ore, "addpol", counting(ore.addpol))
+    monkeypatch.setattr(envelope, "addpol", counting(envelope.addpol))
+    for verb in ("addpol", "intersections", "bounds", "order-bound"):
+        builds.clear()
+        code, _ = run(Command(verb, 3, "X^3 - X^2 - 1/t", fmt="json"))
+        assert code == 0
+        assert len(builds) == 1, f"{verb} built the companion {len(builds)} times"
+
+
+def test_bounds_and_order_bound_agree_on_corpus():
+    compared = 0
+    for g in corpus(seed=20260810, count=10, ps=(2, 3), max_deg=4):
+        text = poly_text(g)
+        code, out = run(Command("order-bound", g.ctx.p, text, fmt="json"))
+        assert code == 0
+        order_m = json.loads(out)["order_m"]
+        code, out = run(Command("bounds", g.ctx.p, text, fmt="json"))
+        doc = json.loads(out)
+        if code != 0:
+            # the sharp factorial outgrows int-to-str conversion (ROADMAP 5a)
+            assert "integer string conversion" in doc["error"]["message"]
+            continue
+        assert doc["order_m"] == order_m
+        compared += 1
+    assert compared >= 9
 
 
 def test_error_reporting():

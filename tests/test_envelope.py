@@ -5,12 +5,14 @@ from hahnroot.cli import parse_polynomial
 from hahnroot.corpus import corpus
 from hahnroot.envelope import (
     INF,
+    companion_points,
     finite_intersection_points,
     intersection_points,
     maxexp,
     maxexp_base,
     maxram,
     order_type_bound,
+    paper_base,
 )
 from hahnroot.ffield import field_ctx
 from hahnroot.ore import AdditivePolynomial, addpol
@@ -83,17 +85,21 @@ def test_walk_agrees_with_argmin_oracle_on_corpus():
         assert got == oracle_points(P)
 
 
+def companion_of(text, p):
+    return companion_points(parse_polynomial(text, p))
+
+
 def test_maxram_golden():
-    assert maxram(parse_polynomial("X^2 - t", 3)) == 2
+    assert maxram(*companion_of("X^2 - t", 3)) == 2
     for p in (2, 3, 5):
-        assert maxram(parse_polynomial(f"X^{p} - X - 1/t", p)) == 1
-    assert maxram(parse_polynomial("X^3 - X^2 - 1/t", 3)) % 2 == 0
+        assert maxram(*companion_of(f"X^{p} - X - 1/t", p)) == 1
+    assert maxram(*companion_of("X^3 - X^2 - 1/t", 3)) % 2 == 0
 
 
 def test_maxexp_paper_mode():
     f = parse_polynomial("X^2 + X + t", 2)
-    assert maxexp_base(f, "paper") == 8
-    assert maxexp(f, "paper") == math.factorial(8) == 40320
+    assert paper_base(f) == 8
+    assert maxexp(paper_base(f)) == math.factorial(8) == 40320
 
 
 def test_maxexp_sharp_mode_artin_schreier():
@@ -101,28 +107,28 @@ def test_maxexp_sharp_mode_artin_schreier():
     # -1/p (J = {1,2}), so the sharp base is p * p^2
     for p in (2, 3):
         f = parse_polynomial(f"X^{p} - X - 1/t", p)
-        P = addpol(f)
+        P, points = companion_points(f)
         pts = finite_intersection_points(P)
         assert [(b.r, b.J) for b in pts] == [
             (Fraction(-1, p), frozenset({1, 2})),
             (Fraction(0), frozenset({0, 1})),
         ]
-        assert maxexp_base(f, "sharp") == p**3
-        assert maxexp(f, "sharp") == math.factorial(p**3)
+        assert maxexp_base(P, points) == p**3
+        assert maxexp(maxexp_base(P, points)) == math.factorial(p**3)
 
 
 def test_maxexp_sharp_never_exceeds_paper():
     for g in corpus(seed=11, count=10, ps=(2, 3), max_deg=3):
-        assert maxexp_base(g, "sharp") <= maxexp_base(g, "paper")
+        assert maxexp_base(*companion_points(g)) <= paper_base(g)
 
 
 def test_order_type_bound():
-    assert order_type_bound(parse_polynomial("X^2 - t", 3)) == (2, "ω^2")
-    m, label = order_type_bound(parse_polynomial("X^3 - 2*X", 3))
+    assert order_type_bound(*companion_of("X^2 - t", 3)) == (2, "ω^2")
+    m, label = order_type_bound(*companion_of("X^3 - 2*X", 3))
     assert label == f"ω^{m}"
     for g in corpus(seed=13, count=10, ps=(2, 3), max_deg=3):
         n = g.degree
-        m, _ = order_type_bound(g)
+        m, _ = order_type_bound(*companion_points(g))
         assert m <= n * (n + 1) // 2 + 1
 
 

@@ -10,7 +10,6 @@ from hahnroot.hahn import (
     from_ratfun,
     is_approximation,
     ramifies_at,
-    series_to_json,
     to_ratfun,
     truncate,
 )
@@ -107,13 +106,3 @@ def test_append_term_guards_order():
     y = X.append_term(Fraction(2), F3.one)
     assert y.terms[-1] == (Fraction(2), F3.one)
 
-
-def test_json_shape():
-    doc = series_to_json(truncate(X, Fraction(-1, 6)))
-    assert doc["p"] == 3
-    assert doc["terms"] == [
-        {"exp": "-1/3", "coeff": "1"},
-        {"exp": "-2/9", "coeff": "1"},
-    ]
-    assert doc["precision"] == {"known_below": "-1/6"}
-    assert series_to_json(X)["precision"] == "exact"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot.ffield import field_ctx
-from hahnroot.ratfun import RatFun, laurent_terms, leading_term, rebase, to_text
+from hahnroot.ratfun import RatFun, laurent_terms, leading_term, to_text
 
 
 F3 = field_ctx(3)
@@ -53,16 +53,16 @@ def test_leading_term_of_zero_signals():
 
 def test_rebase_monomials():
     t = RatFun.t_power(F3, 1)
-    r = rebase(t, 2)
+    r = t.rebase(2)
     assert r.M == 2 and r.num == {2: F3.one}
     inv = RatFun.t_power(F3, -1)
-    r = rebase(inv, 6)
+    r = inv.rebase(6)
     assert r.M == 6 and r.num == {-6: F3.one}
 
 
 def test_rebase_rejects_non_multiple():
     with pytest.raises(ValueError):
-        rebase(RatFun.t_power(F3, 1, M=2), 3)
+        RatFun.t_power(F3, 1, M=2).rebase(3)
 
 
 @given(ratfuns())
@@ -70,7 +70,7 @@ def test_rebase_rejects_non_multiple():
 def test_rebase_preserves_leading_term(a):
     if a.is_zero():
         return
-    assert leading_term(rebase(a, 3 * a.M)) == leading_term(a)
+    assert leading_term(a.rebase(3 * a.M)) == leading_term(a)
 
 
 @given(ratfuns(), ratfuns(), ratfuns())
