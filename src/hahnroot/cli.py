@@ -388,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         fmt=ns.format,
         mode=getattr(ns, "mode", "sharp"),
     )
-    if cmd.verb == "roots" and cmd.depth < 1:
-        print("error: --depth must be at least 1", file=sys.stderr)
-        return 2
     code, text = run(cmd)
     print(text)
     return code

@@ -1,14 +1,16 @@
 """Finite-depth root expansion of f in generalized power series.
 
 The engine grows truncations w of roots of f one term at a time.  At a node
-w the Taylor data c_i = D^(i)f(w) is exact, and the candidate next exponents
-r are the negated slopes of the lower convex hull of the points (i, v(c_i)),
-i = 0..n; the coefficient candidates for an edge are the nonzero roots of
-the edge-restricted leading-coefficient equation.  Edges through index 0 are
-exactly the valuation-raising "approximation term" steps; edges avoiding
-index 0 are the tie branches that split off roots diverging from w at r.
-The hull census is sound and complete: the children of a node of
-multiplicity mu account for exactly mu roots of f.
+w the Taylor data c_i = D^(i)f(w) is exact; it is computed once, when the
+node is created, and the node keeps only its Newton data (v(c_0), the
+leading coefficient of c_0, and one line per nonzero c_i with i >= 1).  The
+candidate next exponents r are the negated slopes of the lower convex hull
+of the points (i, v(c_i)), i = 0..n; the coefficient candidates for an edge
+are the nonzero roots of the edge-restricted leading-coefficient equation.
+Edges through index 0 are exactly the valuation-raising "approximation
+term" steps; edges avoiding index 0 are the tie branches that split off
+roots diverging from w at r.  The hull census is sound and complete: the
+children of a node of multiplicity mu account for exactly mu roots of f.
 
 Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
@@ -26,7 +28,9 @@ from fractions import Fraction
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, evaluate, gamma_J, taylor_at
+from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, taylor_at
+# not called here; perfbench/tracing.py wraps expand.evaluate by name
+from .hasse import evaluate  # noqa: F401
 from .ore import is_additive
 from .ratfun import leading_term
 
@@ -52,7 +56,12 @@ class AccumulationReport:
 
 @dataclass(eq=False)
 class BranchNode:
-    """One node of the expansion tree: a truncation w plus its bookkeeping."""
+    """One node of the expansion tree: a truncation w plus its bookkeeping.
+
+    ``residual_valuation`` and ``residual_lead`` are v(f(w)) and the leading
+    coefficient of f(w) (INF and None when f(w) = 0); ``lines`` are the
+    Newton lines of the Taylor data of f at w.
+    """
 
     w: HahnSeries
     last_r: Fraction | None
@@ -63,6 +72,7 @@ class BranchNode:
     term_lines: frozenset[int] = frozenset()
     parent: "BranchNode | None" = None
     children: list["BranchNode"] = field(default_factory=list)
+    residual_lead: FF | None = None
     lines: tuple[NewtonLine, ...] = ()
     accumulation: AccumulationReport | None = None
 
@@ -93,6 +103,26 @@ def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]
     return hull
 
 
+def _node_at(f: Poly, w: HahnSeries, **fields) -> BranchNode:
+    """A node at w carrying the Newton data of the one Taylor computation there."""
+    coeffs = taylor_at(f, w)
+    if coeffs[0].is_zero():
+        valuation, lead = INF, None
+    else:
+        valuation, lead = leading_term(coeffs[0])
+    return BranchNode(
+        w=w, residual_valuation=valuation, residual_lead=lead, lines=newton_data(coeffs), **fields
+    )
+
+
+def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.RootsResult]:
+    """The equation sum tied[i]*z^i, as an ascending coefficient list, and its roots."""
+    equation = [ctx.zero] * (max(tied) + 1)
+    for i, b in tied.items():
+        equation[i] = b
+    return equation, ffield.poly_roots(equation)
+
+
 def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
 
@@ -104,11 +134,11 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
     lies below v(f(w)), and its child may keep or lower v(f(w)).
     """
     w = node.w
-    coeffs = taylor_at(f, w)
-    node.lines = tuple(
-        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
-    )
-    points = [(i, Fraction(c.valuation())) for i, c in enumerate(coeffs) if not c.is_zero()]
+    points = [(line.i, line.rho) for line in node.lines]
+    lead = {line.i: line.b for line in node.lines}
+    if node.residual_lead is not None:
+        points.insert(0, (0, node.residual_valuation))
+        lead[0] = node.residual_lead
     kids: list[BranchNode] = []
     order = points[0][0]
     if order > 0:
@@ -123,36 +153,29 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
             )
         )
     hull = _lower_hull(points)
-    lookup = dict(points)
     for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
         slope = Fraction(v2 - v1, i2 - i1)
         r = -slope
         if node.last_r is not None and r <= node.last_r:
             continue
-        on_edge = [i for i, v in lookup.items() if v == v1 + slope * (i - i1)]
-        top = max(on_edge)
-        equation = [node.w.ctx.zero] * (top + 1)
-        for i in on_edge:
-            equation[i] = coeffs[i].num[min(coeffs[i].num)]
-        solved = ffield.poly_roots(equation)
+        on_edge = [i for i, v in points if v == v1 + slope * (i - i1)]
+        _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
         w_base = w.embed(solved.embed) if solved.ctx != w.ctx else w
         for zeta, mult in solved.roots:
             if not zeta:
                 continue
-            w_child = w_base.append_term(r, zeta)
-            value = evaluate(f, w_child)
-            kids.append(
-                BranchNode(
-                    w=w_child,
-                    last_r=r,
-                    multiplicity=mult,
-                    residual_valuation=value.valuation(),
-                    status="exact_root" if value.is_zero() else "live",
-                    step_zeta=zeta,
-                    term_lines=frozenset(i for i in on_edge if i >= 1),
-                    parent=node,
-                )
+            kid = _node_at(
+                f,
+                w_base.append_term(r, zeta),
+                last_r=r,
+                multiplicity=mult,
+                step_zeta=zeta,
+                term_lines=frozenset(i for i in on_edge if i >= 1),
+                parent=node,
             )
+            if kid.residual_lead is None:
+                kid.status = "exact_root"
+            kids.append(kid)
     total = sum(k.multiplicity for k in kids)
     if total != node.multiplicity:
         raise AssertionError(
@@ -179,9 +202,7 @@ def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]
     coeffs = taylor_at(f, w)
     if coeffs[0].is_zero():
         raise AlreadyRootError("w is already an exact root; no terms to add")
-    lines = tuple(
-        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
-    )
+    lines = newton_data(coeffs)
     if not lines:
         return []
     vfw, b = leading_term(coeffs[0])
@@ -189,13 +210,7 @@ def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]
     if w.terms and r <= w.terms[-1][0]:
         return []
     _, J = gamma_J(lines, r)
-    by_index = {line.i: line.b for line in lines}
-    top = max(J)
-    equation = [w.ctx.zero] * (top + 1)
-    equation[0] = b
-    for i in J:
-        equation[i] = by_index[i]
-    solved = ffield.poly_roots(equation)
+    _, solved = _tied_roots(w.ctx, {0: b} | {line.i: line.b for line in lines if line.i in J})
     return [(r, zeta, mult) for zeta, mult in solved.roots if zeta]
 
 
@@ -246,15 +261,7 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
         raise ValueError("expansion requires a polynomial of degree >= 1")
     f = f.monic()
     ctx = f.ctx
-    w0 = HahnSeries.zero(ctx)
-    value = evaluate(f, w0)
-    root = BranchNode(
-        w=w0,
-        last_r=None,
-        multiplicity=f.degree,
-        residual_valuation=value.valuation(),
-        status="live",
-    )
+    root = _node_at(f, HahnSeries.zero(ctx), last_r=None, multiplicity=f.degree)
     tree = ExpansionTree(f, depth, root)
     frontier = [root]
     while frontier:
@@ -326,18 +333,13 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
         return None
 
     leaf = chain[-1]
-    leaf_lines = leaf.lines or _lines_at(f, leaf.w)
-    _, J_star = gamma_J(leaf_lines, r_star)
+    _, J_star = gamma_J(leaf.lines, r_star)
     if not {ell, m} <= J_star:
         return None
-    by_index = {line.i: line for line in leaf_lines}
+    by_index = {line.i: line for line in leaf.lines}
     if by_index[ell] != line_l or by_index[m] != line_m:
         return None
-    top = max(J_star)
-    equation = [leaf.w.ctx.zero] * (top + 1)
-    for j in J_star:
-        equation[j] = by_index[j].b
-    solved = ffield.poly_roots(equation)
+    equation, solved = _tied_roots(leaf.w.ctx, {j: by_index[j].b for j in J_star})
     prefix = [c for _, c in leaf.w.terms]
     solutions = tuple(
         (zeta, expands_at(prefix, zeta)) for zeta, _ in solved.roots
@@ -349,13 +351,6 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
         solutions=solutions,
         ctx=solved.ctx,
         heuristic=not is_additive(f),
-    )
-
-
-def _lines_at(f: Poly, w: HahnSeries) -> tuple[NewtonLine, ...]:
-    coeffs = taylor_at(f, w)
-    return tuple(
-        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
     )
 
 

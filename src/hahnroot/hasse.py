@@ -242,17 +242,15 @@ class NewtonLine:
         return self.rho + self.i * Fraction(r)
 
 
-def newton_data(f: Poly, w) -> tuple[NewtonLine, ...]:
-    """One line per index i >= 1 with a nonzero i-th Hasse derivative at w."""
-    if f.is_zero() or f.degree < 1:
-        return ()
-    cs = taylor_at(f, w)
-    lines = []
-    for i in range(1, len(cs)):
-        if not cs[i].is_zero():
-            v, b = leading_term(cs[i])
-            lines.append(NewtonLine(i, v, b))
-    return tuple(lines)
+def newton_data(coeffs: list[RatFun]) -> tuple[NewtonLine, ...]:
+    """One line per index i >= 1 with a nonzero Taylor coefficient c_i.
+
+    ``coeffs`` is Taylor data [c_0, .., c_n] as returned by ``taylor_at``;
+    this is the one place Newton lines are built.
+    """
+    return tuple(
+        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
+    )
 
 
 def gamma_J(lines, r) -> tuple[Fraction | float, frozenset[int]]:

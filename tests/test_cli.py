@@ -176,3 +176,8 @@ def test_main_entry(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "roots"
     assert main(["roots", "--p", "3", "--poly", "X", "--depth", "0"]) == 2
+    capsys.readouterr()
+    assert main(["roots", "--p", "3", "--poly", "X", "--depth", "0", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "hahnroot-json/1"
+    assert doc["error"]["kind"] == "ValueError"

@@ -216,6 +216,37 @@ def test_tie_child_keeps_valuation_over_lower_edge_level():
     assert set(by_terms) == {tie.w.terms, approx.w.terms}
 
 
+def test_one_taylor_computation_per_node(monkeypatch):
+    # a node's Taylor data is computed once, when it is created; f(w) is its
+    # c_0, so no separate evaluation runs, and the order > 0 exact-root leaf
+    # of X^3 - t*X^2 reuses the root's w and computes nothing
+    from hahnroot import expand, hasse
+
+    calls = {"taylor_at": 0, "evaluate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(expand, "taylor_at", counted("taylor_at", expand.taylor_at))
+    monkeypatch.setattr(expand, "evaluate", counted("evaluate", expand.evaluate))
+    monkeypatch.setattr(hasse, "evaluate", counted("evaluate", hasse.evaluate))
+    for text, depth, expected in (
+        ("X^3-X^2-1/t", 12, 13),
+        ("X^2+X+t", 3, 7),
+        ("X^3-t*X^2", 4, 2),
+    ):
+        calls.update(taylor_at=0, evaluate=0)
+        tree = expand_roots(parse_polynomial(text, 3), depth)
+        nodes = [tree.root] + [kid for _, kid in tree.edges()]
+        fresh = [n for n in nodes if n.parent is None or n.w is not n.parent.w]
+        assert calls["taylor_at"] == len(fresh) == expected
+        assert calls["evaluate"] == 0
+
+
 def _poly_from_roots(ctx, roots):
     from hahnroot.hasse import Poly
     from hahnroot.hahn import to_ratfun
