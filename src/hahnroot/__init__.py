@@ -25,7 +25,6 @@ from .expand import (
     branch_step,
     expand_roots,
 )
-from .cli import Command, parse_polynomial, poly_text, run
 
 __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots", "frobenius_solve",
@@ -42,3 +41,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The CLI names load on first access: importing .cli here would put
+# hahnroot.cli in sys.modules before `python -m hahnroot.cli` runs it.
+_CLI_NAMES = ("Command", "parse_polynomial", "poly_text", "run")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,11 @@ coefficient vectors with respect to that modulus.  Contexts are canonical:
 ``field_ctx(p, k)`` always picks the same modulus (the first irreducible in
 lex order on coefficient vectors), so independently computed towers agree.
 
+Fields of order at most ``_TABLE_ORDER`` compute by table lookup: on first
+use a context builds one interned :class:`FF` per element and log/exp (Zech)
+tables over a primitive element, so every operation indexes a list.  Larger
+fields multiply coefficient vectors as polynomials modulo the modulus.
+
 Enlarging a tower never mutates a context.  ``enlarge`` builds the bigger
 field and returns an :class:`Embedding` that callers apply to every live
 value; ``poly_roots`` and ``frobenius_solve`` do this internally and report
@@ -16,12 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 from . import intpoly
 
 # Fields small enough to scan element by element instead of trace-splitting.
 _BRUTE_FORCE_ORDER = 512
+
+# Fields of at most this order get interned elements and log/exp tables.
+_TABLE_ORDER = 1024
+
+# Miller-Rabin with these bases (the first 12 primes) is exact for every
+# n < _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
 
 
 class FieldError(ValueError):
@@ -33,13 +47,26 @@ class InconsistentEquation(FieldError):
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < _PRIME_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -55,13 +82,20 @@ class FieldCtx:
     def order(self) -> int:
         return self.p**self.k
 
+    @cached_property
+    def _tables(self) -> "_Tables | None":
+        """The field's lookup tables, built on first use; None above the cap."""
+        return _Tables(self) if self.order <= _TABLE_ORDER else None
+
     @property
     def zero(self) -> "FF":
-        return FF(self, (0,) * self.k)
+        t = self._tables
+        return t.zero if t is not None else _plain(self, (0,) * self.k)
 
     @property
     def one(self) -> "FF":
-        return self.from_int(1)
+        t = self._tables
+        return t.one if t is not None else _plain(self, (1,) + (0,) * (self.k - 1))
 
     @property
     def gen(self) -> "FF":
@@ -70,7 +104,10 @@ class FieldCtx:
         return FF(self, tuple(1 if i == 1 else 0 for i in range(self.k)))
 
     def from_int(self, n: int) -> "FF":
-        return FF(self, (n % self.p,) + (0,) * (self.k - 1))
+        t = self._tables
+        if t is not None:
+            return t.ints[n % self.p]
+        return _plain(self, (n % self.p,) + (0,) * (self.k - 1))
 
     def from_coeffs(self, coeffs) -> "FF":
         cs = [c % self.p for c in coeffs]
@@ -81,6 +118,12 @@ class FieldCtx:
 
     def elements(self):
         """All field elements in canonical (lex on coefficient vector) order."""
+        t = self._tables
+        if t is not None:
+            return iter(t.lex)
+        return self._lex_walk()
+
+    def _lex_walk(self):
         coeffs = [0] * self.k
         for _ in range(self.order):
             yield FF(self, tuple(coeffs))
@@ -122,6 +165,8 @@ def _modulus_text(modulus: tuple[int, ...]) -> str:
 @lru_cache(maxsize=None)
 def field_ctx(p: int, k: int = 1) -> FieldCtx:
     """The canonical context for F_{p^k}."""
+    if p >= _PRIME_LIMIT:
+        raise FieldError(f"p = {p} is too large: primes below {_PRIME_LIMIT} are supported")
     if not _is_prime(p):
         raise FieldError(f"{p} is not prime")
     if k < 1:
@@ -129,43 +174,89 @@ def field_ctx(p: int, k: int = 1) -> FieldCtx:
     return FieldCtx(p, k, intpoly.smallest_irreducible(p, k))
 
 
-@dataclass(frozen=True, slots=True)
 class FF:
-    """An element of F_{p^k}, as a length-k vector over F_p."""
+    """An element of F_{p^k}, as a length-k vector over F_p.
 
-    ctx: FieldCtx
-    coeffs: tuple[int, ...]
+    In a field with tables (order at most ``_TABLE_ORDER``) every element is
+    interned: ``FF(ctx, coeffs)`` returns the context's one object of that
+    value, which carries its discrete log ``_log`` (see :class:`_Tables`)
+    and its tables ``_t``.  Above the cap ``_t`` is None and the arithmetic
+    works on ``coeffs``.  Equality and hashing go by value either way.
+    """
+
+    __slots__ = ("ctx", "coeffs", "_t", "_log", "_nz")
+
+    def __new__(cls, ctx: FieldCtx, coeffs: tuple[int, ...]) -> "FF":
+        coeffs = tuple(coeffs)
+        t = ctx._tables
+        if t is None:
+            return _plain(ctx, coeffs)
+        x = t.by_coeffs.get(coeffs)
+        if x is None:
+            raise FieldError(f"{coeffs} is not a reduced coefficient vector of {ctx.label}")
+        return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError("field elements are immutable")
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self._nz
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FF:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.ctx == other.ctx
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def __add__(self, other: "FF") -> "FF":
+        t = self._t
+        if t is not None:
+            i = self._log
+            return t.exp[i + t.zech[other._log - i]]
         p = self.ctx.p
-        return FF(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return _plain(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FF") -> "FF":
+        t = self._t
+        if t is not None:
+            i = self._log
+            j = t.exp[other._log + t.half]._log  # the log of -other
+            return t.exp[i + t.zech[j - i]]
         p = self.ctx.p
-        return FF(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return _plain(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FF":
+        t = self._t
+        if t is not None:
+            return t.exp[self._log + t.half]
         p = self.ctx.p
-        return FF(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return _plain(self.ctx, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other: "FF") -> "FF":
+        t = self._t
+        if t is not None:
+            return t.exp[self._log + other._log]
         ctx = self.ctx
         if ctx.k == 1:
-            return FF(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
+            return _plain(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
         prod = intpoly.mul(list(self.coeffs), list(other.coeffs), ctx.p)
         prod = intpoly.mod(prod, list(ctx.modulus), ctx.p)
         prod += [0] * (ctx.k - len(prod))
-        return FF(ctx, tuple(prod))
+        return _plain(ctx, tuple(prod))
 
     def inverse(self) -> "FF":
-        if not self:
+        if not self._nz:
             raise ZeroDivisionError("inverting zero field element")
+        t = self._t
+        if t is not None:
+            return t.exp[t.n - self._log]
         ctx = self.ctx
         if ctx.k == 1:
-            return FF(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
+            return _plain(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
         # extended Euclid against the modulus
         a, b = list(self.coeffs), list(ctx.modulus)
         sa: list[int] = [1]
@@ -178,9 +269,17 @@ class FF:
         return ctx.from_coeffs(inv)
 
     def __truediv__(self, other: "FF") -> "FF":
+        t = self._t
+        if t is not None:
+            if not other._nz:
+                raise ZeroDivisionError("inverting zero field element")
+            return t.exp[self._log - other._log + t.n]
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FF":
+        t = self._t
+        if t is not None and self._nz:
+            return t.exp[self._log * e % t.n]
         if e < 0:
             return self.inverse() ** (-e)
         result = self.ctx.one
@@ -193,6 +292,11 @@ class FF:
         return result
 
     def frobenius(self, times: int = 1) -> "FF":
+        t = self._t
+        if t is not None:
+            if not self._nz:
+                return self
+            return t.exp[self._log * t.frob[times % self.ctx.k] % t.n]
         out = self
         for _ in range(times):
             out = out**self.ctx.p
@@ -231,6 +335,108 @@ class FF:
 
     def __repr__(self) -> str:
         return f"FF({self}, {self.ctx.label})"
+
+
+_SLOTS = tuple(FF.__dict__[name].__set__ for name in FF.__slots__)
+
+
+def _element(ctx: FieldCtx, coeffs: tuple[int, ...], t: "_Tables | None", log) -> FF:
+    x = object.__new__(FF)
+    set_ctx, set_coeffs, set_t, set_log, set_nz = _SLOTS
+    set_ctx(x, ctx)
+    set_coeffs(x, coeffs)
+    set_t(x, t)
+    set_log(x, log)
+    set_nz(x, any(coeffs))
+    return x
+
+
+def _plain(ctx: FieldCtx, coeffs: tuple[int, ...]) -> FF:
+    """An element of a field without tables."""
+    return _element(ctx, coeffs, None, None)
+
+
+class _Tables:
+    """Interned elements and log/exp (Zech) tables of one small field.
+
+    With alpha the primitive element and n = q - 1, a nonzero element
+    alpha^i has log i in [0, n) and zero has log 2n.  ``exp`` lists
+    the powers alpha^0 .. alpha^(n-1) twice and then 2n + 1 zeros, so that
+    ``exp[i + j]`` is the product and ``exp[i - j + n]`` the quotient for any
+    logs i, j, zero included.  ``zech[d]`` (d = j - i, negative indices
+    counting from the end) is the log c with alpha^i + alpha^j = exp[i + c]:
+    log(1 + alpha^d) when both are nonzero, 0 when alpha^j is zero and d
+    itself when alpha^i is zero.  ``half`` is the log of -1.
+    """
+
+    __slots__ = ("n", "half", "frob", "exp", "zech", "by_coeffs", "lex",
+                 "ints", "zero", "one")
+
+    def __init__(self, ctx: FieldCtx):
+        p, k = ctx.p, ctx.k
+        n = ctx.order - 1
+        self.n = n
+        self.half = n // 2 if p > 2 else 0
+        self.frob = [pow(p, j, n) for j in range(k)]
+
+        # walk the powers of alpha: O(q) steps, each O(k) for alpha of low degree
+        alpha = intpoly.trim(_primitive_element(ctx))
+        powers = []
+        x = [1] + [0] * (k - 1)
+        for i in range(n):
+            powers.append(_element(ctx, tuple(x), self, i))
+            x = _times(x, alpha, ctx)
+        zero = _element(ctx, (0,) * k, self, 2 * n)
+        self.exp = powers + powers + [zero] * (2 * n + 1)
+        by_coeffs = {y.coeffs: y for y in powers}
+        by_coeffs[zero.coeffs] = zero
+        self.by_coeffs = by_coeffs
+
+        zech = [0] * (4 * n + 1)
+        for d, y in enumerate(powers):
+            c = y.coeffs
+            z = by_coeffs[((c[0] + 1) % p,) + c[1:]]._log
+            zech[d] = z
+            zech[d - n] = z
+        for d in range(-2 * n, -n):
+            zech[d] = d
+        self.zech = zech
+
+        # the order ``elements`` promises
+        self.lex = [by_coeffs[c] for c in product(range(p), repeat=k)]
+        self.ints = [by_coeffs[(c,) + (0,) * (k - 1)] for c in range(p)]
+        self.zero, self.one = zero, self.ints[1]
+
+
+def _times(x: list[int], g: list[int], ctx: FieldCtx) -> list[int]:
+    """x * g in F_p[s]/(modulus): x a length-k coefficient list, g trimmed."""
+    p, modulus = ctx.p, ctx.modulus
+    acc = [0] * len(x)
+    last = len(g) - 1
+    for j, gj in enumerate(g):
+        if gj:
+            acc = [(a + gj * c) % p for a, c in zip(acc, x)]
+        if j < last:
+            top = x[-1]
+            x = [0] + x[:-1]
+            if top:
+                x = [(c - top * m) % p for c, m in zip(x, modulus)]
+    return acc
+
+
+def _primitive_element(ctx: FieldCtx) -> list[int]:
+    """The first generator of the multiplicative group, trying the vectors
+    (c_0, .., c_{k-1}) in increasing order of c_0 + c_1 p + ... + c_{k-1} p^(k-1)."""
+    p, k = ctx.p, ctx.k
+    n = ctx.order - 1
+    cofactors = [n // r for r in intpoly.prime_factors(n)]
+    modulus = list(ctx.modulus)
+    # for k > 1 the constants lie in F_p^*, which is too small
+    for m in range(1 if k == 1 else p, n + 1):
+        g = [m // p**i % p for i in range(k)]
+        if all(intpoly.pow_mod(intpoly.trim(g), e, modulus, p) != [1] for e in cofactors):
+            return g
+    raise FieldError(f"{ctx.label} has no primitive element; is its modulus irreducible?")
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +557,28 @@ class Embedding:
         for _ in range(src.k - 1):
             powers.append(powers[-1] * gen_image)
         self._powers = powers
+        # with tables on both sides, alpha_src^i maps to alpha_dst^(i * scale)
+        self._dst_tables = dst._tables
+        self._scale = None
+        if src._tables is not None and self._dst_tables is not None:
+            self._scale = self._image(src._tables.exp[1])._log
 
-    def __call__(self, x: FF) -> FF:
-        if x.ctx != self.src:
-            raise FieldError("element does not belong to the embedding source")
+    def _image(self, x: FF) -> FF:
         out = self.dst.zero
         for c, w in zip(x.coeffs, self._powers):
             if c:
                 out = out + self.dst.from_int(c) * w
         return out
+
+    def __call__(self, x: FF) -> FF:
+        if x.ctx is not self.src and x.ctx != self.src:
+            raise FieldError("element does not belong to the embedding source")
+        t = self._dst_tables
+        if self._scale is None:
+            return self._image(x)
+        if not x._nz:
+            return t.zero
+        return t.exp[x._log * self._scale % t.n]
 
     def project(self, y: FF) -> FF:
         """Inverse image of y, which must lie in the embedded subfield."""

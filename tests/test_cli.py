@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,26 @@ def test_main_entry(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "hahnroot-json/1"
     assert doc["error"]["kind"] == "ValueError"
+
+
+def test_module_entry_runs_without_warnings():
+    # importing the package must not load hahnroot.cli before -m runs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hahnroot.cli", "roots", "--p", "3", "--poly", "X", "--depth", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "exact_root" in proc.stdout
+
+
+def test_prime_above_the_primality_limit_is_an_error():
+    p = 10**24 + 7
+    code, text = run(Command("roots", p, "X^2-t", depth=3, fmt="json"))
+    assert code == 2
+    err = json.loads(text)["error"]
+    assert err["kind"] == "FieldError"
+    assert "318665857834031151167461" in err["message"]

@@ -1,9 +1,16 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahnroot import intpoly
 from hahnroot.ffield import (
     FF,
+    FieldCtx,
+    FieldError,
     InconsistentEquation,
+    _is_prime,
     enlarge,
     field_ctx,
     find_embedding,
@@ -175,3 +182,173 @@ def test_roots_over_extension_field_input():
     assert len(res.roots) == 2
     image = res.embed(c)
     assert all(z * z == image and z.degree() == 4 for z, _ in res.roots)
+
+
+# ---------------------------------------------------------------------------
+# Table arithmetic against an independent oracle: intpoly on coefficient
+# vectors, never the FF operators themselves.
+
+
+def _vec(cs, k):
+    return tuple(cs) + (0,) * (k - len(cs))
+
+
+def _omul(ctx, a, b):
+    prod = intpoly.mul(list(a), list(b), ctx.p)
+    return _vec(intpoly.mod(prod, list(ctx.modulus), ctx.p), ctx.k)
+
+
+def _opow(ctx, a, e):
+    return _vec(intpoly.pow_mod(intpoly.trim(list(a)), e, list(ctx.modulus), ctx.p), ctx.k)
+
+
+def _check_pair(ctx, x, y):
+    p, k = ctx.p, ctx.k
+    assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+    assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+    assert (x * y).coeffs == _omul(ctx, x.coeffs, y.coeffs)
+    if y:
+        assert _omul(ctx, (x / y).coeffs, y.coeffs) == x.coeffs
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+def _check_element(ctx, x):
+    p, k = ctx.p, ctx.k
+    one = _vec([1], k)
+    assert (-x).coeffs == tuple((-a) % p for a in x.coeffs)
+    for e in range(4):
+        assert (x**e).coeffs == _opow(ctx, x.coeffs, e)
+    for times in range(k + 2):
+        assert x.frobenius(times).coeffs == _opow(ctx, x.coeffs, p**times)
+    orbit = next(d for d in range(1, k + 1) if _opow(ctx, x.coeffs, p**d) == x.coeffs)
+    assert x.degree() == orbit
+    if x:
+        assert _omul(ctx, x.inverse().coeffs, x.coeffs) == one
+        for e in (1, 2, ctx.order):
+            assert _omul(ctx, (x**-e).coeffs, _opow(ctx, x.coeffs, e)) == one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x**-1
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_table_arithmetic_matches_polynomial_oracle(p, k):
+    ctx = field_ctx(p, k)
+    assert ctx._tables is not None
+    elements = list(ctx.elements())
+    assert len(elements) == ctx.order
+    assert [x.coeffs for x in elements] == sorted(x.coeffs for x in elements)
+    for x in elements:
+        _check_element(ctx, x)
+        for y in elements:
+            _check_pair(ctx, x, y)
+
+
+def test_table_arithmetic_sample_in_f256():
+    ctx = field_ctx(2, 8)
+    rng = random.Random(256)
+    elements = list(ctx.elements())
+    for _ in range(2000):
+        _check_pair(ctx, rng.choice(elements), rng.choice(elements))
+    for x in rng.sample(elements, 40) + [ctx.zero, ctx.one]:
+        _check_element(ctx, x)
+
+
+@pytest.mark.parametrize("p,k", [(2, 11), (1031, 1)])
+def test_fields_above_the_cap_keep_polynomial_arithmetic(p, k):
+    ctx = field_ctx(p, k)
+    assert ctx.order > 1024 and ctx._tables is None
+    rng = random.Random(p)
+
+    def draw():
+        return FF(ctx, tuple(rng.randrange(p) for _ in range(k)))
+
+    for _ in range(60):
+        _check_pair(ctx, draw(), draw())
+    for x in [draw() for _ in range(5)] + [ctx.zero, ctx.one]:
+        _check_element(ctx, x)
+
+
+def _coordinate_image(emb, x):
+    # sum c_i * g^i over the destination, g the image of the generator
+    dst = emb.dst
+    out = [0] * dst.k
+    g_power = _vec([1], dst.k)
+    for c in x.coeffs:
+        out = [(a + c * b) % dst.p for a, b in zip(out, g_power)]
+        g_power = _omul(dst, g_power, emb.gen_image.coeffs)
+    return tuple(out)
+
+
+def test_embeddings_agree_with_the_coordinate_formula():
+    f16, f81, f256 = field_ctx(2, 4), field_ctx(3, 4), field_ctx(2, 8)
+    e9 = find_embedding(F9, f81)
+    for x in F9.elements():
+        assert e9(x).coeffs == _coordinate_image(e9, x)
+    e4, e16 = find_embedding(F4, f16), find_embedding(f16, f256)
+    for x in F4.elements():
+        assert e4(x).coeffs == _coordinate_image(e4, x)
+    for x in f16.elements():
+        assert e16(x).coeffs == _coordinate_image(e16, x)
+    # the composite F_4 -> F_256 respects the field operations
+    for x in F4.elements():
+        for y in F4.elements():
+            assert e16(e4(x * y)) == e16(e4(x)) * e16(e4(y))
+            assert e16(e4(x + y)) == e16(e4(x)) + e16(e4(y))
+
+
+def test_direct_construction_returns_the_interned_element():
+    f81 = field_ctx(3, 4)
+    for x in f81.elements():
+        twin = FF(f81, x.coeffs)
+        assert twin == x and twin is x and hash(twin) == hash(x)
+        assert FF(f81, list(x.coeffs)) is x
+    with pytest.raises(FieldError):
+        FF(f81, (3, 0, 0, 0))
+    # an equal context built separately has tables of its own; values agree
+    other = FieldCtx(3, 4, f81.modulus)
+    assert other == f81 and other._tables is not f81._tables
+    for x in list(f81.elements())[::7]:
+        y = FF(other, x.coeffs)
+        assert y == x and y is not x and hash(y) == hash(x)
+        assert (y * f81.gen).coeffs == (x * f81.gen).coeffs
+        assert (y + f81.one) == (x + f81.one)
+
+
+def test_field_elements_are_immutable():
+    x = F9.gen
+    with pytest.raises(AttributeError):
+        x.coeffs = (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Primality of p.
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(-5, 20000))
+
+
+def test_composites_that_fool_weak_tests_are_rejected():
+    # Carmichael numbers, and a strong pseudoprime to every prime base up to 23
+    for n in (561, 41041, 3825123056546413051):
+        assert not _is_prime(n)
+    for n in (561, 41041):
+        with pytest.raises(FieldError):
+            field_ctx(n)
+
+
+def test_large_prime_is_accepted_quickly():
+    start = time.perf_counter()
+    ctx = field_ctx(10**18 + 3)
+    assert ctx.p == 10**18 + 3 and ctx.order > 1024
+    assert time.perf_counter() - start < 5
+    with pytest.raises(FieldError, match="318665857834031151167461"):
+        field_ctx(318665857834031151167461 + 2)
