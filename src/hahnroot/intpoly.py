@@ -2,18 +2,35 @@
 
 The zero polynomial is []. All functions return freshly allocated lists and
 keep coefficients reduced into [0, p).
+
+Above size thresholds, chosen by measurement, the arithmetic is subquadratic
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8, 9, 11):
+products by Kronecker substitution into one big-int product, division by a
+Newton-iteration power-series inverse, gcd by the half-gcd reduction. Below
+them the schoolbook loops run. The fast paths reach ``mul`` and ``divmod_``
+through the module globals, so a wrapper installed on those names sees
+every call.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import sys
+from array import array
 
 
 def trim(a: list[int]) -> list[int]:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
+    return _strip(list(a))
+
+
+def _strip(out: list[int]) -> list[int]:
+    # trim in place, for a list the caller has just built; sums that cancel
+    # (half-gcd matrix products) leave long zero tails, dropped in blocks
+    if out and not out[-1]:
+        while len(out) > 32 and not any(out[-32:]):
+            del out[-32:]
+        while out and not out[-1]:
+            out.pop()
+    return out
 
 
 def deg(a: list[int]) -> int:
@@ -26,7 +43,7 @@ def add(a: list[int], b: list[int], p: int) -> list[int]:
     out = list(a)
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return trim(out)
+    return _strip(out)
 
 
 def neg(a: list[int], p: int) -> list[int]:
@@ -34,30 +51,58 @@ def neg(a: list[int], p: int) -> list[int]:
 
 
 def sub(a: list[int], b: list[int], p: int) -> list[int]:
-    return add(a, neg(b, p), p)
+    out = [(x - y) % p for x, y in zip(a, b)]
+    n = len(out)
+    if len(a) > n:
+        out += a[n:]
+    elif len(b) > n:
+        out += [(-y) % p for y in b[n:]]
+    return _strip(out)
 
 
 def scal(a: list[int], c: int, p: int) -> list[int]:
     c %= p
     if c == 0:
         return []
-    return trim([(c * x) % p for x in a])
+    return _strip([(c * x) % p for x in a])
 
+
+# unsigned array typecodes by item size, smallest first; chosen by itemsize
+# because the sizes of 'I' and 'L' depend on the platform
+_CODES = sorted({array(c).itemsize: c for c in "QLIHB"}.items())
 
 # below this combined length, schoolbook multiplication beats packing
 _PACK_THRESHOLD = 48
+# from this divisor degree on, a schoolbook step updates one slice at a time
+_SLICE_THRESHOLD = 24
+# Newton division once the quotient has this many terms and the divisor this degree
+_NEWTON_THRESHOLD = 48
+# half-gcd once the smaller operand has more than this many terms
+_HGCD_THRESHOLD = 256
+# half-gcd recursion runs plain Euclid steps from this size down
+_HGCD_BASE = 48
 
 
 def _packed_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    # Kronecker substitution: evaluate at 2^(8w) and use big-int multiplication
+    # Kronecker substitution: evaluate at 2^(8w), one big-int product, and
+    # read the coefficients back out of its bytes; no slot can carry
+    n = len(a) + len(b) - 1
     bound = min(len(a), len(b)) * (p - 1) * (p - 1)
     w = (bound.bit_length() + 7) // 8
-    pa = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
-    prod = pa * pb
-    n = len(a) + len(b) - 1
-    raw = prod.to_bytes(n * w + w, "little")
-    return trim([int.from_bytes(raw[i * w:(i + 1) * w], "little") % p for i in range(n)])
+    code = next((c for size, c in _CODES if size >= w), None)
+    if code is None:
+        pa = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+        pb = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
+        raw = (pa * pb).to_bytes(n * w, "little")
+        return _strip([int.from_bytes(raw[i * w:(i + 1) * w], "little") % p for i in range(n)])
+    # arrays hold native-order items; on a big-endian host reading them in
+    # that order packs the reversed polynomials, whose product reverses back
+    order = sys.byteorder
+    pa = int.from_bytes(array(code, a).tobytes(), order)
+    pb = int.from_bytes(array(code, b).tobytes(), order)
+    out = array(code)
+    out.frombytes((pa * pb).to_bytes(n * out.itemsize, order))
+    return _strip([c % p for c in out])
 
 
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -71,23 +116,66 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = (out[i + j] + x * y) % p
-    return trim(out)
+    return _strip(out)
+
+
+def _series_inverse(h: list[int], m: int, p: int) -> list[int]:
+    """g of length m with h*g = 1 mod x^m, by Newton doubling (MCA 9.1);
+    needs h[0] != 0."""
+    g = [pow(h[0], p - 2, p)]
+    k = 1
+    while k < m:
+        k2 = min(2 * k, m)
+        # h*g = 1 + x^k e mod x^k2, so g - x^k (g e) is exact mod x^k2
+        e = mul(h[:k2], g, p)[k:k2]
+        corr = mul(g[:k2 - k], e, p)[:k2 - k]
+        g += [(-c) % p for c in corr]
+        g += [0] * (k2 - len(g))
+        k = k2
+    return g
+
+
+def _newton_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    # rev(q) = rev(a) rev(b)^(-1) mod x^m; then r = a - q b, of which only
+    # the terms below deg b are nonzero
+    db = len(b) - 1
+    m = len(a) - db
+    q = mul(a[-m:][::-1], _series_inverse(b[::-1], m, p), p)[:m]
+    q += [0] * (m - len(q))
+    q.reverse()
+    low, qb = _strip(a[:db]), mul(q[:db], b[:db], p)[:db]
+    # an exact division, the common case, is told by one list comparison
+    return q, [] if low == _strip(qb) else sub(low, qb, p)
 
 
 def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db, lb = deg(b), b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i]:
-            c = (r[i] * inv_lb) % p
-            q[i - db] = c
-            for j, y in enumerate(b):
-                r[i - db + j] = (r[i - db + j] - c * y) % p
-    return trim(q), trim(r)
+    r = trim(a)
+    db = len(b) - 1
+    m = len(r) - db
+    if m <= 0:
+        return [], r
+    if m >= _NEWTON_THRESHOLD and db >= _NEWTON_THRESHOLD:
+        return _newton_divmod(r, b, p)
+    inv_lb = pow(b[-1], p - 2, p)
+    q = [0] * m
+    if db < _SLICE_THRESHOLD:
+        for i in range(len(r) - 1, db - 1, -1):
+            if r[i]:
+                c = (r[i] * inv_lb) % p
+                q[i - db] = c
+                for j, y in enumerate(b):
+                    r[i - db + j] = (r[i - db + j] - c * y) % p
+    else:
+        low = b[:db]
+        for i in range(len(r) - 1, db - 1, -1):
+            if r[i]:
+                c = (r[i] * inv_lb) % p
+                q[i - db] = c
+                r[i - db:i] = [(x - c * y) % p for x, y in zip(r[i - db:i], low)]
+    del r[db:]
+    return _strip(q), _strip(r)
 
 
 def mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -107,7 +195,63 @@ def monic(a: list[int], p: int) -> list[int]:
     return scal(a, pow(a[-1], p - 2, p), p)
 
 
+# 2x2 polynomial matrices are tuples (m00, m01, m10, m11)
+_IDENTITY = ([1], [], [], [1])
+
+
+def _mat_apply(M, a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    m00, m01, m10, m11 = M
+    return (add(mul(m00, a, p), mul(m01, b, p), p),
+            add(mul(m10, a, p), mul(m11, b, p), p))
+
+
+def _mat_mul(M, N, p: int):
+    m00, m01, m10, m11 = M
+    n00, n01, n10, n11 = N
+    return (add(mul(m00, n00, p), mul(m01, n10, p), p),
+            add(mul(m00, n01, p), mul(m01, n11, p), p),
+            add(mul(m10, n00, p), mul(m11, n10, p), p),
+            add(mul(m10, n01, p), mul(m11, n11, p), p))
+
+
+def _euclid_step(M, a: list[int], b: list[int], p: int):
+    # (a, b) -> (b, a mod b), with M -> [[0, 1], [1, -q]] M
+    q, r = divmod_(a, b, p)
+    m00, m01, m10, m11 = M
+    return (m10, m11, sub(m00, mul(q, m10, p), p), sub(m01, mul(q, m11, p), p)), b, r
+
+
+def _half_gcd(a: list[int], b: list[int], p: int):
+    """A product M of Euclid steps with M (a, b) = (a', b') and
+    deg b' < ceil(deg a / 2) <= deg a' (MCA 11.1); needs deg a > deg b."""
+    m = len(a) // 2
+    if len(b) <= m:
+        return _IDENTITY
+    if len(a) <= _HGCD_BASE:
+        M = _IDENTITY
+        while len(b) > m:
+            M, a, b = _euclid_step(M, a, b, p)
+        return M
+    # the quotients of the top halves are the first quotients of (a, b)
+    R = _half_gcd(a[m:], b[m:], p)
+    a, b = _mat_apply(R, a, b, p)
+    if len(b) <= m:
+        return R
+    R, a, b = _euclid_step(R, a, b, p)
+    if len(b) <= m:
+        return R
+    k = 2 * m - deg(a)
+    return _mat_mul(_half_gcd(a[k:], b[k:], p), R, p)
+
+
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd; half-gcd reductions above the threshold, Euclid below."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > _HGCD_THRESHOLD:
+        a, b = b, mod(a, b, p)
+        if len(b) > len(a) // 2:
+            a, b = _mat_apply(_half_gcd(a, b, p), a, b, p)
     while b:
         a, b = b, mod(a, b, p)
     return monic(a, p)
@@ -131,14 +275,7 @@ def pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
 
 
 def derivative(a: list[int], p: int) -> list[int]:
-    return trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def eval_(a: list[int], x: int, p: int) -> int:
-    y = 0
-    for c in reversed(a):
-        y = (y * x + c) % p
-    return y
+    return _strip([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def prime_factors(n: int) -> list[int]:
@@ -178,12 +315,19 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k, by lex order on (a_0, .., a_{k-1})."""
     if k == 1:
         return (0, 1)
-    # a_0 = 0 would give a factor of X, so that block never holds the minimum
-    for a0 in range(1, p):
-        for rest in product(range(p), repeat=k - 1):
-            g = [a0, *rest, 1]
-            if any(eval_(g, c, p) == 0 for c in range(p)):
-                continue
-            if is_irreducible(g, p):
-                return tuple(g)
+    x = [0, 1]
+    # a_0 = 0 would give a factor of X, so that block never holds the minimum;
+    # candidates are decoded from a counter, so none is built before its turn
+    span = p ** (k - 1)
+    for code in range((p - 1) * span):
+        a0, rest = divmod(code, span)
+        g = [0] * (k + 1)
+        g[0], g[k] = a0 + 1, 1
+        for i in range(k - 1, 0, -1):
+            rest, g[i] = divmod(rest, p)
+        # a root in F_p is a common factor with X^p - X
+        if deg(gcd(sub(pow_mod(x, p, g, p), x, p), g, p)) > 0:
+            continue
+        if is_irreducible(g, p):
+            return tuple(g)
     raise ArithmeticError(f"no irreducible of degree {k} over F_{p}")

@@ -1,3 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot import intpoly
@@ -51,3 +59,184 @@ def test_irreducibility():
     assert not intpoly.is_irreducible([2, 0, 1], 3)  # t^2 + 2 = (t+1)(t+2)
     assert intpoly.is_irreducible([1, 1, 1], 2)
     assert not intpoly.is_irreducible([1, 0, 0, 1], 2)  # t^3+1 has root 1
+
+
+# -- the fast paths against schoolbook oracles, across every size threshold --
+
+PRIMES = [2, 3, 11, 65537, 2**31 - 1, 2**61 - 1]  # the last two pack as bytes
+
+
+def _oracle_divmod(a, b, p):
+    r = intpoly.trim(list(a))
+    db, inv = len(b) - 1, pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        q[i - db] = c
+        for j, y in enumerate(b):
+            r[i - db + j] = (r[i - db + j] - c * y) % p
+    return intpoly.trim(q), intpoly.trim(r)
+
+
+def _oracle_gcd(a, b, p):
+    while b:
+        a, b = b, _oracle_divmod(a, b, p)[1]
+    return [c * pow(a[-1], p - 2, p) % p for c in a] if a else []
+
+
+def _rand(rng, n, p):
+    # exactly n terms, the top one nonzero
+    return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)] if n else []
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    orig = getattr(intpoly, name)
+
+    def spy(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(intpoly, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_matches_schoolbook_across_the_packing_threshold(p, monkeypatch):
+    rng = random.Random(p)
+    packed = _spy(monkeypatch, "_packed_mul")
+    t = intpoly._PACK_THRESHOLD
+    for na, nb in ((1, t - 2), (1, t - 1), (t // 2 - 1, t // 2), (t // 2, t // 2),
+                   (3, 200), (150, 170)):
+        a, b = _rand(rng, na, p), _rand(rng, nb, p)
+        assert intpoly.mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
+    assert packed
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_divmod_matches_schoolbook_across_the_division_thresholds(p, monkeypatch):
+    rng = random.Random(p)
+    newton = _spy(monkeypatch, "_newton_divmod")
+    s, n = intpoly._SLICE_THRESHOLD, intpoly._NEWTON_THRESHOLD
+    # (quotient length, divisor degree)
+    shapes = [(1, 0), (200, 0), (1, 200), (5, s - 1), (5, s), (n - 1, n), (n, n - 1),
+              (n, n), (n + 1, n), (3 * n, 2 * n), (1, 3 * n)]
+    for m, db in shapes:
+        a, b = _rand(rng, m + db, p), _rand(rng, db + 1, p)
+        q, r = intpoly.divmod_(a, b, p)
+        assert (q, r) == _oracle_divmod(a, b, p)
+        assert intpoly.mod(a, b, p) == r
+        prod = intpoly.mul(q, b, p)
+        assert intpoly.divexact(prod, b, p) == q
+        # a shorter dividend gives no quotient and is its own remainder
+        assert intpoly.divmod_(b[:-1] or [], b, p) == ([], intpoly.trim(b[:-1]))
+    # sparse operands, whose reversed quotient ends in zeros
+    for m, db, gap in ((3 * n, n + 1, 5), (2 * n + 1, n, n // 2)):
+        a = [1] + [0] * (m + db - 2) + [1]
+        b = [1] + [0] * (gap - 1) + [p - 1] + [0] * (db - gap - 1) + [1]
+        assert intpoly.divmod_(a, b, p) == _oracle_divmod(a, b, p)
+    assert newton
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_divexact_raises_on_the_newton_path(p, monkeypatch):
+    rng = random.Random(p)
+    newton = _spy(monkeypatch, "_newton_divmod")
+    n = intpoly._NEWTON_THRESHOLD
+    b = _rand(rng, n + 1, p)
+    exact = intpoly.mul(_rand(rng, n + 3, p), b, p)
+    for off in ([1], [0] * (n - 1) + [1]):
+        with pytest.raises(ArithmeticError):
+            intpoly.divexact(intpoly.add(exact, off, p), b, p)
+    assert newton
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p, monkeypatch):
+    rng = random.Random(p)
+    half = _spy(monkeypatch, "_half_gcd")
+    h = intpoly._HGCD_THRESHOLD
+    # (common factor, cofactor of a, cofactor of b) lengths; the largest
+    # recurses below the base case twice
+    for lc, la, lb in ((1, h, h - 5), (40, h - 30, h - 39), (60, h, h - 1),
+                       (1, 2 * h + 7, 2 * h), (h // 2, 3, 2 * h)):
+        c = _rand(rng, lc, p)
+        a = intpoly.mul(_rand(rng, la, p), c, p)
+        b = intpoly.mul(_rand(rng, lb, p), c, p)
+        g = _oracle_gcd(a, b, p)
+        assert intpoly.gcd(a, b, p) == g == intpoly.gcd(b, a, p)
+        assert intpoly.mod(a, g, p) == [] and intpoly.mod(b, g, p) == []
+        monic_a = intpoly.monic(a, p)
+        assert intpoly.gcd(a, [], p) == monic_a == intpoly.gcd([], a, p)
+    assert intpoly.gcd([], [], p) == []
+    assert half
+
+
+@pytest.mark.parametrize("p", [2, 5, 65537])
+def test_half_gcd_halves_the_degree(p):
+    rng = random.Random(p)
+    for n in (intpoly._HGCD_BASE - 1, 2 * intpoly._HGCD_BASE + 3, 300, 301):
+        for lb in (n // 2 + 1, n - 1):
+            a, b = _rand(rng, n, p), _rand(rng, lb, p)
+            a2, b2 = intpoly._mat_apply(intpoly._half_gcd(a, b, p), a, b, p)
+            # deg b' < ceil(deg a / 2) <= deg a'
+            assert len(b2) <= len(a) // 2 < len(a2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_add_and_sub_of_unequal_lengths(p):
+    rng = random.Random(p)
+    for na, nb in ((0, 3), (3, 0), (2, 7), (7, 2), (5, 5)):
+        a, b = _rand(rng, na, p), _rand(rng, nb, p)
+        s = intpoly.add(a, b, p)
+        assert intpoly.sub(s, b, p) == intpoly.trim(a)
+        assert intpoly.sub(a, a, p) == [] and intpoly.add(a, intpoly.neg(a, p), p) == []
+
+
+# -- the first irreducible of each degree --
+
+def _eval(g, x, p):
+    y = 0
+    for c in reversed(g):
+        y = (y * x + c) % p
+    return y
+
+
+def _exhaustive_smallest_irreducible(p, k):
+    # the search as first written: every candidate in lex order, each tested
+    # for a root at every residue
+    if k == 1:
+        return (0, 1)
+    for a0 in range(1, p):
+        for rest in product(range(p), repeat=k - 1):
+            g = [a0, *rest, 1]
+            if any(_eval(g, c, p) == 0 for c in range(p)):
+                continue
+            if intpoly.is_irreducible(g, p):
+                return tuple(g)
+    raise AssertionError("no irreducible found")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_smallest_irreducible_matches_exhaustive_search(p):
+    for k in range(1, 5):
+        assert intpoly.smallest_irreducible(p, k) == _exhaustive_smallest_irreducible(p, k)
+
+
+def test_smallest_irreducible_at_large_p_is_bounded():
+    # run under a 2 GB address-space cap, where enumerating range(p) as a
+    # tuple raised MemoryError
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from hahnroot import intpoly\n"
+        "print(intpoly.smallest_irreducible(10**9 + 7, 2),"
+        " intpoly.smallest_irreducible(10**18 + 3, 3))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "(1, 0, 1) (1, 0, 6, 1)"

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnroot.cli import additive_text, parse_polynomial
+from hahnroot.cli import Command, additive_text, parse_polynomial, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import Poly, evaluate
@@ -88,3 +89,15 @@ def test_artin_schreier_companion():
         assert set(P.coeffs) == {0, 1, 2}
         q, rem = P.to_poly().divmod(f)
         assert rem.is_zero()
+
+
+@pytest.mark.parametrize("p, n, digest", [
+    (5, 5, "f3c27b0b430e173e"),
+    (7, 4, "b0f937efcf809a04"),
+])
+def test_companion_digest_pinned(p, n, digest):
+    # the companions of degree p^n whose t-degrees run into the thousands,
+    # where every fast path of intpoly runs; digests of the JSON response
+    code, text = run(Command("addpol", p, f"X^{n} + t*X^{n - 1} + X + 1/t", fmt="json"))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
