@@ -1,7 +1,7 @@
 """Exact root expansions over F_p(t): Hahn-series prefixes, additive
 companions, intersection points, and ramification/residue bounds."""
 
-from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots, frobenius_solve
+from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots
 from .ratfun import RatFun, leading_term
 from .hahn import HahnSeries, truncate, is_approximation, ramifies_at, expands_at
 from .hasse import Poly, NewtonLine, hasse_derivative, taylor_at, evaluate, newton_data, gamma_J
@@ -22,12 +22,11 @@ from .expand import (
     ExpansionTree,
     accumulation_analysis,
     approximation_terms,
-    branch_step,
     expand_roots,
 )
 
 __all__ = [
-    "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots", "frobenius_solve",
+    "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots",
     "RatFun", "leading_term",
     "HahnSeries", "truncate", "is_approximation", "ramifies_at", "expands_at",
     "Poly", "NewtonLine", "hasse_derivative", "taylor_at", "evaluate",
@@ -36,7 +35,7 @@ __all__ = [
     "Breakpoint", "companion_points", "intersection_points", "maxram", "maxexp",
     "maxexp_base", "paper_base", "order_type_bound",
     "AccumulationReport", "BranchNode", "ExpansionTree", "accumulation_analysis",
-    "approximation_terms", "branch_step", "expand_roots",
+    "approximation_terms", "expand_roots",
     "Command", "parse_polynomial", "poly_text", "run",
 ]
 

@@ -214,15 +214,6 @@ def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]
     return [(r, zeta, mult) for zeta, mult in solved.roots if zeta]
 
 
-def branch_step(f: Poly, node: BranchNode) -> list[BranchNode]:
-    """Expand one live node with f(w) != 0 into its children."""
-    if node.status != "live":
-        raise ValueError("only live nodes can be stepped")
-    if node.residual_valuation == INF:
-        raise AlreadyRootError("node is already an exact root")
-    return _edge_children(f, node)
-
-
 @dataclass
 class ExpansionTree:
     f: Poly

@@ -13,8 +13,8 @@ fields multiply coefficient vectors as polynomials modulo the modulus.
 
 Enlarging a tower never mutates a context.  ``enlarge`` builds the bigger
 field and returns an :class:`Embedding` that callers apply to every live
-value; ``poly_roots`` and ``frobenius_solve`` do this internally and report
-the context their results live in.
+value; ``poly_roots`` does this internally and reports the context its
+roots live in.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ _PRIME_LIMIT = 318665857834031151167461
 
 class FieldError(ValueError):
     pass
-
-
-class InconsistentEquation(FieldError):
-    """A degenerate linear equation with no solution (0 == nonzero)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -580,18 +576,6 @@ class Embedding:
             return t.zero
         return t.exp[x._log * self._scale % t.n]
 
-    def project(self, y: FF) -> FF:
-        """Inverse image of y, which must lie in the embedded subfield."""
-        if y.ctx != self.dst:
-            raise FieldError("element does not belong to the embedding destination")
-        cols = [list(w.coeffs) for w in self._powers]
-        matrix = [[cols[j][i] for j in range(self.src.k)] for i in range(self.dst.k)]
-        solved = solve_mod_p(matrix, list(y.coeffs), self.dst.p)
-        if solved is None:
-            raise FieldError("element is outside the embedded subfield")
-        particular, _ = solved
-        return FF(self.src, tuple(particular))
-
     def __repr__(self) -> str:
         return f"Embedding({self.src.label} -> {self.dst.label})"
 
@@ -600,21 +584,19 @@ def identity_embedding(ctx: FieldCtx) -> Embedding:
     return Embedding(ctx, ctx, ctx.gen)
 
 
-def prime_embedding(dst: FieldCtx) -> Embedding:
-    """The canonical embedding of the prime field into dst."""
-    return Embedding(field_ctx(dst.p, 1), dst, dst.zero)
-
-
 def find_embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
-    """Deterministic embedding: the generator goes to the least root of src's modulus."""
+    """Deterministic embedding: the generator goes to the least root of src's modulus.
+
+    Raises FieldError unless src's degree divides dst's; when it does, the
+    irreducible modulus splits into distinct linear factors over dst.
+    """
     if src == dst:
         return identity_embedding(src)
+    if dst.k % src.k:
+        raise FieldError(f"{src.describe()} does not embed in {dst.describe()}")
     if src.k == 1:
         return Embedding(src, dst, dst.zero)
-    modulus_in_dst = poly_from_ints(dst, src.modulus)
-    roots = roots_in_field(modulus_in_dst, dst)
-    if not roots:
-        raise FieldError("modulus has no root in destination field")
+    roots = roots_in_field(poly_from_ints(dst, src.modulus), dst)
     return Embedding(src, dst, min(roots, key=FF.sort_key))
 
 
@@ -629,57 +611,16 @@ def enlarge(ctx: FieldCtx, new_k: int) -> tuple[FieldCtx, Embedding]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over F_p.
-
-
-def solve_mod_p(matrix: list[list[int]], rhs: list[int], p: int):
-    """Solve A x = b over F_p.
-
-    Returns (particular solution, kernel basis) or None when inconsistent.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [[c % p for c in row] + [rhs[i] % p] for i, row in enumerate(matrix)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    particular = [0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][cols]
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * cols
-        vec[fc] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-aug[i][fc]) % p
-        kernel.append(vec)
-    return particular, kernel
-
-
-# ---------------------------------------------------------------------------
 # Root finding.
 
 
 def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
-    """The distinct roots of h that lie in ctx itself."""
+    """The roots of h, which must split into distinct linear factors over ctx.
+
+    Callers guarantee that: ``poly_roots`` passes a radical over a tower
+    that holds all its roots, ``find_embedding`` an irreducible modulus
+    whose degree divides ctx's.
+    """
     h = poly_monic(poly_trim(list(h)))
     if not h:
         raise FieldError("zero polynomial has an ambiguous root set")
@@ -687,9 +628,7 @@ def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
         return []
     if ctx.order <= _BRUTE_FORCE_ORDER:
         return [x for x in ctx.elements() if not poly_eval(h, x)]
-    xq = poly_pow_mod([ctx.zero, ctx.one], ctx.order, h, ctx)
-    split = poly_gcd(poly_sub(xq, [ctx.zero, ctx.one], ctx), h, ctx)
-    return _trace_split(split, ctx)
+    return _trace_split(h, ctx)
 
 
 def _trace_split(h: list[FF], ctx: FieldCtx) -> list[FF]:
@@ -794,81 +733,21 @@ def poly_roots(g: list[FF]) -> RootsResult:
     blanket = ctx.k * math.lcm(*factor_degrees)
     big, emb = enlarge(ctx, blanket)
     rad_big = [emb(c) for c in rad]
+    # No smaller tower holds the roots: a root of a degree-d factor over
+    # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
+    # generate F_{p^(k*lcm(d_i))}, which is ``big``.
     distinct = roots_in_field(rad_big, big)
-    # shrink to the smallest tower containing the inputs and every root
-    final_k = math.lcm(ctx.k, *(r.degree() for r in distinct)) if distinct else ctx.k
-    if final_k < big.k:
-        final = field_ctx(ctx.p, final_k)
-        down = find_embedding(final, big)
-        distinct = [down.project(r) for r in distinct]
-        emb_final = find_embedding(ctx, final)
-    else:
-        final, emb_final = big, emb
-    g_final = [emb_final(c) for c in g]
+    g_big = [emb(c) for c in g]
     pairs = []
     for root in sorted(distinct, key=FF.sort_key):
         mult = 0
-        q, r = poly_divmod(g_final, [-root, final.one], final)
+        q, r = poly_divmod(g_big, [-root, big.one], big)
         while not r:
             mult += 1
-            g_final = q
-            q, r = poly_divmod(g_final, [-root, final.one], final)
+            g_big = q
+            q, r = poly_divmod(g_big, [-root, big.one], big)
         pairs.append((root, mult))
     total = sum(m for _, m in pairs)
     if total != n:
         raise FieldError("root multiplicities failed to account for the degree")
-    return RootsResult(final, emb_final, tuple(pairs))
-
-
-# ---------------------------------------------------------------------------
-# Additive (Frobenius-linear) equations.
-
-
-def frobenius_solve(b: dict[int, FF], c: FF) -> RootsResult:
-    """Solve sum_j b_j * z^(p^j) = c by F_p-linear algebra on coordinates.
-
-    The field is enlarged until the full solution set (a coset of an
-    F_p-subspace of size p^(jmax - jmin)) is present.  Roots in the result
-    carry multiplicity 1.
-    """
-    coeffs = {j: v for j, v in b.items() if v}
-    if not coeffs:
-        if not c:
-            raise FieldError("zero equation has every element as a solution")
-        raise InconsistentEquation("no z satisfies 0 = nonzero value")
-    ctx = c.ctx
-    jmin, jmax = min(coeffs), max(coeffs)
-    target = ctx.p ** (jmax - jmin)
-    scale = 1
-    while True:
-        big, emb = enlarge(ctx, ctx.k * scale)
-        bb = {j: emb(v) for j, v in coeffs.items()}
-        cc = emb(c)
-        k = big.k
-        basis = [FF(big, tuple(1 if i == j else 0 for i in range(k))) for j in range(k)]
-        columns = []
-        for e in basis:
-            img = big.zero
-            for j, v in bb.items():
-                img = img + v * e.frobenius(j)
-            columns.append(list(img.coeffs))
-        matrix = [[columns[j][i] for j in range(k)] for i in range(k)]
-        solved = solve_mod_p(matrix, list(cc.coeffs), big.p)
-        if solved is not None:
-            particular, kernel = solved
-            if big.p ** len(kernel) == target:
-                sols = set()
-                span = [[0] * k]
-                for vec in kernel:
-                    span = [
-                        [(x + t * y) % big.p for x, y in zip(s, vec)]
-                        for s in span
-                        for t in range(big.p)
-                    ]
-                for s in span:
-                    sols.add(FF(big, tuple((a + b) % big.p for a, b in zip(particular, s))))
-                roots = tuple((z, 1) for z in sorted(sols, key=FF.sort_key))
-                return RootsResult(big, emb, roots)
-        scale += 1
-        if scale > 4096:
-            raise FieldError("solution space failed to saturate; runaway enlargement")
+    return RootsResult(big, emb, tuple(pairs))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ffield import FF, FieldCtx, find_embedding, prime_embedding
+from .ffield import FF, FieldCtx, find_embedding
 from .hahn import HahnSeries, to_ratfun
 from .ratfun import RatFun, leading_term
 
@@ -167,12 +167,7 @@ def _lift_poly(f: Poly, ctx: FieldCtx, M: int) -> list[RatFun]:
     for c in f.coeffs:
         if c.ctx != ctx:
             if emb is None:
-                if c.ctx.k == 1:
-                    emb = prime_embedding(ctx)
-                elif ctx.k % c.ctx.k == 0:
-                    emb = find_embedding(c.ctx, ctx)
-                else:
-                    raise ValueError("coefficient field does not embed in the target")
+                emb = find_embedding(c.ctx, ctx)
             c = c.embed(emb)
         out.append(c.rebase(math.lcm(c.M, M)))
     return out

@@ -7,7 +7,6 @@ from hahnroot.expand import (
     AlreadyRootError,
     accumulation_analysis,
     approximation_terms,
-    branch_step,
     equation_text,
     expand_roots,
 )
@@ -74,18 +73,11 @@ def test_branch_step_third_step_of_cubic():
     tree = expand_roots(CUBIC, 5)
     node = tree.leaves()[0].chain()[2]  # live internal node after two steps
     assert [e for e, _ in node.w.terms] == [Fraction(-1, 3), Fraction(-2, 9)]
-    kids = branch_step(CUBIC, node)
+    kids = node.children
     assert len(kids) == 1
     assert kids[0].last_r == Fraction(-5, 27)
     assert kids[0].step_zeta == F3.from_int(2)
     assert kids[0].multiplicity == 3
-
-
-def test_branch_step_rejects_settled_nodes():
-    f = parse_polynomial("X^2 - t", 3)
-    tree = expand_roots(f, 5)
-    with pytest.raises(ValueError):
-        branch_step(f, tree.root.children[0])  # an exact root is not live
 
 
 def test_expand_artin_schreier_chain():

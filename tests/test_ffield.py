@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -9,12 +10,11 @@ from hahnroot.ffield import (
     FF,
     FieldCtx,
     FieldError,
-    InconsistentEquation,
     _is_prime,
     enlarge,
     field_ctx,
     find_embedding,
-    frobenius_solve,
+    poly_eval,
     poly_from_ints,
     poly_mul,
     poly_roots,
@@ -63,14 +63,22 @@ def test_poly_roots_rejects_degenerate_input():
         poly_roots([F3.one])
 
 
-@given(st.integers(0, 3**4 - 1), st.data())
-@settings(max_examples=40, deadline=None)
-def test_root_product_reconstructs_the_polynomial(seed, data):
-    p = data.draw(st.sampled_from([2, 3]))
-    ctx = field_ctx(p)
-    deg = data.draw(st.integers(1, 3))
-    ints = [data.draw(st.integers(0, p - 1)) for _ in range(deg)] + [1]
-    g = poly_from_ints(ctx, ints)
+def _draw_monic(data, ctx, deg):
+    elements = list(ctx.elements())
+    return [data.draw(st.sampled_from(elements)) for _ in range(deg)] + [ctx.one]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_root_product_reconstructs_the_polynomial(data):
+    ctx = data.draw(st.sampled_from([F2, F3, F4, F9]))
+    deg = data.draw(st.integers(1, 5))
+    # optionally h^2 * rest, so that some inputs have a repeated factor
+    squared = data.draw(st.integers(0, deg // 2))
+    g = _draw_monic(data, ctx, deg - 2 * squared)
+    if squared:
+        h = _draw_monic(data, ctx, squared)
+        g = poly_mul(g, poly_mul(h, h, ctx), ctx)
     res = poly_roots(g)
     emb = res.embed
     expected = poly_scal([emb(c) for c in g], emb(g[-1]).inverse())
@@ -79,71 +87,64 @@ def test_root_product_reconstructs_the_polynomial(seed, data):
         for _ in range(mult):
             prod = poly_mul(prod, [-root, res.ctx.one], res.ctx)
     assert prod == expected
+    # the result tower is the smallest one holding the input field and the roots
+    assert res.ctx.k == math.lcm(ctx.k, *(root.degree() for root, _ in res.roots))
 
 
-def test_frobenius_solve_matches_golden_set():
-    sol = frobenius_solve({0: F3.one, 1: F3.one}, F3.zero)
-    assert sol.ctx == F9
-    two = F9.from_int(2)
-    values = [z for z, _ in sol.roots]
-    assert F9.zero in values and len(values) == 3
-    assert all(z * z == two for z in values if z)
+def _scan_roots(ints, ctx):
+    # oracle: every element of ctx that the polynomial vanishes on
+    g = poly_from_ints(ctx, ints)
+    return {z for z in ctx.elements() if not poly_eval(g, z)}
+
+
+# additive equations sum b_j z^(p^j) = c, and the tower their roots span
+@pytest.mark.parametrize(
+    "p,ints,k",
+    [
+        (3, [0, 1, 0, 1], 2),  # z^3 + z
+        (2, [0, 1, 0, 0, 1], 2),  # z^4 + z
+        (3, [-1, 2, 0, 1], 3),  # z^3 + 2z - 1
+        (5, [0, -1, 0, 0, 0, 1], 1),  # z^5 - z
+    ],
+    ids=["z3+z-F3", "z4+z-F2", "z3+2z-1-F3", "z5-z-F5"],
+)
+def test_additive_roots_match_a_brute_force_scan(p, ints, k):
+    res = poly_roots(poly_from_ints(field_ctx(p), ints))
+    assert res.ctx == field_ctx(p, k)
+    roots = {z for z, _ in res.roots}
+    assert roots == _scan_roots(ints, res.ctx)
+    # each root is simple: the derivative is the nonzero constant b_0
+    assert len(roots) == len(ints) - 1
+    if not ints[0]:
+        # homogeneous: the roots form an F_p-subspace
+        assert all(a + b in roots for a in roots for b in roots)
 
 
 def test_frobenius_fixed_field_is_all_of_fp():
     for p in (2, 3, 5):
         ctx = field_ctx(p)
-        sol = frobenius_solve({0: -ctx.one, 1: ctx.one}, ctx.zero)
-        assert sol.ctx == ctx
-        assert len(sol.roots) == p
-
-
-def test_frobenius_quartic_over_f2_by_brute_force():
-    # oracle: scan the four elements of F_4 for z^4 + z = 0
-    oracle = {z for z in F4.elements() if z**4 + z == F4.zero}
-    assert len(oracle) == 4
-    sol = frobenius_solve({0: F2.one, 2: F2.one}, F2.zero)
-    assert sol.ctx == F4
-    assert {z for z, _ in sol.roots} == oracle
-
-
-def test_frobenius_solve_agrees_with_poly_roots():
-    # dual route: the additive equation as a plain polynomial
-    b = {0: F3.from_int(2), 1: F3.one}
-    c = F3.from_int(1)
-    sol = frobenius_solve(b, c)
-    g = [F3.zero] * 4
-    g[0] = -c
-    g[1] = b[0]
-    g[3] = b[1]
-    res = poly_roots(g)
-    assert sol.ctx == res.ctx
-    assert {z for z, _ in sol.roots} == {z for z, _ in res.roots}
+        res = poly_roots(poly_from_ints(ctx, [0, -1] + [0] * (p - 2) + [1]))
+        assert res.ctx == ctx
+        assert [z for z, _ in res.roots] == list(ctx.elements())
 
 
 def test_frobenius_solution_set_is_a_coset():
-    sol = frobenius_solve({0: F3.one, 1: F3.one}, F3.zero)
-    values = {z for z, _ in sol.roots}
-    assert sol.ctx.zero in values
-    for a in values:
-        for b in values:
-            assert a + b in values
-        for c in range(sol.ctx.p):
-            assert a * sol.ctx.from_int(c) in values
-
-
-def test_frobenius_inconsistent_zero_map():
-    with pytest.raises(InconsistentEquation):
-        frobenius_solve({0: F3.zero}, F3.one)
-    with pytest.raises(ValueError):
-        frobenius_solve({}, F3.zero)
+    # the roots of z^3 + 2z - 1 are one root plus the roots of z^3 + 2z
+    res = poly_roots(poly_from_ints(F3, [-1, 2, 0, 1]))
+    values = {z for z, _ in res.roots}
+    kernel = _scan_roots([0, 2, 0, 1], res.ctx)
+    a = min(values, key=FF.sort_key)
+    assert values == {a + z for z in kernel}
 
 
 def test_embedding_round_trip_is_identity():
     big, emb = enlarge(F4, 4)
     assert big == field_ctx(2, 4)
+    # the embedding is injective, so reading its image back recovers x
+    back = {emb(x): x for x in F4.elements()}
+    assert len(back) == F4.order
     for x in F4.elements():
-        assert emb.project(emb(x)) == x
+        assert back[emb(x)] == x
 
 
 def test_composed_embeddings_preserve_arithmetic():
@@ -152,6 +153,11 @@ def test_composed_embeddings_preserve_arithmetic():
         for y in (F9.one, F9.gen):
             assert emb(x * y) == emb(x) * emb(y)
             assert emb(x + y) == emb(x) + emb(y)
+
+
+def test_find_embedding_rejects_a_degree_that_does_not_divide():
+    with pytest.raises(FieldError, match="does not embed"):
+        find_embedding(F9, field_ctx(3, 7))
 
 
 def test_element_degree():

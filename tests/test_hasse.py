@@ -107,6 +107,14 @@ def test_taylor_matches_derivative_evaluation(f, lam):
         assert c == evaluate(hasse_derivative(f, k), lam)
 
 
+def test_taylor_at_rejects_a_point_whose_field_does_not_hold_f():
+    # F_9 does not embed in F_27
+    f9, f27 = field_ctx(3, 2), field_ctx(3, 3)
+    f = Poly.make([RatFun.from_ff(f9.gen), RatFun.one(f9)])
+    with pytest.raises(ValueError):
+        taylor_at(f, HahnSeries.monomial(f27, 1, f27.gen))
+
+
 def test_evaluate_golden_values():
     w = HahnSeries.monomial(F3, Fraction(-1, 3), F3.one)
     value = evaluate(CUBIC, w)
