@@ -1,9 +1,15 @@
 """Finite-depth root expansion of f in generalized power series.
 
-The engine grows truncations w of roots of f one term at a time.  At a node
-w the Taylor data c_i = D^(i)f(w) is exact; it is computed once, when the
-node is created, and the node keeps only its Newton data (v(c_0), the
-leading coefficient of c_0, and one line per nonzero c_i with i >= 1).  The
+The engine grows truncations w of roots of f one term at a time.  It clears
+denominators once: D, the product of f's distinct denominators, starts with
+1*u^0 like each of them, so D*f has f's residual valuations, leading
+coefficients and Newton lines at every w, and its Taylor data
+c_i = D^(i)(D*f)(w) are Laurent polynomials.  At w = 0 they are D*f's
+coefficients; a child w + zeta*t^r derives its own from its parent's by a
+monomial shift (``hasse.taylor_shift``), so no node computes Taylor data
+from scratch.  The data lives on the frontier only until the node's
+children are built; the node keeps its Newton data (v(c_0), the leading
+coefficient of c_0, and one line per nonzero c_i with i >= 1).  The
 candidate next exponents r are the negated slopes of the lower convex hull
 of the points (i, v(c_i)), i = 0..n; the coefficient candidates for an edge
 are the nonzero roots of the edge-restricted leading-coefficient equation.
@@ -28,11 +34,11 @@ from fractions import Fraction
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, taylor_at
+from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, taylor_at, taylor_shift
 # not called here; perfbench/tracing.py wraps expand.evaluate by name
 from .hasse import evaluate  # noqa: F401
 from .ore import is_additive
-from .ratfun import leading_term
+from .ratfun import RatFun, leading_term
 
 # chain steps over which the (term line, valuation line) pair must repeat
 _STABLE_STEPS = 4
@@ -103,9 +109,8 @@ def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]
     return hull
 
 
-def _node_at(f: Poly, w: HahnSeries, **fields) -> BranchNode:
-    """A node at w carrying the Newton data of the one Taylor computation there."""
-    coeffs = taylor_at(f, w)
+def _node(w: HahnSeries, coeffs: list[RatFun], **fields) -> BranchNode:
+    """A node at w carrying the Newton data of its Taylor data coeffs."""
     if coeffs[0].is_zero():
         valuation, lead = INF, None
     else:
@@ -113,6 +118,36 @@ def _node_at(f: Poly, w: HahnSeries, **fields) -> BranchNode:
     return BranchNode(
         w=w, residual_valuation=valuation, residual_lead=lead, lines=newton_data(coeffs), **fields
     )
+
+
+def _cleared_coefficients(f: Poly) -> list[RatFun]:
+    """The coefficients of D*f, D the product of f's distinct denominators.
+
+    Each is a Laurent polynomial (denominator 1); as a list they are the
+    Taylor data of D*f at w = 0.  Every denominator starts with 1*u^0, so
+    v(D) = 0 and D has leading coefficient 1: D*f has f's residual
+    valuations, leading coefficients and Newton lines at every w.
+    """
+    ctx = f.ctx
+    one = {0: ctx.one}
+    dens: list[RatFun] = []
+    for c in f.coeffs:
+        d = RatFun(c.ctx, c.M, c.den, one)
+        if len(c.den) > 1 and d not in dens:
+            dens.append(d)
+    D = RatFun.one(ctx)
+    for d in dens:
+        D = D * d
+    assert leading_term(D) == (0, ctx.one), "a denominator lost its 1*u^0 term"
+    out = []
+    for c in f.coeffs:
+        own = RatFun(c.ctx, c.M, c.den, one)
+        cleared = RatFun(c.ctx, c.M, c.num, one)
+        for d in dens:
+            if d != own:
+                cleared = cleared * d
+        out.append(cleared)
+    return out
 
 
 def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.RootsResult]:
@@ -123,8 +158,14 @@ def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.Ro
     return equation, ffield.poly_roots(equation)
 
 
-def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
+def _edge_children(
+    node: BranchNode, coeffs: list[RatFun]
+) -> list[tuple[BranchNode, list[RatFun]]]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
+
+    ``coeffs`` is the node's denominator-cleared Taylor data; each step
+    child gets its own by ``taylor_shift``.  Returns the live children with
+    their Taylor data.
 
     Each step child w + zeta*t^r comes from a hull edge of level
     L = min(min_i (v(D^(i)f(w)) + i*r), v(f(w))), and zeta cancels the
@@ -140,6 +181,7 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
         points.insert(0, (0, node.residual_valuation))
         lead[0] = node.residual_lead
     kids: list[BranchNode] = []
+    live: dict[BranchNode, list[RatFun]] = {}
     order = points[0][0]
     if order > 0:
         kids.append(
@@ -160,13 +202,17 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
             continue
         on_edge = [i for i, v in points if v == v1 + slope * (i - i1)]
         _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
-        w_base = w.embed(solved.embed) if solved.ctx != w.ctx else w
+        w_base, coeffs_base = w, coeffs
+        if solved.ctx != w.ctx:
+            w_base = w.embed(solved.embed)
+            coeffs_base = [c.embed(solved.embed) for c in coeffs]
         for zeta, mult in solved.roots:
             if not zeta:
                 continue
-            kid = _node_at(
-                f,
+            kid_coeffs = taylor_shift(coeffs_base, zeta, r)
+            kid = _node(
                 w_base.append_term(r, zeta),
+                kid_coeffs,
                 last_r=r,
                 multiplicity=mult,
                 step_zeta=zeta,
@@ -175,6 +221,8 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
             )
             if kid.residual_lead is None:
                 kid.status = "exact_root"
+            else:
+                live[kid] = kid_coeffs
             kids.append(kid)
     total = sum(k.multiplicity for k in kids)
     if total != node.multiplicity:
@@ -189,7 +237,7 @@ def _edge_children(f: Poly, node: BranchNode) -> list[BranchNode]:
         )
     )
     node.children = kids
-    return kids
+    return [(kid, live[kid]) for kid in kids if kid in live]
 
 
 def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]]:
@@ -251,20 +299,17 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
     if f.is_zero() or f.degree < 1:
         raise ValueError("expansion requires a polynomial of degree >= 1")
     f = f.monic()
-    ctx = f.ctx
-    root = _node_at(f, HahnSeries.zero(ctx), last_r=None, multiplicity=f.degree)
+    coeffs = _cleared_coefficients(f)
+    root = _node(HahnSeries.zero(f.ctx), coeffs, last_r=None, multiplicity=f.degree)
     tree = ExpansionTree(f, depth, root)
-    frontier = [root]
+    # a node's Taylor data lives only on the frontier, until its children exist
+    frontier = [(root, coeffs)]
     while frontier:
-        node = frontier.pop()
-        if node.status != "live":
-            continue
+        node, coeffs = frontier.pop()
         if node.depth() >= depth:
             _close_out(f, node)
             continue
-        for kid in _edge_children(f, node):
-            if kid.status == "live":
-                frontier.append(kid)
+        frontier.extend(_edge_children(node, coeffs))
     return tree
 
 

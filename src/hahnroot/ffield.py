@@ -632,7 +632,12 @@ def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
 
 
 def _trace_split(h: list[FF], ctx: FieldCtx) -> list[FF]:
-    # h is squarefree and splits into linear factors over ctx
+    # h is squarefree and splits into linear factors over ctx.  For odd p
+    # each probe is Cantor-Zassenhaus equal-degree splitting (von zur Gathen
+    # & Gerhard, Modern Computer Algebra, ch. 14): gcd(h, (Tr(beta*X) + c)^e
+    # - 1), e = (p-1)/2, keeps the roots x with Tr(beta*x) + c a nonzero
+    # square, so once the traces differ a probe splits with probability
+    # about 1/2.  For p = 2 the probe is gcd(h, Tr(beta*X) + c).
     if poly_deg(h) <= 0:
         return []
     if poly_deg(h) == 1:
@@ -641,7 +646,10 @@ def _trace_split(h: list[FF], ctx: FieldCtx) -> list[FF]:
     frob_powers = [[ctx.zero, ctx.one]]
     for _ in range(ctx.k - 1):
         frob_powers.append(poly_pow_mod(frob_powers[-1], ctx.p, h, ctx))
+    half = (ctx.p - 1) // 2
     beta = ctx.one
+    # beta runs over the basis 1, gen, .., gen^(k-1) and the trace form is
+    # nondegenerate, so some beta gives two distinct roots different traces
     for _ in range(ctx.k):
         # trace of beta*X as a polynomial mod h
         tr: list[FF] = []
@@ -649,11 +657,16 @@ def _trace_split(h: list[FF], ctx: FieldCtx) -> list[FF]:
         for xpj in frob_powers:
             tr = poly_add(tr, poly_scal(xpj, b), ctx)
             b = b.frobenius()
-        for c in range(ctx.p):
-            g = poly_gcd(poly_sub(tr, [ctx.from_int(c)], ctx), h, ctx)
-            if 0 < poly_deg(g) < poly_deg(h):
-                rest = poly_divmod(h, g, ctx)[0]
-                return _trace_split(g, ctx) + _trace_split(rest, ctx)
+        # a constant tr means every root has the same trace: no c separates them
+        if poly_deg(tr) > 0:
+            for c in range(ctx.p):
+                probe = poly_add(tr, [ctx.from_int(c)], ctx)
+                if half:
+                    probe = poly_sub(poly_pow_mod(probe, half, h, ctx), [ctx.one], ctx)
+                g = poly_gcd(probe, h, ctx)
+                if 0 < poly_deg(g) < poly_deg(h):
+                    rest = poly_divmod(h, g, ctx)[0]
+                    return _trace_split(g, ctx) + _trace_split(rest, ctx)
         beta = beta * ctx.gen
     raise FieldError("trace splitting failed; polynomial does not split here")
 

@@ -1,8 +1,11 @@
 """Polynomials over exact rational-function coefficients.
 
 Provides the divided-power (Hasse) derivatives that replace d/dX in
-characteristic p, exact Taylor data at a point, and the per-index line data
-(valuation, leading coefficient, slope) that drives branching decisions.
+characteristic p, exact Taylor data at a point (``taylor_at``, from scratch),
+the monomial shift that moves Laurent-polynomial Taylor data from w to
+w + zeta*t^r (``taylor_shift``, what the expansion engine uses), and the
+per-index line data (valuation, leading coefficient, slope) that drives
+branching decisions.
 """
 
 from __future__ import annotations
@@ -206,6 +209,48 @@ def taylor_at(f: Poly, w) -> list[RatFun]:
             if b and not coeffs[i].is_zero():
                 acc = acc + coeffs[i].scale(x.ctx.from_int(b)) * powers[i - k]
         out.append(acc)
+    return out
+
+
+def taylor_shift(coeffs: list[RatFun], zeta: FF, r) -> list[RatFun]:
+    """Taylor data at w + zeta*t^r from Taylor data [c_0, .., c_n] at w.
+
+    c_k(w + zeta*t^r) = sum_{i>=k} C(i,k) zeta^(i-k) t^((i-k)r) c_i(w), so each
+    term is a carrier's exponent shift times a scalar.  The c_i must be
+    Laurent polynomials (denominator 1) over zeta's field, as the Taylor
+    data of a denominator-cleared polynomial is.  Exact.
+    """
+    r = Fraction(r)
+    ctx = zeta.ctx
+    M = math.lcm(r.denominator, *(c.M for c in coeffs))
+    step = int(r * M)
+    nums = []
+    for c in coeffs:
+        if len(c.den) != 1 or c.ctx != ctx:
+            raise ValueError("Taylor shift needs Laurent-polynomial data over zeta's field")
+        nums.append(c.rebase(M).num)
+    n = len(nums) - 1
+    powers = [ctx.one]
+    for _ in range(n):
+        powers.append(powers[-1] * zeta)
+    out = []
+    for k in range(n + 1):
+        acc = dict(nums[k])
+        for i in range(k + 1, n + 1):
+            b = binom_mod_p(i, k, ctx.p)
+            if not b or not nums[i]:
+                continue
+            scale = ctx.from_int(b) * powers[i - k]
+            shift = (i - k) * step
+            for e, c in nums[i].items():
+                e += shift
+                s = acc.get(e)
+                s = c * scale if s is None else s + c * scale
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        out.append(RatFun(ctx, M, acc, {0: ctx.one}))
     return out
 
 

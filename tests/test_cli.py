@@ -208,3 +208,55 @@ def test_prime_above_the_primality_limit_is_an_error():
     err = json.loads(text)["error"]
     assert err["kind"] == "FieldError"
     assert "318665857834031151167461" in err["message"]
+
+
+# sha256 over `roots --format json --depth 25` for the 50-poly acceptance
+# corpus, one response and a newline each; the shifted Taylor data of deep
+# nodes (rebased exponent groups, embedded towers) must leave it unchanged
+ROOTS_DEPTH_25_SHA256 = "4fb4db5ba11f259d512c96ae3dd4eb11d302af9efd29ba4a1eac0d8f6dd1adff"
+
+
+def test_roots_json_at_depth_25_is_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for f in corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4):
+        code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=25, fmt="json"))
+        assert code == 0
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == ROOTS_DEPTH_25_SHA256
+
+
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from hahnroot.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "p, text, depth, field",
+    [
+        # 3 is a square mod p: the roots lie in F_p
+        (1000000007, "X^2-3*t", 2, "F_1000000007"),
+        # 5 is not: the roots lie in F_{p^2}
+        (1000000007, "X^2-5*t", 2, "F_1000000007[s]/(s^2+1)"),
+        (1000000000000000003, "X^3-t*X-1", 3, "F_1000000000000000003"),
+    ],
+)
+def test_large_prime_roots_answer_quickly_under_a_memory_cap(p, text, depth, field):
+    # root splitting must not scan the p residues; the child caps its
+    # address space at 2 GB, and the timeout bounds the wall clock
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "roots", "--p", str(p), "--poly", text,
+         "--depth", str(depth), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    leaves = json.loads(proc.stdout)["branches"]
+    assert sum(leaf["multiplicity"] for leaf in leaves) == parse_polynomial(text, p).degree
+    assert {leaf["field"] for leaf in leaves} == {field}

@@ -208,13 +208,14 @@ def test_tie_child_keeps_valuation_over_lower_edge_level():
     assert set(by_terms) == {tie.w.terms, approx.w.terms}
 
 
-def test_one_taylor_computation_per_node(monkeypatch):
-    # a node's Taylor data is computed once, when it is created; f(w) is its
-    # c_0, so no separate evaluation runs, and the order > 0 exact-root leaf
-    # of X^3 - t*X^2 reuses the root's w and computes nothing
+def test_taylor_data_is_shifted_not_recomputed(monkeypatch):
+    # the root's Taylor data is the denominator-cleared f; every step child
+    # derives its own from its parent's by one Taylor shift, so no node runs
+    # taylor_at or evaluate, and the order > 0 exact-root leaf of X^3 - t*X^2
+    # reuses the root's w and computes nothing
     from hahnroot import expand, hasse
 
-    calls = {"taylor_at": 0, "evaluate": 0}
+    calls = dict.fromkeys(("taylor_at", "evaluate", "taylor_shift", "clear"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -226,17 +227,22 @@ def test_one_taylor_computation_per_node(monkeypatch):
     monkeypatch.setattr(expand, "taylor_at", counted("taylor_at", expand.taylor_at))
     monkeypatch.setattr(expand, "evaluate", counted("evaluate", expand.evaluate))
     monkeypatch.setattr(hasse, "evaluate", counted("evaluate", hasse.evaluate))
+    monkeypatch.setattr(expand, "taylor_shift", counted("taylor_shift", expand.taylor_shift))
+    monkeypatch.setattr(
+        expand, "_cleared_coefficients", counted("clear", expand._cleared_coefficients)
+    )
     for text, depth, expected in (
         ("X^3-X^2-1/t", 12, 13),
         ("X^2+X+t", 3, 7),
         ("X^3-t*X^2", 4, 2),
     ):
-        calls.update(taylor_at=0, evaluate=0)
+        calls.update(dict.fromkeys(calls, 0))
         tree = expand_roots(parse_polynomial(text, 3), depth)
         nodes = [tree.root] + [kid for _, kid in tree.edges()]
         fresh = [n for n in nodes if n.parent is None or n.w is not n.parent.w]
-        assert calls["taylor_at"] == len(fresh) == expected
-        assert calls["evaluate"] == 0
+        assert calls["clear"] + calls["taylor_shift"] == len(fresh) == expected
+        assert calls["clear"] == 1
+        assert calls["taylor_at"] == calls["evaluate"] == 0
 
 
 def _poly_from_roots(ctx, roots):
@@ -340,3 +346,50 @@ def test_budget_exhausted_without_cycle():
     leaf = expand_roots(f, 8).leaves()[0]
     assert leaf.status == "budget_exhausted"
     assert [e for e, _ in leaf.w.terms] == [Fraction(n) for n in range(8)]
+
+
+def _assert_nodes_match_taylor_at(f, depth):
+    # the engine's shifted, denominator-cleared Taylor data must give every
+    # node the Newton data that taylor_at computes from scratch at its w
+    from hahnroot.hasse import newton_data, taylor_at
+    from hahnroot.ratfun import leading_term
+
+    tree = expand_roots(f, depth)
+    g = f.monic()
+    nodes = [tree.root] + [kid for node, kid in tree.edges() if kid.w is not node.w]
+    for node in nodes:
+        coeffs = taylor_at(g, node.w)
+        expected = (INF, None) if coeffs[0].is_zero() else leading_term(coeffs[0])
+        assert (node.residual_valuation, node.residual_lead) == expected
+        assert node.lines == newton_data(coeffs)
+    return nodes
+
+
+def test_shifted_taylor_data_matches_taylor_at_on_the_corpus():
+    from hahnroot.corpus import corpus
+
+    for f in corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4):
+        _assert_nodes_match_taylor_at(f, 12)
+
+
+@pytest.mark.parametrize(
+    "p, text, tower_k",
+    [
+        (5, "X^3-X^2-1/t", 2),
+        (7, "X^3-X^2-1/t", 1),
+        (5, "X^4+t*X^3+X+1/t", 2),
+        (7, "X^4+t*X^3+X+1/t", 2),
+        # two distinct non-monomial denominators, so D is a real product;
+        # the steps also ramify (exponents in (1/3)Z)
+        (7, "X^3 + 1/(t+1)*X + 1/(t^3+2*t)", 3),
+    ],
+)
+def test_shifted_taylor_data_matches_taylor_at(p, text, tower_k):
+    from hahnroot.ratfun import RatFun
+
+    f = parse_polynomial(text, p)
+    nodes = _assert_nodes_match_taylor_at(f, 12)
+    assert max(node.w.ctx.k for node in nodes) == tower_k
+    if "/(" in text:
+        dens = {str(RatFun(c.ctx, 1, c.den, {0: c.ctx.one})) for c in f.coeffs if len(c.den) > 1}
+        assert len(dens) == 2

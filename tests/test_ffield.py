@@ -178,6 +178,35 @@ def test_mixed_factor_degrees_land_in_the_lcm_tower():
     assert degrees == [2, 2, 3, 3, 3]
 
 
+def _trace(x):
+    out = x.ctx.zero
+    for j in range(x.ctx.k):
+        out = out + x.frobenius(j)
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(1009, 1), (65537, 1), (3, 6), (5, 4)])
+def test_splitting_recovers_chosen_roots_above_the_brute_force_order(p, k):
+    # these fields are too large for the brute-force scan, so the roots come
+    # from trace splitting
+    ctx = field_ctx(p, k)
+    rng = random.Random(p * k)
+    chosen = set()
+    while len(chosen) < 5:
+        chosen.add(ctx.from_coeffs([rng.randrange(p) for _ in range(k)]))
+    if k > 1:
+        # two roots with the same trace, which the probes at beta = 1 cannot separate
+        a = next(iter(chosen))
+        twin = next(x for x in ctx.elements() if x != a and x not in chosen and _trace(x) == _trace(a))
+        chosen.add(twin)
+    g = [ctx.one]
+    for x in chosen:
+        g = poly_mul(g, [-x, ctx.one], ctx)
+    res = poly_roots(g)
+    assert res.ctx == ctx
+    assert dict(res.roots) == dict.fromkeys(chosen, 1)
+
+
 def test_roots_over_extension_field_input():
     # gen + 1 generates F_9^* (order 8), hence is a non-square: the square
     # roots live in F_81 and have degree 4 over F_3
