@@ -3,7 +3,7 @@ companions, intersection points, and ramification/residue bounds."""
 
 from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots
 from .ratfun import RatFun, leading_term
-from .hahn import HahnSeries, truncate, is_approximation, ramifies_at, expands_at
+from .hahn import HahnSeries, ramifies_at, expands_at
 from .hasse import Poly, NewtonLine, hasse_derivative, taylor_at, evaluate, newton_data, gamma_J
 from .ore import AdditivePolynomial, addpol, is_additive
 from .envelope import (
@@ -28,7 +28,7 @@ from .expand import (
 __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots",
     "RatFun", "leading_term",
-    "HahnSeries", "truncate", "is_approximation", "ramifies_at", "expands_at",
+    "HahnSeries", "ramifies_at", "expands_at",
     "Poly", "NewtonLine", "hasse_derivative", "taylor_at", "evaluate",
     "newton_data", "gamma_J",
     "AdditivePolynomial", "addpol", "is_additive",

@@ -199,13 +199,10 @@ def _fold_sign(c: RatFun) -> tuple[bool, RatFun]:
     return False, c
 
 
-def poly_text(f: Poly) -> str:
-    """Canonical text of f, round-trippable through parse_polynomial."""
-    if f.is_zero():
-        return "0"
+def _terms_text(terms) -> str:
+    """Text of sum c*X^i over (i, c) pairs given in descending i; zeros skipped."""
     parts: list[tuple[bool, str]] = []
-    for i in range(f.degree, -1, -1):
-        c = f.coefficient(i)
+    for i, c in terms:
         if c.is_zero():
             continue
         neg, cc = _fold_sign(c)
@@ -217,6 +214,8 @@ def poly_text(f: Poly) -> str:
             body = f"({body})"
         x = "X" if i == 1 else f"X^{i}"
         parts.append((neg, x if body == "1" else f"{body}*{x}"))
+    if not parts:
+        return "0"
     first_neg, first = parts[0]
     out = ("-" if first_neg else "") + first
     for neg, body in parts[1:]:
@@ -224,8 +223,14 @@ def poly_text(f: Poly) -> str:
     return out
 
 
+def poly_text(f: Poly) -> str:
+    """Canonical text of f, round-trippable through parse_polynomial."""
+    return _terms_text((i, f.coeffs[i]) for i in range(f.degree, -1, -1))
+
+
 def additive_text(P: ore.AdditivePolynomial) -> str:
-    return poly_text(P.to_poly())
+    """The text poly_text(P.to_poly()) gives, read off P's sparse support."""
+    return _terms_text((P.p**i, P.coeffs[i]) for i in sorted(P.coeffs, reverse=True))
 
 
 def _fraction_str(r) -> str:

@@ -2,9 +2,10 @@
 
 Each index i in the support of P = sum a_i X^(p^i) contributes the line
 gamma_i(r) = v(a_i) + p^i * r.  The breakpoints where the pointwise minimum
-is attained by more than one line control where root supports can ramify
-away from p, where residue fields can grow, and how long a root's support
-can be; the bound algorithms here just read those breakpoints off.
+is attained by more than one line are the edges of the Newton polygon of the
+points (p^i, v(a_i)).  They control where root supports can ramify away
+from p, where residue fields can grow, and how long a root's support can
+be; the bound algorithms here just read those breakpoints off.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hahn import prime_exponent
-from .hasse import Poly
+from .hasse import Poly, newton_edges
 from .ore import AdditivePolynomial, addpol
 
 INF = math.inf
@@ -32,60 +33,29 @@ class Breakpoint:
         return self.r != INF
 
 
-def _lines(P: AdditivePolynomial) -> list[tuple[int, int, Fraction]]:
-    """(index, slope p^i, intercept v(a_i)) for each supported index."""
-    out = []
-    for i in sorted(P.coeffs):
-        v = P.coeffs[i].valuation()
-        out.append((i, P.p**i, Fraction(v)))
-    return out
-
-
 def intersection_points(P: AdditivePolynomial) -> list[Breakpoint]:
     """All r with at least two lines attaining the minimum, sorted ascending.
 
-    Finite breakpoints are the kinks of the lower envelope, found by walking
-    it from steep (r -> -inf) to flat; at each kink the argmin set is
-    evaluated against every line, so lines merely touching the kink are
-    included.  The point at infinity appears exactly when P has >= 2 terms,
-    since every line takes the value +infinity there.
+    At the r = -slope of an edge of the Newton polygon of the points
+    (p^i, v(a_i)), the minimum is attained by exactly the lines whose points
+    lie on that edge.  The point at infinity appears exactly when P has >= 2
+    terms, since every line takes the value +infinity there.
     """
-    lines = _lines(P)
-    points: list[Breakpoint] = []
-    if len(lines) < 2:
-        return points
-
-    def argmin_at(r: Fraction) -> frozenset[int]:
-        values = [(intercept + slope * r, i) for i, slope, intercept in lines]
-        low = min(v for v, _ in values)
-        return frozenset(i for v, i in values if v == low)
-
-    active = max(lines, key=lambda L: L[1])
-    while True:
-        candidates = []
-        for line in lines:
-            if line[1] < active[1]:
-                r = Fraction(line[2] - active[2], active[1] - line[1])
-                candidates.append((r, line[1], line))
-        if not candidates:
-            break
-        r_next = min(r for r, _, _ in candidates)
-        points.append(Breakpoint(r_next, argmin_at(r_next)))
-        # continue along the flattest line through the kink
-        active = min((c[2] for c in candidates if c[0] == r_next), key=lambda L: L[1])
-    points.append(Breakpoint(INF, frozenset(i for i, _, _ in lines)))
+    support = P.support
+    if len(support) < 2:
+        return []
+    index = {P.p**i: i for i in support}
+    edges = newton_edges([(P.p**i, P.coeffs[i].valuation()) for i in support])
+    points = [Breakpoint(r, frozenset(index[x] for x in xs)) for r, xs in reversed(edges)]
+    points.append(Breakpoint(INF, frozenset(support)))
     return points
-
-
-def finite_intersection_points(P: AdditivePolynomial) -> list[Breakpoint]:
-    return [b for b in intersection_points(P) if b.is_finite]
 
 
 def companion_points(f: Poly) -> tuple[AdditivePolynomial, list[Breakpoint]]:
     """The additive companion P of f and its intersection points.
 
     Every bound below is read off this pair, so one request builds the
-    companion and walks its envelope once.
+    companion and reads its breakpoints once.
     """
     P = addpol(f)
     return P, intersection_points(P)

@@ -11,7 +11,7 @@ from scratch.  The data lives on the frontier only until the node's
 children are built; the node keeps its Newton data (v(c_0), the leading
 coefficient of c_0, and one line per nonzero c_i with i >= 1).  The
 candidate next exponents r are the negated slopes of the lower convex hull
-of the points (i, v(c_i)), i = 0..n; the coefficient candidates for an edge
+of the points (i, v(c_i)), i = 0..n (``hasse.newton_edges``); the coefficient candidates for an edge
 are the nonzero roots of the edge-restricted leading-coefficient equation.
 Edges through index 0 are exactly the valuation-raising "approximation
 term" steps; edges avoiding index 0 are the tie branches that split off
@@ -34,7 +34,8 @@ from fractions import Fraction
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, taylor_at, taylor_shift
+from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, newton_edges
+from .hasse import taylor_at, taylor_shift
 # not called here; perfbench/tracing.py wraps expand.evaluate by name
 from .hasse import evaluate  # noqa: F401
 from .ore import is_additive
@@ -93,20 +94,6 @@ class BranchNode:
 
     def depth(self) -> int:
         return len(self.w.terms)
-
-
-def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    """Vertices of the lower convex hull, for points with distinct ascending x."""
-    hull: list[tuple[int, Fraction]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
 
 
 def _node(w: HahnSeries, coeffs: list[RatFun], **fields) -> BranchNode:
@@ -194,13 +181,9 @@ def _edge_children(
                 parent=node,
             )
         )
-    hull = _lower_hull(points)
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        slope = Fraction(v2 - v1, i2 - i1)
-        r = -slope
+    for r, on_edge in newton_edges(points):
         if node.last_r is not None and r <= node.last_r:
             continue
-        on_edge = [i for i, v in points if v == v1 + slope * (i - i1)]
         _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
         w_base, coeffs_base = w, coeffs
         if solved.ctx != w.ctx:

@@ -1,10 +1,8 @@
-"""Truncated generalized power series with exact rational exponents.
+"""Finite generalized power series with exact rational exponents.
 
 A series is a finite, strictly increasing list of (exponent, coefficient)
-terms together with a precision marker: either the term list IS the whole
-element (exact), or it is only known to be correct below (or through) a cut
-exponent.  The marker keeps honest the distinction between a finite element
-and the finite prefix of an unknown root.
+terms.  The expansion engine grows root prefixes with ``append_term`` and
+moves them into larger coefficient fields with ``embed``.
 """
 
 from __future__ import annotations
@@ -30,12 +28,10 @@ def prime_exponent(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class HahnSeries:
-    """Finite sorted term list over F_{p^k}; exact or a known-below prefix."""
+    """Finite sorted term list over F_{p^k}."""
 
     ctx: FieldCtx
     terms: tuple[tuple[Fraction, FF], ...]
-    cut: Fraction | None = None
-    cut_inclusive: bool = False
 
     def __post_init__(self):
         exps = [e for e, _ in self.terms]
@@ -43,10 +39,6 @@ class HahnSeries:
             raise ValueError("term exponents must be strictly increasing")
         if any(not c for _, c in self.terms):
             raise ValueError("zero coefficients must not be stored")
-        if self.cut is not None and exps:
-            last = exps[-1]
-            if last > self.cut or (last == self.cut and not self.cut_inclusive):
-                raise ValueError("terms extend past the precision cut")
 
     # -- construction --------------------------------------------------------
 
@@ -89,7 +81,7 @@ class HahnSeries:
         return self.ctx.zero
 
     def append_term(self, e, c: FF) -> "HahnSeries":
-        """Extend by one term beyond the current support (exactness preserved)."""
+        """Extend by one term beyond the current support."""
         e = Fraction(e)
         if self.terms and e <= self.terms[-1][0]:
             raise ValueError("appended exponent must exceed the support")
@@ -98,33 +90,7 @@ class HahnSeries:
         return HahnSeries(self.ctx, self.terms + ((e, c),))
 
     def embed(self, embedding: Embedding) -> "HahnSeries":
-        return HahnSeries(embedding.dst, tuple((e, embedding(c)) for e, c in self.terms),
-                          self.cut, self.cut_inclusive)
-
-    # -- arithmetic (exact series only) ---------------------------------------
-
-    def _require_exact(self, other: "HahnSeries | None" = None) -> None:
-        if self.cut is not None or (other is not None and other.cut is not None):
-            raise ValueError("arithmetic is defined for exact series only")
-
-    def __add__(self, other: "HahnSeries") -> "HahnSeries":
-        self._require_exact(other)
-        return HahnSeries.from_terms(self.ctx, list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "HahnSeries":
-        return HahnSeries(self.ctx, tuple((e, -c) for e, c in self.terms),
-                          self.cut, self.cut_inclusive)
-
-    def __sub__(self, other: "HahnSeries") -> "HahnSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "HahnSeries") -> "HahnSeries":
-        self._require_exact(other)
-        out: list[tuple[Fraction, FF]] = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out.append((e1 + e2, c1 * c2))
-        return HahnSeries.from_terms(self.ctx, out)
+        return HahnSeries(embedding.dst, tuple((e, embedding(c)) for e, c in self.terms))
 
     def __str__(self) -> str:
         return series_text(self)
@@ -132,23 +98,6 @@ class HahnSeries:
 
 # ---------------------------------------------------------------------------
 # Operations.
-
-
-def truncate(x: HahnSeries, r, inclusive: bool = False) -> HahnSeries:
-    """x_{<r} (or x_{<=r}); the result is marked exact below (through) r."""
-    r = Fraction(r)
-    if inclusive:
-        kept = tuple(t for t in x.terms if t[0] <= r)
-    else:
-        kept = tuple(t for t in x.terms if t[0] < r)
-    return HahnSeries(x.ctx, kept, cut=r, cut_inclusive=inclusive)
-
-
-def is_approximation(y: HahnSeries, x: HahnSeries) -> bool:
-    """True iff y = x_{<lambda} for some lambda and y != x."""
-    if len(y.terms) >= len(x.terms):
-        return False
-    return x.terms[: len(y.terms)] == y.terms
 
 
 def ramifies_at(support: list[Fraction], r: Fraction, q: int) -> bool:
@@ -178,8 +127,7 @@ def expands_at(prefix_coeffs: list[FF], zeta: FF) -> bool:
 
 
 def to_ratfun(x: HahnSeries, M: int | None = None) -> RatFun:
-    """The exact finite series as an element of F_{p^k}(u)."""
-    x._require_exact()
+    """The finite series as an element of F_{p^k}(u)."""
     need = math.lcm(1, *(e.denominator for e, _ in x.terms))
     if M is None:
         M = need
@@ -212,9 +160,5 @@ def series_text(x: HahnSeries) -> str:
             parts.append(_exp_text(e))
         else:
             parts.append(f"{cs}*{_exp_text(e)}")
-    body = " + ".join(parts) if parts else "0"
-    if x.cut is not None:
-        op = "<=" if x.cut_inclusive else "<"
-        body += f" (exact {op} {x.cut})"
-    return body
+    return " + ".join(parts) if parts else "0"
 

@@ -3,9 +3,10 @@
 Provides the divided-power (Hasse) derivatives that replace d/dX in
 characteristic p, exact Taylor data at a point (``taylor_at``, from scratch),
 the monomial shift that moves Laurent-polynomial Taylor data from w to
-w + zeta*t^r (``taylor_shift``, what the expansion engine uses), and the
+w + zeta*t^r (``taylor_shift``, what the expansion engine uses), the
 per-index line data (valuation, leading coefficient, slope) that drives
-branching decisions.
+branching decisions, and the one Newton-polygon routine (``newton_edges``)
+behind both the engine's next exponents and the companion's breakpoints.
 """
 
 from __future__ import annotations
@@ -291,6 +292,37 @@ def newton_data(coeffs: list[RatFun]) -> tuple[NewtonLine, ...]:
     return tuple(
         NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
     )
+
+
+def newton_edges(points) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The edges (r, xs) of the lower convex hull of points (x, y), left to right.
+
+    The x are distinct ascending integers and the y rationals; r is an edge's
+    negated slope, so it falls from edge to edge, and xs holds the x of every
+    point on the edge.  For Taylor data, points (i, v(c_i)) give the next
+    exponents (``expand``); for an additive polynomial, points (p^i, v(a_i))
+    give the kinks of the envelope of its lines v(a_i) + p^i*r, where the
+    lines of xs attain the minimum (``envelope``).  The hull runs on
+    integers, every y scaled by one common denominator.
+    """
+    d = math.lcm(*(y.denominator for _, y in points))
+    pts = [(x, y.numerator * (d // y.denominator)) for x, y in points]
+    hull: list[int] = []
+    for j, (x, y) in enumerate(pts):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = pts[hull[-2]], pts[hull[-1]]
+            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    edges = []
+    for a, b in zip(hull, hull[1:]):
+        (x1, y1), (x2, y2) = pts[a], pts[b]
+        dx, dy = x2 - x1, y2 - y1
+        xs = tuple(x for x, y in pts[a : b + 1] if (y - y1) * dx == dy * (x - x1))
+        edges.append((Fraction(-dy, dx * d), xs))
+    return edges
 
 
 def gamma_J(lines, r) -> tuple[Fraction | float, frozenset[int]]:

@@ -14,7 +14,6 @@ from hahnroot.cli import Command, parse_polynomial, run
 from hahnroot.corpus import corpus, random_poly, random_ratfun
 from hahnroot.envelope import (
     companion_points,
-    finite_intersection_points,
     intersection_points,
     maxexp_base,
     maxram,
@@ -214,7 +213,7 @@ def test_criterion_6_ramification_and_expansion_at_intersections(
     ram_checked = exp_checked = 0
     for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
         p = g.ctx.p
-        finite = {b.r for b in finite_intersection_points(P)}
+        finite = {b.r for b in intersection_points(P) if b.is_finite}
         for leaf in tree.leaves():
             support = [e for e, _ in leaf.w.terms]
             for idx, r in enumerate(support):
@@ -241,7 +240,7 @@ def test_criterion_6_ramification_and_expansion_at_intersections(
 
 def test_criterion_7_structural_bounds(corpus_polys, corpus_trees, corpus_addpols):
     for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
-        finite = finite_intersection_points(P)
+        finite = [b for b in intersection_points(P) if b.is_finite]
         lines = len(P.coeffs)
         assert len(finite) <= max(lines - 1, 0)
         n = max(P.support)

@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from hahnroot import envelope, ore
-from hahnroot.cli import Command, ParseError, main, parse_polynomial, poly_text, run
+from hahnroot.cli import (
+    Command,
+    ParseError,
+    additive_text,
+    main,
+    parse_polynomial,
+    poly_text,
+    run,
+)
 from hahnroot.corpus import corpus
 from hahnroot.ffield import field_ctx
 from hahnroot.ratfun import RatFun
@@ -100,6 +108,14 @@ def test_addpol_command():
     doc = json.loads(out)
     assert doc["additive"]["text"] == "X^3 - t*X"
     assert doc["additive"]["coeffs"] == {"0": "2*t", "1": "1"}
+
+
+def test_companion_text_matches_its_dense_form():
+    polys = list(corpus(seed=3, count=20, ps=(2, 3), max_deg=4))
+    polys += [parse_polynomial("X^2 + 2*t*X + 3/t", p) for p in (5, 7)]
+    for g in polys:
+        P = ore.addpol(g)
+        assert additive_text(P) == poly_text(P.to_poly())
 
 
 def test_intersections_command():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 from hahnroot.cli import parse_polynomial
@@ -6,7 +7,6 @@ from hahnroot.corpus import corpus
 from hahnroot.envelope import (
     INF,
     companion_points,
-    finite_intersection_points,
     intersection_points,
     maxexp,
     maxexp_base,
@@ -73,16 +73,48 @@ def test_crossings_above_the_envelope_do_not_count():
     # lines: 0 -> r, 1 -> -2 + 3r, 2 -> 9r: lines 0 and 2 cross at 0 but the
     # minimum there is attained by line 1 alone
     P = additive(3, {0: {0: 1}, 1: {-2: 1}, 2: {0: 1}})
-    pts = finite_intersection_points(P)
+    pts = [b for b in intersection_points(P) if b.is_finite]
     assert all(not (b.r == 0 and b.J == frozenset({0, 2})) for b in pts)
     assert [(b.r, b.J) for b in pts] == oracle_points(P)[:-1]
 
 
-def test_walk_agrees_with_argmin_oracle_on_corpus():
+def synthetic_additive(rng):
+    """An additive polynomial with valuations in (1/6)Z, often collinear.
+
+    Coefficients are monomials c*t^(e/6).  Half the time a run of at least
+    three points (p^i, v(a_i)) lies on one line and every other point lies on
+    or above it, so several lines meet at one breakpoint.
+    """
+    p = rng.choice((2, 3, 5))
+    ctx = field_ctx(p)
+    support = sorted(rng.sample(range(6), rng.randint(2, 5)))
+    vals = {i: Fraction(rng.randint(-24, 24), 6) for i in support}
+    if len(support) >= 3 and rng.random() < 0.5:
+        run = set(rng.sample(support, rng.randint(3, len(support))))
+        c, s = Fraction(rng.randint(-12, 12), 6), Fraction(rng.randint(-12, 12), 6)
+        for i in support:
+            lift = 0 if i in run else Fraction(rng.randint(0, 12), 6)
+            vals[i] = c + s * p**i + lift
+    coeffs = {}
+    for i, v in vals.items():
+        coeff = ctx.from_int(rng.randint(1, p - 1))
+        coeffs[i] = RatFun(ctx, 6, {int(v * 6): coeff}, {0: ctx.one})
+    return AdditivePolynomial(p, coeffs)
+
+
+def test_agrees_with_argmin_oracle_on_corpus():
     for g in corpus(seed=5, count=25, ps=(2, 3), max_deg=4):
         P = addpol(g)
         got = [(b.r, b.J) for b in intersection_points(P)]
         assert got == oracle_points(P)
+    rng = random.Random(9)
+    multi = 0
+    for _ in range(400):
+        P = synthetic_additive(rng)
+        got = [(b.r, b.J) for b in intersection_points(P)]
+        assert got == oracle_points(P)
+        multi += any(len(J) > 2 for r, J in got if r != INF)
+    assert multi > 50
 
 
 def companion_of(text, p):
@@ -108,7 +140,7 @@ def test_maxexp_sharp_mode_artin_schreier():
     for p in (2, 3):
         f = parse_polynomial(f"X^{p} - X - 1/t", p)
         P, points = companion_points(f)
-        pts = finite_intersection_points(P)
+        pts = [b for b in intersection_points(P) if b.is_finite]
         assert [(b.r, b.J) for b in pts] == [
             (Fraction(-1, p), frozenset({1, 2})),
             (Fraction(0), frozenset({0, 1})),
@@ -135,7 +167,7 @@ def test_order_type_bound():
 def test_structural_count_bounds():
     for g in corpus(seed=17, count=20, ps=(2, 3), max_deg=4):
         P = addpol(g)
-        finite = finite_intersection_points(P)
+        finite = [b for b in intersection_points(P) if b.is_finite]
         assert len(finite) <= len(P.coeffs) - 1 if len(P.coeffs) > 1 else not finite
         n = max(P.support)
         assert len(intersection_points(P)) <= n * (n + 1) // 2 + 1

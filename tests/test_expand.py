@@ -11,7 +11,7 @@ from hahnroot.expand import (
     expand_roots,
 )
 from hahnroot.ffield import field_ctx
-from hahnroot.hahn import HahnSeries, is_approximation, truncate
+from hahnroot.hahn import HahnSeries
 from hahnroot.hasse import INF
 
 
@@ -136,14 +136,6 @@ def test_multiplicity_conserved_at_every_level():
         for node in level:
             nxt.extend(node.children if node.children else [node])
         level = nxt
-
-
-def test_exact_root_prefixes_are_approximations():
-    f = parse_polynomial("X^2 - t", 3)
-    for leaf in expand_roots(f, 5).leaves():
-        x = leaf.w
-        y = truncate(x, Fraction(1, 2))
-        assert is_approximation(y, x) == (y.terms != x.terms)
 
 
 def test_branch_children_on_zero_edge_match_approximation_terms():

@@ -1,17 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hahnroot.ffield import field_ctx
 from hahnroot.hahn import (
     HahnSeries,
     expands_at,
     from_ratfun,
-    is_approximation,
     ramifies_at,
     to_ratfun,
-    truncate,
 )
 
 
@@ -24,47 +21,6 @@ def series(*terms):
 
 
 X = series((-1, 3, 1), (-2, 9, 1), (1, 2, 2))  # t^(-1/3) + t^(-2/9) + 2 t^(1/2)
-
-
-def test_truncate_strict_and_inclusive():
-    cut = Fraction(-2, 9)
-    assert truncate(X, cut).terms == X.terms[:1]
-    assert truncate(X, cut, inclusive=True).terms == X.terms[:2]
-    assert truncate(X, Fraction(-5)).terms == ()
-
-
-def test_truncate_is_idempotent_and_marked():
-    y = truncate(X, Fraction(-2, 9))
-    assert y.cut == Fraction(-2, 9) and not y.cut_inclusive
-    assert truncate(y, Fraction(-2, 9)).terms == y.terms
-
-
-def test_is_approximation():
-    y = series((-1, 3, 1))
-    x = series((-1, 3, 1), (-2, 9, 1))
-    assert is_approximation(y, x)
-    assert not is_approximation(x, x)
-    not_prefix = series((-1, 3, 1), (1, 2, 2))
-    assert not is_approximation(not_prefix, X)
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_proper_truncations_are_approximations(data):
-    n = data.draw(st.integers(1, 4))
-    exps = sorted(
-        data.draw(
-            st.sets(
-                st.fractions(min_value=-3, max_value=3, max_denominator=9),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
-    x = HahnSeries.from_terms(F3, [(e, F3.one) for e in exps])
-    cut = data.draw(st.sampled_from(exps))
-    y = truncate(x, cut)
-    assert is_approximation(y, x) == (y.terms != x.terms)
 
 
 def test_ramifies_at_examples():
@@ -92,12 +48,21 @@ def test_expands_at():
 def test_series_arithmetic_agrees_with_exact_elements():
     a = series((-1, 1, 1), (1, 2, 2))
     b = series((0, 1, 2), (1, 2, 1))
-    for op in ("add", "mul"):
-        s = a + b if op == "add" else a * b
-        ra, rb = to_ratfun(a, 2), to_ratfun(b, 2)
-        r = ra + rb if op == "add" else ra * rb
-        assert to_ratfun(s, 2) == r
-        assert from_ratfun(r).terms == s.terms
+    ra, rb = to_ratfun(a, 2), to_ratfun(b, 2)
+    for x in (a, b, X, HahnSeries.zero(F3)):
+        assert from_ratfun(to_ratfun(x)).terms == x.terms
+        assert from_ratfun(to_ratfun(x, 36)).terms == x.terms
+    # from_terms merges like exponents, so it is the sum of two term lists
+    total = HahnSeries.from_terms(F3, a.terms + b.terms)
+    assert to_ratfun(total, 2) == ra + rb
+    assert from_ratfun(ra + rb).terms == total.terms
+    product = HahnSeries.from_terms(
+        F3, [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+    )
+    assert to_ratfun(product, 2) == ra * rb
+    assert from_ratfun(ra * rb).terms == product.terms
+    with pytest.raises(ValueError):
+        to_ratfun(X, 2)
 
 
 def test_append_term_guards_order():

@@ -13,6 +13,7 @@ from hahnroot.hasse import (
     gamma_J,
     hasse_derivative,
     newton_data,
+    newton_edges,
     taylor_at,
 )
 from hahnroot.ratfun import RatFun, leading_term
@@ -180,3 +181,56 @@ def test_line_value_is_term_valuation(r, c):
     for line in newton_data(taylor_at(CUBIC, w)):
         d = evaluate(hasse_derivative(CUBIC, line.i), w)
         assert (d * y**line.i).valuation() == line.gamma(r)
+
+
+def brute_edges(points):
+    """Hull edges by definition: a pair of points spans an edge iff no point
+    lies strictly below their line, and the edge holds every point on it."""
+    edges = set()
+    for a, (xa, ya) in enumerate(points):
+        for xb, yb in points[a + 1 :]:
+            slope = Fraction(yb - ya, xb - xa)
+            heights = [y - ya - slope * (x - xa) for x, y in points]
+            if min(heights) >= 0:
+                edges.add((-slope, tuple(x for (x, _), h in zip(points, heights) if h == 0)))
+    return sorted(edges, key=lambda edge: edge[1][0])
+
+
+SIXTHS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+ABOVE = st.builds(Fraction, st.integers(1, 24), st.integers(1, 6))
+
+
+@st.composite
+def hull_points(draw):
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3, 5]))
+        xs = [p**i for i in sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=6)))]
+    else:
+        xs = sorted(draw(st.sets(st.integers(-3, 30), min_size=1, max_size=8)))
+    ys = [draw(SIXTHS) for _ in xs]
+    if len(xs) >= 3 and draw(st.booleans()):
+        # a collinear run of at least three points with every other point above it
+        run = draw(st.sets(st.sampled_from(range(len(xs))), min_size=3))
+        c, s = draw(SIXTHS), draw(SIXTHS)
+        ys = [
+            c + s * x + (0 if j in run else draw(ABOVE))
+            for j, x in enumerate(xs)
+        ]
+    return list(zip(xs, ys))
+
+
+def test_newton_edges_golden():
+    points = [(0, Fraction(0)), (1, Fraction(-1)), (2, Fraction(-2)), (3, Fraction(0))]
+    assert newton_edges(points) == [(Fraction(1), (0, 1, 2)), (Fraction(-2), (2, 3))]
+    assert newton_edges([(1, Fraction(5, 6))]) == []
+    # r falls from edge to edge; the y may be ints
+    assert newton_edges([(1, 0), (3, -1), (9, 0)]) == [
+        (Fraction(1, 2), (1, 3)),
+        (Fraction(-1, 6), (3, 9)),
+    ]
+
+
+@given(hull_points())
+@settings(max_examples=300, deadline=None)
+def test_newton_edges_match_the_brute_force_hull(points):
+    assert newton_edges(points) == brute_edges(points)
