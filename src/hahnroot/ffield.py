@@ -83,6 +83,11 @@ class FieldCtx:
         """The field's lookup tables, built on first use; None above the cap."""
         return _Tables(self) if self.order <= _TABLE_ORDER else None
 
+    @cached_property
+    def identity(self) -> "Embedding":
+        """The identity embedding of this field, built on first use."""
+        return Embedding(self, self, self.gen)
+
     @property
     def zero(self) -> "FF":
         t = self._tables
@@ -580,10 +585,6 @@ class Embedding:
         return f"Embedding({self.src.label} -> {self.dst.label})"
 
 
-def identity_embedding(ctx: FieldCtx) -> Embedding:
-    return Embedding(ctx, ctx, ctx.gen)
-
-
 def find_embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
     """Deterministic embedding: the generator goes to the least root of src's modulus.
 
@@ -591,7 +592,7 @@ def find_embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
     irreducible modulus splits into distinct linear factors over dst.
     """
     if src == dst:
-        return identity_embedding(src)
+        return src.identity
     if dst.k % src.k:
         raise FieldError(f"{src.describe()} does not embed in {dst.describe()}")
     if src.k == 1:
@@ -605,7 +606,7 @@ def enlarge(ctx: FieldCtx, new_k: int) -> tuple[FieldCtx, Embedding]:
     if new_k % ctx.k:
         raise FieldError("enlargement degree must be a multiple of the current degree")
     if new_k == ctx.k:
-        return ctx, identity_embedding(ctx)
+        return ctx, ctx.identity
     big = field_ctx(ctx.p, new_k)
     return big, find_embedding(ctx, big)
 
@@ -626,6 +627,8 @@ def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
         raise FieldError("zero polynomial has an ambiguous root set")
     if poly_deg(h) == 0:
         return []
+    if poly_deg(h) == 1:
+        return [-h[0]]
     if ctx.order <= _BRUTE_FORCE_ORDER:
         return [x for x in ctx.elements() if not poly_eval(h, x)]
     return _trace_split(h, ctx)
@@ -733,6 +736,14 @@ def poly_roots(g: list[FF]) -> RootsResult:
     The result context is F_{p^L} with L the lcm of the root degrees and the
     input degree k; ``embed`` maps input-context values into it.  The
     multiplicities sum to deg g.
+
+    The work follows the degree of what is left after each step.  The low
+    zero coefficients give the root 0: X^j | g has it with multiplicity j,
+    and the cofactor h = g[j:] goes on.  A linear h has its root -h_0/h_1
+    in g's own field.  Only an h of degree 2 or more goes through the
+    radical, its distinct-degree factorisation and one enlargement to the
+    tower holding its roots; each root's multiplicity then comes from
+    repeated synthetic division of h by (X - root).
     """
     g = poly_trim(list(g))
     if not g:
@@ -741,26 +752,46 @@ def poly_roots(g: list[FF]) -> RootsResult:
     n = poly_deg(g)
     if n < 1:
         raise FieldError("constant polynomial has no roots to report")
-    rad = _radical(g, ctx)
-    factor_degrees = _distinct_degrees(rad, ctx)
-    blanket = ctx.k * math.lcm(*factor_degrees)
-    big, emb = enlarge(ctx, blanket)
-    rad_big = [emb(c) for c in rad]
-    # No smaller tower holds the roots: a root of a degree-d factor over
-    # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
-    # generate F_{p^(k*lcm(d_i))}, which is ``big``.
-    distinct = roots_in_field(rad_big, big)
-    g_big = [emb(c) for c in g]
-    pairs = []
-    for root in sorted(distinct, key=FF.sort_key):
-        mult = 0
-        q, r = poly_divmod(g_big, [-root, big.one], big)
-        while not r:
-            mult += 1
-            g_big = q
-            q, r = poly_divmod(g_big, [-root, big.one], big)
-        pairs.append((root, mult))
-    total = sum(m for _, m in pairs)
-    if total != n:
+    j = 0
+    while not g[j]:
+        j += 1
+    h = g[j:]
+    if poly_deg(h) == 0:
+        big, emb, pairs = ctx, ctx.identity, []
+    elif poly_deg(h) == 1:
+        big, emb, pairs = ctx, ctx.identity, [(-h[0] / h[1], 1)]
+    else:
+        rad = _radical(h, ctx)
+        factor_degrees = _distinct_degrees(rad, ctx)
+        big, emb = enlarge(ctx, ctx.k * math.lcm(*factor_degrees))
+        # No smaller tower holds the roots: a root of a degree-d factor over
+        # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
+        # generate F_{p^(k*lcm(d_i))}, which is ``big``.
+        distinct = roots_in_field([emb(c) for c in rad], big)
+        h = [emb(c) for c in h]
+        pairs = []
+        for root in sorted(distinct, key=FF.sort_key):
+            mult = 0
+            q, r = _synthetic_division(h, root)
+            while not r:
+                mult += 1
+                h = q
+                q, r = _synthetic_division(h, root)
+            pairs.append((root, mult))
+    if j:
+        pairs.insert(0, (big.zero, j))
+    if sum(m for _, m in pairs) != n:
         raise FieldError("root multiplicities failed to account for the degree")
     return RootsResult(big, emb, tuple(pairs))
+
+
+def _synthetic_division(h: list[FF], root: FF) -> tuple[list[FF], FF]:
+    """(h // (X - root), h(root)) by one Horner pass; h nonzero."""
+    acc = h[-1]
+    quotient = [acc]
+    for c in reversed(h[:-1]):
+        acc = acc * root + c
+        quotient.append(acc)
+    remainder = quotient.pop()
+    quotient.reverse()
+    return quotient, remainder

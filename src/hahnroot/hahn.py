@@ -81,13 +81,20 @@ class HahnSeries:
         return self.ctx.zero
 
     def append_term(self, e, c: FF) -> "HahnSeries":
-        """Extend by one term beyond the current support."""
+        """Extend by one term beyond the current support.
+
+        Only the new term is checked, so a chain of appends costs O(1)
+        checks per step rather than a rescan of the whole support.
+        """
         e = Fraction(e)
         if self.terms and e <= self.terms[-1][0]:
             raise ValueError("appended exponent must exceed the support")
         if not c:
             return self
-        return HahnSeries(self.ctx, self.terms + ((e, c),))
+        out = object.__new__(HahnSeries)
+        object.__setattr__(out, "ctx", self.ctx)
+        object.__setattr__(out, "terms", self.terms + ((e, c),))
+        return out
 
     def embed(self, embedding: Embedding) -> "HahnSeries":
         return HahnSeries(embedding.dst, tuple((e, embedding(c)) for e, c in self.terms))

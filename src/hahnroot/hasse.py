@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ffield import FF, FieldCtx, find_embedding
 from .hahn import HahnSeries, to_ratfun
@@ -34,6 +35,21 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
             return 0
         out = (out * math.comb(nd, kd)) % p
     return out
+
+
+@lru_cache(maxsize=None)
+def _binomial_rows(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of Pascal's triangle mod p: ``rows[i][k]`` is C(i, k) mod p.
+
+    Built by Pascal's rule rather than ``binom_mod_p``, which ``taylor_at``
+    uses, so comparing ``taylor_shift`` with ``taylor_at`` checks each
+    against the other.
+    """
+    rows = [(1,)]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append((1,) + tuple((a + b) % p for a, b in zip(prev, prev[1:])) + (1,))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -234,11 +250,12 @@ def taylor_shift(coeffs: list[RatFun], zeta: FF, r) -> list[RatFun]:
     powers = [ctx.one]
     for _ in range(n):
         powers.append(powers[-1] * zeta)
+    binomials = _binomial_rows(n, ctx.p)
     out = []
     for k in range(n + 1):
         acc = dict(nums[k])
         for i in range(k + 1, n + 1):
-            b = binom_mod_p(i, k, ctx.p)
+            b = binomials[i][k]
             if not b or not nums[i]:
                 continue
             scale = ctx.from_int(b) * powers[i - k]

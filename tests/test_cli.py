@@ -243,6 +243,23 @@ def test_roots_json_at_depth_25_is_pinned():
     assert digest.hexdigest() == ROOTS_DEPTH_25_SHA256
 
 
+# the same digest over a p = 5, 7 corpus, which the benchmark (p = 2, 3) does
+# not reach: towers F_25 .. F_625, the last above the root scan's limit, so
+# there edge equations of degree 2 or more are solved by trace splitting
+ROOTS_DEPTH_25_P5_P7_SHA256 = "21d6bd8d342a8610a01bb72ea48486f052ee310780c1ed79b2fb06631b2dd65d"
+
+
+def test_roots_json_at_depth_25_over_p5_p7_is_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for f in corpus(seed=20260810, count=20, ps=(5, 7), max_deg=4):
+        code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=25, fmt="json"))
+        assert code == 0
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == ROOTS_DEPTH_25_P5_P7_SHA256
+
+
 _CAPPED_MAIN = (
     "import resource, sys\n"
     "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"

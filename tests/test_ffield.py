@@ -26,6 +26,10 @@ F2 = field_ctx(2)
 F3 = field_ctx(3)
 F4 = field_ctx(2, 2)
 F9 = field_ctx(3, 2)
+# the engine's towers over F_2 and F_3, and one field above the scan limit
+F8 = field_ctx(2, 3)
+F81 = field_ctx(3, 4)
+F625 = field_ctx(5, 4)
 
 
 def test_canonical_moduli():
@@ -54,6 +58,10 @@ def test_linear_and_repeated_roots():
     # (z - 1)^2 over F_3
     res = poly_roots(poly_from_ints(F3, [1, -2, 1]))
     assert res.roots == ((F3.one, 2),)
+    # c*X^2: only the zero root, read off the low coefficients
+    res = poly_roots(poly_from_ints(F3, [0, 0, 2]))
+    assert res.ctx == F3
+    assert res.roots == ((F3.zero, 2),)
 
 
 def test_poly_roots_rejects_degenerate_input():
@@ -71,7 +79,7 @@ def _draw_monic(data, ctx, deg):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_root_product_reconstructs_the_polynomial(data):
-    ctx = data.draw(st.sampled_from([F2, F3, F4, F9]))
+    ctx = data.draw(st.sampled_from([F2, F3, F4, F9, F8, F81, F625]))
     deg = data.draw(st.integers(1, 5))
     # optionally h^2 * rest, so that some inputs have a repeated factor
     squared = data.draw(st.integers(0, deg // 2))
@@ -79,8 +87,12 @@ def test_root_product_reconstructs_the_polynomial(data):
     if squared:
         h = _draw_monic(data, ctx, squared)
         g = poly_mul(g, poly_mul(h, h, ctx), ctx)
+    # X^j * g, so that the zero root is drawn at several multiplicities
+    g = [ctx.zero] * data.draw(st.integers(0, 3)) + g
     res = poly_roots(g)
     emb = res.embed
+    if res.ctx == ctx:
+        assert all(emb(x) == x for x in g)
     expected = poly_scal([emb(c) for c in g], emb(g[-1]).inverse())
     prod = [res.ctx.one]
     for root, mult in res.roots:

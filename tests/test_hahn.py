@@ -70,4 +70,12 @@ def test_append_term_guards_order():
         X.append_term(Fraction(-1), F3.one)
     y = X.append_term(Fraction(2), F3.one)
     assert y.terms[-1] == (Fraction(2), F3.one)
+    # a chain of appends equals the series built through the checked constructor
+    terms = [(Fraction(-1, 2), F3.one), (Fraction(0), F3.from_int(2)), (Fraction(5, 3), F3.one)]
+    chain = HahnSeries.zero(F3)
+    for e, c in terms:
+        chain = chain.append_term(e, c)
+    assert chain == HahnSeries(F3, tuple(terms))
+    # a zero coefficient leaves the series as it was
+    assert chain.append_term(Fraction(7), F3.zero) is chain
 
