@@ -7,9 +7,11 @@ Above size thresholds, chosen by measurement, the arithmetic is subquadratic
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8, 9, 11):
 products by Kronecker substitution into one big-int product, division by a
 Newton-iteration power-series inverse, gcd by the half-gcd reduction. Below
-them the schoolbook loops run. The fast paths reach ``mul`` and ``divmod_``
-through the module globals, so a wrapper installed on those names sees
-every call.
+them the schoolbook loops run. A ``Divisor`` divides many polynomials by one,
+computing that series inverse once. The fast paths reach ``mul`` and
+``divmod_`` through the module globals, so a wrapper installed on those
+names sees every product and every division that does not go through a
+``Divisor``'s own inverse.
 """
 
 from __future__ import annotations
@@ -119,11 +121,11 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _strip(out)
 
 
-def _series_inverse(h: list[int], m: int, p: int) -> list[int]:
+def _series_inverse(h: list[int], m: int, p: int, g: list[int] | None = None) -> list[int]:
     """g of length m with h*g = 1 mod x^m, by Newton doubling (MCA 9.1);
-    needs h[0] != 0."""
-    g = [pow(h[0], p - 2, p)]
-    k = 1
+    needs h[0] != 0.  A shorter inverse g of h, if given, is lengthened."""
+    g = list(g) if g else [pow(h[0], p - 2, p)]
+    k = len(g)
     while k < m:
         k2 = min(2 * k, m)
         # h*g = 1 + x^k e mod x^k2, so g - x^k (g e) is exact mod x^k2
@@ -135,12 +137,12 @@ def _series_inverse(h: list[int], m: int, p: int) -> list[int]:
     return g
 
 
-def _newton_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    # rev(q) = rev(a) rev(b)^(-1) mod x^m; then r = a - q b, of which only
-    # the terms below deg b are nonzero
+def _newton_divmod(a: list[int], b: list[int], inv: list[int], p: int) -> tuple[list[int], list[int]]:
+    # rev(q) = rev(a) rev(b)^(-1) mod x^m, with inv = rev(b)^(-1) mod x^m;
+    # then r = a - q b, of which only the terms below deg b are nonzero
     db = len(b) - 1
     m = len(a) - db
-    q = mul(a[-m:][::-1], _series_inverse(b[::-1], m, p), p)[:m]
+    q = mul(a[-m:][::-1], inv, p)[:m]
     q += [0] * (m - len(q))
     q.reverse()
     low, qb = _strip(a[:db]), mul(q[:db], b[:db], p)[:db]
@@ -157,7 +159,7 @@ def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     if m <= 0:
         return [], r
     if m >= _NEWTON_THRESHOLD and db >= _NEWTON_THRESHOLD:
-        return _newton_divmod(r, b, p)
+        return _newton_divmod(r, b, _series_inverse(b[::-1], m, p), p)
     inv_lb = pow(b[-1], p - 2, p)
     q = [0] * m
     if db < _SLICE_THRESHOLD:
@@ -187,6 +189,48 @@ def divexact(a: list[int], b: list[int], p: int) -> list[int]:
     if r:
         raise ArithmeticError("inexact polynomial division")
     return q
+
+
+class Divisor:
+    """A polynomial b that many others are divided by.
+
+    Newton division by b needs the series inverse of rev(b) to as many
+    terms as the quotient has; ``divmod_`` computes it afresh each time.  A
+    Divisor keeps it: each call of ``divmod_all`` inverts at most once, to
+    the longest precision its Newton divisions need, and a later call
+    reuses a prefix of that inverse or lengthens it.
+    """
+
+    __slots__ = ("b", "p", "_inv")
+
+    def __init__(self, b: list[int], p: int):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        self.b, self.p = b, p
+        self._inv: list[int] = []
+
+    def divmod_all(self, nums: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+        """[divmod_(a, b, p) for a in nums]."""
+        b, p = self.b, self.p
+        db = len(b) - 1
+        if db < _NEWTON_THRESHOLD:
+            return [divmod_(a, b, p) for a in nums]
+        nums = [trim(a) for a in nums]
+        m_max = max((len(a) - db for a in nums), default=0)
+        if m_max > len(self._inv) and m_max >= _NEWTON_THRESHOLD:
+            self._inv = _series_inverse(b[::-1], m_max, p, self._inv)
+        return [_newton_divmod(a, b, self._inv[:len(a) - db], p)
+                if len(a) - db >= _NEWTON_THRESHOLD else divmod_(a, b, p)
+                for a in nums]
+
+    def divexact_all(self, nums: list[list[int]]) -> list[list[int]]:
+        """[divexact(a, b, p) for a in nums]."""
+        out = []
+        for q, r in self.divmod_all(nums):
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out.append(q)
+        return out
 
 
 def monic(a: list[int], p: int) -> list[int]:

@@ -8,9 +8,21 @@ The computation stays inside F_p[t] throughout: f is scaled to polynomial
 coefficients, passed to the monic model g(X) = lc^(n-1) f(X/lc), and the
 dependency is found by fraction-free elimination on the residue matrix.
 Residue columns shed powers of t as they grow (an integer of bookkeeping
-each), which keeps the polynomial degrees near their intrinsic size.  The
-output is deterministic: the kernel vector attached to the earliest free
-column, normalised so the highest nonzero a_i equals 1.
+each), which keeps the polynomial degrees near their intrinsic size.  Each
+pivot of the elimination divides the next step's entries and its own row of
+the back-substitution through one ``intpoly.Divisor``, so its series inverse
+is computed once.  The output is deterministic: the kernel vector attached
+to the earliest free column, divided by its content and normalised so the
+highest nonzero a_i equals 1.
+
+The content is the gcd of the kernel's entries, taken in ascending length.
+The entries are thousands of terms long, but the content is about as long
+as the shortest of them, usually the top one, and often equal to it.  A gcd
+started from the shortest entry reduces each longer entry modulo a short
+polynomial, and when that polynomial divides it, the one division is the
+whole gcd step; started from two long entries, the first gcd alone is a
+half-gcd on thousands of terms.  The gcd, and so every printed coefficient,
+does not depend on the order.
 """
 
 from __future__ import annotations
@@ -21,6 +33,12 @@ from . import intpoly
 from .ffield import FieldCtx
 from .hasse import Poly
 from .ratfun import RatFun
+
+
+# largest p^n (n = deg f >= 2) whose companion is computed: the Frobenius
+# residues take (n-1)p + 1 slots and the companion's t-degrees grow like p^n;
+# (7, 6), at the limit, answers in about 40 s
+_DEGREE_LIMIT = 7**6
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,26 @@ def _valuation_strip(vec: list[list[int]]) -> tuple[list[list[int]], int]:
     return [entry[v:] if entry else [] for entry in vec], v
 
 
+def _strip_content(vec: list[list[int]], p: int) -> list[list[int]]:
+    # vec divided by the monic gcd of its nonzero entries, taken shortest
+    # first (see the module docstring): the shortest entry is the first
+    # candidate, and one division of every entry by it, through one shared
+    # inverse, both tests it and gives the quotients.  Each nonzero
+    # remainder r replaces the candidate c by gcd(c, r), which the content
+    # still divides, and the divisions run again.
+    content = intpoly.monic(min((entry for entry in vec if entry), key=len), p)
+    while intpoly.deg(content) > 0:
+        results = intpoly.Divisor(content, p).divmod_all(vec)
+        rems = sorted((r for _, r in results if r), key=len)
+        if not rems:
+            return [q for q, _ in results]
+        for r in rems:
+            content = intpoly.gcd(content, r, p)
+            if intpoly.deg(content) == 0:
+                break
+    return vec
+
+
 def _frobenius_residue(vec: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
     # map sum_j vec_j X^j to its p-th power and reduce mod the monic g
     n = len(g) - 1
@@ -136,18 +174,17 @@ def addpol(f: Poly) -> AdditivePolynomial:
         raise ValueError("additive companion is defined over the prime field")
     p = ctx.p
     n = f.degree
+    if n >= 2 and p**n > _DEGREE_LIMIT:
+        raise ValueError(f"additive companion of degree up to p^n = {p}^{n} is above "
+                         f"the limit {_DEGREE_LIMIT} = 7^6")
 
     # clear denominators: same roots, polynomial coefficients
     pairs = [_ratfun_as_intpoly_pair(c) for c in f.coeffs]
     common = [1]
     for _, den in pairs:
         common = intpoly.lcm(common, den, p)
-    ftil = [intpoly.mul(num, intpoly.divexact(common, den, p), p) for num, den in pairs]
-    content = []
-    for entry in ftil:
-        content = intpoly.gcd(content, entry, p)
-    if intpoly.deg(content) > 0:
-        ftil = [intpoly.divexact(entry, content, p) for entry in ftil]
+    ftil = _strip_content(
+        [intpoly.mul(num, intpoly.divexact(common, den, p), p) for num, den in pairs], p)
 
     # monic model g(X) = lc^(n-1) ftil(X/lc); roots are lc * (roots of f)
     lc = ftil[n]
@@ -183,25 +220,27 @@ def addpol(f: Poly) -> AdditivePolynomial:
 
     # fraction-free echelon on the n x (n+1) matrix of t-polynomials
     matrix = [[columns[i][row] for i in range(n + 1)] for row in range(n)]
+    # each pivot divides every entry of the next step, and its own row's
+    # kernel entry, through one Divisor; the first step divides by 1
     pivots: list[int] = []
-    prev = [1]
+    divisors: list[intpoly.Divisor] = []
     r = 0
     for c in range(n + 1):
         pivot = next((i for i in range(r, n) if matrix[i][c]), None)
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        for i in range(r + 1, n):
-            for j in range(c + 1, n + 1):
-                top_entry = intpoly.sub(
-                    intpoly.mul(matrix[r][c], matrix[i][j], p),
-                    intpoly.mul(matrix[i][c], matrix[r][j], p),
-                    p,
-                )
-                matrix[i][j] = intpoly.divexact(top_entry, prev, p)
-            matrix[i][c] = []
-        prev = matrix[r][c]
+        top, w = matrix[r], n - c
+        step = [
+            intpoly.sub(intpoly.mul(top[c], matrix[i][j], p), intpoly.mul(matrix[i][c], top[j], p), p)
+            for i in range(r + 1, n) for j in range(c + 1, n + 1)
+        ]
+        if divisors:
+            step = divisors[-1].divexact_all(step)
+        for k, i in enumerate(range(r + 1, n)):
+            matrix[i][c:] = [[]] + step[k * w:(k + 1) * w]
         pivots.append(c)
+        divisors.append(intpoly.Divisor(top[c], p))
         r += 1
 
     # kernel vector for the earliest free column, by exact back-substitution
@@ -218,17 +257,10 @@ def addpol(f: Poly) -> AdditivePolynomial:
             c2 = pivots[later]
             if matrix[row][c2] and kernel[c2]:
                 acc = intpoly.add(acc, intpoly.mul(matrix[row][c2], kernel[c2], p), p)
-        kernel[col] = intpoly.divexact(intpoly.neg(acc, p), matrix[row][col], p)
+        kernel[col] = divisors[row].divexact_all([intpoly.neg(acc, p)])[0]
 
-    # strip the vector's polynomial content; the ray is all that matters
-    content: list[int] = []
-    for entry in kernel:
-        if entry:
-            content = intpoly.gcd(content, entry, p)
-        if intpoly.deg(content) == 0 and content:
-            break
-    if intpoly.deg(content) > 0:
-        kernel = [intpoly.divexact(entry, content, p) if entry else [] for entry in kernel]
+    # the ray is all that matters
+    kernel = _strip_content(kernel, p)
 
     # undo the monic model (a_i picks up lc^(p^i)) and the t-power strips,
     # then normalise the highest nonzero coefficient to 1
@@ -238,8 +270,9 @@ def addpol(f: Poly) -> AdditivePolynomial:
     for i in supported:
         delta = shifts[top_i] - shifts[i]
         num = {e + delta: ctx.from_int(c) for e, c in enumerate(kernel[i]) if c}
-        # lc^(p^top) / lc^(p^i) = lc^(p^top - p^i), folded into the denominator
-        lc_pow = intpoly.divexact(_stretch(lc, p**top_i), _stretch(lc, p**i), p)
+        # lc^(p^top) / lc^(p^i) = (lc^(p^(top-i) - 1))^(p^i), folded into the
+        # denominator; the division is by lc itself, not by its p^i-th power
+        lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
         den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
         den = {e: ctx.from_int(c) for e, c in enumerate(den_poly) if c}
         coeffs[i] = RatFun(ctx, 1, num, den)

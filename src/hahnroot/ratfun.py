@@ -307,7 +307,7 @@ def _side_text(side: dict[int, FF], shift: int) -> str:
     for e in sorted(side, reverse=True):
         c = side[e]
         ee = e + shift
-        cs = str(c)
+        cs = str(c.coeffs[0]) if c.ctx.k == 1 else str(c)
         if "+" in cs:
             cs = f"({cs})"
         if ee == 0:

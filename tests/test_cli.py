@@ -293,3 +293,21 @@ def test_large_prime_roots_answer_quickly_under_a_memory_cap(p, text, depth, fie
     leaves = json.loads(proc.stdout)["branches"]
     assert sum(leaf["multiplicity"] for leaf in leaves) == parse_polynomial(text, p).degree
     assert {leaf["field"] for leaf in leaves} == {field}
+
+
+@pytest.mark.parametrize("verb", ["addpol", "intersections", "bounds", "order-bound"])
+def test_companion_at_large_prime_fails_fast_under_a_memory_cap(verb):
+    # the companion of a quadratic at p = 10^9+7 would take about p X-slots;
+    # every verb that builds it refuses before allocating
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, verb, "--p", "1000000007", "--poly", "X^2-t",
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["kind"] == "ValueError"
+    assert "p^n = 1000000007^2" in err["message"] and "117649" in err["message"]

@@ -151,6 +151,49 @@ def test_divexact_raises_on_the_newton_path(p, monkeypatch):
     assert newton
 
 
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shared_inverse_divides_like_divexact(p, data):
+    # batches of exact multiples of one divisor through one Divisor; divisor
+    # degrees and quotient lengths at, below and above the Newton threshold,
+    # so a batch mixes both division paths and a later one may need a longer
+    # inverse than an earlier one computed
+    n = intpoly._NEWTON_THRESHOLD
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    b = _rand(rng, data.draw(st.sampled_from([1, n - 1, n, n + 1, 2 * n])) + 1, p)
+    d = intpoly.Divisor(b, p)
+    for _ in range(data.draw(st.integers(1, 3))):
+        lengths = data.draw(st.lists(st.sampled_from([0, 1, n - 1, n, n + 1, 3 * n]),
+                                     min_size=1, max_size=4))
+        quotients = [_rand(rng, m, p) for m in lengths]
+        nums = [intpoly.mul(q, b, p) for q in quotients]
+        assert d.divexact_all(nums) == [intpoly.divexact(a, b, p) for a in nums] == quotients
+        assert d.divmod_all(nums) == [intpoly.divmod_(a, b, p) for a in nums]
+    off = intpoly.add(nums[-1], [1], p)
+    assert d.divmod_all([off]) == [intpoly.divmod_(off, b, p)]
+    if len(b) > 1:
+        with pytest.raises(ArithmeticError):
+            d.divexact_all([off])
+
+
+def test_divisor_inverts_once_per_longer_precision(monkeypatch):
+    rng = random.Random(5)
+    inverses = _spy(monkeypatch, "_series_inverse")
+    p, n = 7, intpoly._NEWTON_THRESHOLD
+    b = _rand(rng, n + 1, p)
+    d = intpoly.Divisor(b, p)
+    nums = [intpoly.mul(_rand(rng, m, p), b, p) for m in (n, 3 * n, 2 * n)]
+    d.divexact_all(nums)
+    assert len(inverses) == 1
+    # shorter quotients read a prefix of the inverse
+    d.divexact_all(nums[:1] + nums[2:])
+    assert len(inverses) == 1
+    d.divexact_all([intpoly.mul(_rand(rng, 5 * n, p), b, p)])
+    assert len(inverses) == 2
+    with pytest.raises(ZeroDivisionError):
+        intpoly.Divisor([], p)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p, monkeypatch):
     rng = random.Random(p)

@@ -92,12 +92,29 @@ def test_artin_schreier_companion():
 
 
 @pytest.mark.parametrize("p, n, digest", [
+    (2, 9, "a0e5988160634ba8"),
+    (3, 6, "90c7c4ce4183ba64"),
+    (5, 4, "b2709851ba632075"),
+    (11, 3, "2a8d59939693b8c3"),
     (5, 5, "f3c27b0b430e173e"),
     (7, 4, "b0f937efcf809a04"),
 ])
 def test_companion_digest_pinned(p, n, digest):
-    # the companions of degree p^n whose t-degrees run into the thousands,
-    # where every fast path of intpoly runs; digests of the JSON response
+    # the four companion-ladder rungs at lam = 1, and two companions of
+    # degree p^n whose t-degrees run into the thousands, where every fast
+    # path of intpoly runs; digests of the JSON response
     code, text = run(Command("addpol", p, f"X^{n} + t*X^{n - 1} + X + 1/t", fmt="json"))
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_companion_degree_limit():
+    # p^n = 337^2 = 113569 is below 7^6 = 117649, 347^2 = 120409 above;
+    # degree 1 has a companion at any p
+    assert addpol(parse_polynomial("X^2 - t", 337)).support == [0, 1]
+    with pytest.raises(ValueError, match=r"p\^n = 347\^2 is above the limit 117649 = 7\^6"):
+        addpol(parse_polynomial("X^2 - t", 347))
+    with pytest.raises(ValueError, match=r"2\^17"):
+        addpol(parse_polynomial("X^17 + t", 2))
+    big = 10**18 + 3
+    assert addpol(parse_polynomial("X - t", big)).support == [0, 1]

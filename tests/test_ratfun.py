@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot.ffield import field_ctx
-from hahnroot.ratfun import RatFun, laurent_terms, leading_term, to_text
+from hahnroot.ratfun import RatFun, _side_text, laurent_terms, leading_term, to_text
 
 
 F3 = field_ctx(3)
@@ -115,3 +115,35 @@ def test_text_round_trip_shapes():
     b = RatFun.from_t_coeffs(F3, {2: 1, 0: 1}, {3: 1})
     assert to_text(b) == "(t^2 + 1)/t^3"
     assert to_text(RatFun.from_t_coeffs(F3, {1: 2})) == "2*t"
+
+
+def _side_text_via_str(side, shift):
+    # the rendering through FF.__str__ for every coefficient, as reference
+    parts = []
+    for e in sorted(side, reverse=True):
+        cs, ee = str(side[e]), e + shift
+        if "+" in cs:
+            cs = f"({cs})"
+        if ee == 0:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append("t" if ee == 1 else f"t^{ee}")
+        else:
+            parts.append(f"{cs}*t" if ee == 1 else f"{cs}*t^{ee}")
+    return " + ".join(parts) if parts else "0"
+
+
+def test_side_text_prints_prime_and_extension_coefficients():
+    F11, F9 = field_ctx(11), field_ctx(3, 2)
+    s = F9.gen
+    assert _side_text({4: F11.from_int(10), 2: F11.one, 1: F11.from_int(3), 0: F11.from_int(7)}, 0) \
+        == "10*t^4 + t^2 + 3*t + 7"
+    assert _side_text({-1: F11.from_int(2), -2: F11.one}, 2) == "2*t + 1"
+    assert _side_text({3: s + F9.one, 2: s, 1: F9.from_int(2) * s + F9.from_int(2), 0: F9.one}, 0) \
+        == "(s+1)*t^3 + s*t^2 + (2*s+2)*t + 1"
+    assert _side_text({}, 0) == "0"
+    for ctx in (F11, F9, field_ctx(2, 3)):
+        elems = [c for c in ctx.elements() if c]
+        side = {e: c for e, c in enumerate(elems)}
+        for shift in (0, 1, 3):
+            assert _side_text(side, shift) == _side_text_via_str(side, shift)
