@@ -199,14 +199,17 @@ def _fold_sign(c: RatFun) -> tuple[bool, RatFun]:
     return False, c
 
 
+def _signed_text(c: RatFun) -> tuple[bool, str]:
+    """(False, text of c), or (True, text of -c) when c prints as -(-c)."""
+    neg, cc = _fold_sign(c)
+    return neg, to_text(cc)
+
+
 def _terms_text(terms) -> str:
-    """Text of sum c*X^i over (i, c) pairs given in descending i; zeros skipped."""
+    """Text of sum c*X^i over (i, _signed_text(c)) pairs given in descending
+    i, every c nonzero."""
     parts: list[tuple[bool, str]] = []
-    for i, c in terms:
-        if c.is_zero():
-            continue
-        neg, cc = _fold_sign(c)
-        body = to_text(cc)
+    for i, (neg, body) in terms:
         if i == 0:
             parts.append((neg, body))
             continue
@@ -225,12 +228,19 @@ def _terms_text(terms) -> str:
 
 def poly_text(f: Poly) -> str:
     """Canonical text of f, round-trippable through parse_polynomial."""
-    return _terms_text((i, f.coeffs[i]) for i in range(f.degree, -1, -1))
+    coeffs = ((i, f.coeffs[i]) for i in range(f.degree, -1, -1))
+    return _terms_text((i, _signed_text(c)) for i, c in coeffs if not c.is_zero())
+
+
+def _signed_coeffs(P: ore.AdditivePolynomial) -> dict[int, tuple[bool, str]]:
+    """_signed_text(a_i) for each nonzero coefficient a_i of P, keyed by i."""
+    return {i: _signed_text(a) for i, a in P.coeffs.items() if not a.is_zero()}
 
 
 def additive_text(P: ore.AdditivePolynomial) -> str:
     """The text poly_text(P.to_poly()) gives, read off P's sparse support."""
-    return _terms_text((P.p**i, P.coeffs[i]) for i in sorted(P.coeffs, reverse=True))
+    signed = _signed_coeffs(P)
+    return _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
 
 
 def _fraction_str(r) -> str:
@@ -311,10 +321,14 @@ def run(cmd: Command) -> tuple[int, str]:
             lines.extend(_branch_text(n) for n in leaves)
         elif cmd.verb == "addpol":
             P = ore.addpol(f)
-            text = additive_text(P)
+            # each coefficient is rendered once; only a sign-folded one is
+            # rendered again, unfolded, for "coeffs"
+            signed = _signed_coeffs(P)
+            text = _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
             payload["additive"] = {
                 "text": text,
-                "coeffs": {str(i): to_text(a) for i, a in sorted(P.coeffs.items())},
+                "coeffs": {str(i): to_text(P.coeffs[i]) if neg else body
+                           for i, (neg, body) in sorted(signed.items())},
             }
             lines.append(text)
         elif cmd.verb == "intersections":

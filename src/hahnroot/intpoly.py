@@ -6,18 +6,30 @@ keep coefficients reduced into [0, p).
 Above size thresholds, chosen by measurement, the arithmetic is subquadratic
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8, 9, 11):
 products by Kronecker substitution into one big-int product, division by a
-Newton-iteration power-series inverse, gcd by the half-gcd reduction. Below
-them the schoolbook loops run. A ``Divisor`` divides many polynomials by one,
-computing that series inverse once. The fast paths reach ``mul`` and
-``divmod_`` through the module globals, so a wrapper installed on those
-names sees every product and every division that does not go through a
-``Divisor``'s own inverse.
+Newton-iteration power-series inverse, applied in blocks of the quotient,
+gcd by the half-gcd reduction. Below them the schoolbook loops run. A
+``Divisor`` divides many polynomials by one, computing that series inverse
+once.
+
+Over small primes the long paths run on byte strings, one byte per
+coefficient, with no per-coefficient Python loop. A Kronecker slot is
+exactly as many bytes wide as its bound needs. Where w-byte slots have
+w*(p-1) < 256 (p <= 61 up to 4-byte slots, p <= 83 up to 3 bytes, every
+p <= 31 up to 8), the product is read back one byte lane at a time through
+``bytes.translate`` tables, the lanes summed as big ints with no carry;
+every other product packs struct items and reduces each slot in Python.
+``neg`` and ``scal`` (p < 256) are one translate; ``add`` and ``sub``, for
+p <= 128, one big-int sum of byte strings and one translate.
+
+The fast paths reach ``mul`` and ``divmod_`` through the module globals, so
+a wrapper installed on those names sees every product and every division
+that does not go through a ``Divisor``'s own inverse.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
+from functools import lru_cache
 
 
 def trim(a: list[int]) -> list[int]:
@@ -42,23 +54,33 @@ def deg(a: list[int]) -> int:
 def add(a: list[int], b: list[int], p: int) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+    n = len(b)
+    if n >= _BYTE_THRESHOLD and p <= 128:
+        out = _byte_sum(a[:n], bytearray(b), p) + a[n:]
+    else:
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p
     return _strip(out)
 
 
 def neg(a: list[int], p: int) -> list[int]:
+    if len(a) >= _BYTE_THRESHOLD and p < 256:
+        return list(bytearray(a).translate(_table(p, p - 1)))
     return [(-c) % p for c in a]
 
 
 def sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [(x - y) % p for x, y in zip(a, b)]
-    n = len(out)
+    if len(a) >= _BYTE_THRESHOLD and len(b) >= _BYTE_THRESHOLD and p <= 128:
+        n = min(len(a), len(b))
+        out = _byte_sum(a[:n], bytearray(b[:n]).translate(_table(p, p - 1)), p)
+    else:
+        out = [(x - y) % p for x, y in zip(a, b)]
+        n = len(out)
     if len(a) > n:
         out += a[n:]
     elif len(b) > n:
-        out += [(-y) % p for y in b[n:]]
+        out += neg(b[n:], p)
     return _strip(out)
 
 
@@ -66,45 +88,87 @@ def scal(a: list[int], c: int, p: int) -> list[int]:
     c %= p
     if c == 0:
         return []
+    if len(a) >= _BYTE_THRESHOLD and p < 256:
+        return list(bytearray(a).translate(_table(p, c)).rstrip(b"\0"))
     return _strip([(c * x) % p for x in a])
 
 
-# unsigned array typecodes by item size, smallest first; chosen by itemsize
-# because the sizes of 'I' and 'L' depend on the platform
-_CODES = sorted({array(c).itemsize: c for c in "QLIHB"}.items())
-
+# From this length on, and when every coefficient fits in a byte (p < 256),
+# neg and scal map bytes through one translate table.  add and sub also need
+# a sum of two coefficients to fit, p <= 128: they add byte strings as big
+# ints, no byte carrying, and reduce the sum by one more table.
+_BYTE_THRESHOLD = 64
 # below this combined length, schoolbook multiplication beats packing
 _PACK_THRESHOLD = 48
 # from this divisor degree on, a schoolbook step updates one slice at a time
 _SLICE_THRESHOLD = 24
-# Newton division once the quotient has this many terms and the divisor this degree
+# Newton division from this many quotient terms, once the schoolbook work is
+# as much as over a divisor of this degree (see _newton_pays); it runs in
+# blocks of this many quotient terms, or of deg b if that is more
 _NEWTON_THRESHOLD = 48
+_NEWTON_BLOCK = 256
 # half-gcd once the smaller operand has more than this many terms
 _HGCD_THRESHOLD = 256
 # half-gcd recursion runs plain Euclid steps from this size down
 _HGCD_BASE = 48
 
 
+# little-endian struct items (size, code) for slots the byte lanes do not take
+_ITEMS = ((4, "I"), (8, "Q"))
+
+
+@lru_cache(maxsize=None)
+def _table(p: int, c: int) -> bytes:
+    # the bytes.translate table of b -> b*c mod p
+    return bytes(b * c % p for b in range(256))
+
+
+def _byte_unpack(raw: bytes, w: int, p: int) -> list[int]:
+    # the little-endian w-byte slots of raw, reduced mod p and trimmed, for
+    # w*(p-1) < 256: lane j of a slot maps through b -> b*256^j mod p, so the
+    # lane residues of a slot sum to less than 256 and the sum of the lanes,
+    # as big ints, has no carry
+    acc = 0
+    for j in range(w):
+        acc += int.from_bytes(raw[j::w].translate(_table(p, pow(256, j, p))), "little")
+    return list(acc.to_bytes(len(raw) // w, "little").translate(_table(p, 1)).rstrip(b"\0"))
+
+
+def _byte_pack(a: list[int], w: int) -> int:
+    # a, whose coefficients are bytes, evaluated at 2^(8w)
+    buf = bytearray(len(a) * w)
+    buf[::w] = bytearray(a)
+    return int.from_bytes(buf, "little")
+
+
+def _byte_sum(a: list[int], b: bytearray, p: int) -> list[int]:
+    # a + b, of one length, for p <= 128: no byte of the big-int sum carries
+    s = int.from_bytes(bytearray(a), "little") + int.from_bytes(b, "little")
+    return list(s.to_bytes(len(a), "little").translate(_table(p, 1)))
+
+
 def _packed_mul(a: list[int], b: list[int], p: int) -> list[int]:
     # Kronecker substitution: evaluate at 2^(8w), one big-int product, and
-    # read the coefficients back out of its bytes; no slot can carry
+    # read the coefficients back out of its bytes; w bytes hold every
+    # coefficient of the integer product, so no slot carries into the next
     n = len(a) + len(b) - 1
-    bound = min(len(a), len(b)) * (p - 1) * (p - 1)
-    w = (bound.bit_length() + 7) // 8
-    code = next((c for size, c in _CODES if size >= w), None)
-    if code is None:
+    w = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) // 8
+    if w * (p - 1) < 256:
+        return _byte_unpack((_byte_pack(a, w) * _byte_pack(b, w)).to_bytes(n * w, "little"), w, p)
+    # where a lane sum could carry, the slots are read in Python: as
+    # standard-size struct items up to 8 bytes, one int.from_bytes each above
+    item = next((size_code for size_code in _ITEMS if size_code[0] >= w), None)
+    if item:
+        w, code = item
+        pa = int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
+        pb = int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little")
+        vals = struct.unpack(f"<{n}{code}", (pa * pb).to_bytes(n * w, "little"))
+    else:
         pa = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
         pb = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
         raw = (pa * pb).to_bytes(n * w, "little")
-        return _strip([int.from_bytes(raw[i * w:(i + 1) * w], "little") % p for i in range(n)])
-    # arrays hold native-order items; on a big-endian host reading them in
-    # that order packs the reversed polynomials, whose product reverses back
-    order = sys.byteorder
-    pa = int.from_bytes(array(code, a).tobytes(), order)
-    pb = int.from_bytes(array(code, b).tobytes(), order)
-    out = array(code)
-    out.frombytes((pa * pb).to_bytes(n * out.itemsize, order))
-    return _strip([c % p for c in out])
+        vals = [int.from_bytes(raw[i:i + w], "little") for i in range(0, n * w, w)]
+    return _strip([v % p for v in vals])
 
 
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -131,23 +195,46 @@ def _series_inverse(h: list[int], m: int, p: int, g: list[int] | None = None) ->
         # h*g = 1 + x^k e mod x^k2, so g - x^k (g e) is exact mod x^k2
         e = mul(h[:k2], g, p)[k:k2]
         corr = mul(g[:k2 - k], e, p)[:k2 - k]
-        g += [(-c) % p for c in corr]
+        g += neg(corr, p)
         g += [0] * (k2 - len(g))
         k = k2
     return g
 
 
 def _newton_divmod(a: list[int], b: list[int], inv: list[int], p: int) -> tuple[list[int], list[int]]:
-    # rev(q) = rev(a) rev(b)^(-1) mod x^m, with inv = rev(b)^(-1) mod x^m;
-    # then r = a - q b, of which only the terms below deg b are nonzero
-    db = len(b) - 1
-    m = len(a) - db
-    q = mul(a[-m:][::-1], inv, p)[:m]
-    q += [0] * (m - len(q))
-    q.reverse()
-    low, qb = _strip(a[:db]), mul(q[:db], b[:db], p)[:db]
-    # an exact division, the common case, is told by one list comparison
-    return q, [] if low == _strip(qb) else sub(low, qb, p)
+    # the quotient in blocks of k = len(inv) terms, from the top; with inv =
+    # rev(b)^(-1) mod x^k, a block is rev(top k terms of r) * inv mod x^k,
+    # reversed, and subtracting x^s * block * b from r cancels those k terms
+    # and changes only the deg b terms below them
+    db, k = len(b) - 1, len(inv)
+    r, blocks = list(a), []
+    while len(r) > db:
+        m = min(k, len(r) - db)
+        s = len(r) - db - m
+        q = mul(r[-m:][::-1], inv[:m], p)[:m]
+        q += [0] * (m - len(q))
+        q.reverse()
+        blocks.append(q)
+        low, qb = _strip(r[s:s + db]), _strip(mul(q[:db], b[:db], p)[:db])
+        # an exact division, the common case, is told by one list comparison
+        low = [] if low == qb else sub(low, qb, p)
+        r[s:] = low + [0] * (db - len(low))
+    return [c for q in reversed(blocks) for c in q], _strip(r)
+
+
+def _newton_pays(m: int, db: int) -> bool:
+    # whether Newton division beats the schoolbook loop for an m-term
+    # quotient over a divisor of degree db; a constant divisor is a scal.
+    # Measured: a schoolbook step costs about as much as 4 divisor terms,
+    # and the crossover runs through 48-term quotients over divisors of
+    # degree 48
+    t = _NEWTON_THRESHOLD
+    return db > 0 and m >= t and m * (db + 4) >= t * (t + 4)
+
+
+def _newton_precision(m: int, db: int) -> int:
+    # quotient terms per block of a Newton division
+    return min(m, max(db, _NEWTON_BLOCK))
 
 
 def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -158,8 +245,10 @@ def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     m = len(r) - db
     if m <= 0:
         return [], r
-    if m >= _NEWTON_THRESHOLD and db >= _NEWTON_THRESHOLD:
-        return _newton_divmod(r, b, _series_inverse(b[::-1], m, p), p)
+    if db == 0:
+        return scal(r, pow(b[0], p - 2, p), p), []
+    if _newton_pays(m, db):
+        return _newton_divmod(r, b, _series_inverse(b[::-1], _newton_precision(m, db), p), p)
     inv_lb = pow(b[-1], p - 2, p)
     q = [0] * m
     if db < _SLICE_THRESHOLD:
@@ -195,10 +284,11 @@ class Divisor:
     """A polynomial b that many others are divided by.
 
     Newton division by b needs the series inverse of rev(b) to as many
-    terms as the quotient has; ``divmod_`` computes it afresh each time.  A
-    Divisor keeps it: each call of ``divmod_all`` inverts at most once, to
-    the longest precision its Newton divisions need, and a later call
-    reuses a prefix of that inverse or lengthens it.
+    terms as a block of the quotient has (the whole quotient, up to
+    max(deg b, _NEWTON_BLOCK) terms); ``divmod_`` computes it afresh each
+    time.  A Divisor keeps it: each call of ``divmod_all`` inverts at most
+    once, to the longest precision its Newton divisions need, and a later
+    call reuses a prefix of that inverse or lengthens it.
     """
 
     __slots__ = ("b", "p", "_inv")
@@ -213,15 +303,15 @@ class Divisor:
         """[divmod_(a, b, p) for a in nums]."""
         b, p = self.b, self.p
         db = len(b) - 1
-        if db < _NEWTON_THRESHOLD:
+        if max(map(len, nums), default=0) - db < _NEWTON_THRESHOLD:
             return [divmod_(a, b, p) for a in nums]
         nums = [trim(a) for a in nums]
-        m_max = max((len(a) - db for a in nums), default=0)
-        if m_max > len(self._inv) and m_max >= _NEWTON_THRESHOLD:
-            self._inv = _series_inverse(b[::-1], m_max, p, self._inv)
-        return [_newton_divmod(a, b, self._inv[:len(a) - db], p)
-                if len(a) - db >= _NEWTON_THRESHOLD else divmod_(a, b, p)
-                for a in nums]
+        newton = [_newton_pays(len(a) - db, db) for a in nums]
+        k = max((_newton_precision(len(a) - db, db) for a, n in zip(nums, newton) if n), default=0)
+        if k > len(self._inv):
+            self._inv = _series_inverse(b[::-1], k, p, self._inv)
+        return [_newton_divmod(a, b, self._inv[:_newton_precision(len(a) - db, db)], p)
+                if n else divmod_(a, b, p) for a, n in zip(nums, newton)]
 
     def divexact_all(self, nums: list[list[int]]) -> list[list[int]]:
         """[divexact(a, b, p) for a in nums]."""

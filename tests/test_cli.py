@@ -116,6 +116,10 @@ def test_companion_text_matches_its_dense_form():
     for g in polys:
         P = ore.addpol(g)
         assert additive_text(P) == poly_text(P.to_poly())
+    # a zero coefficient, which addpol never stores, prints no term
+    P = ore.AdditivePolynomial(3, {0: RatFun.from_t_coeffs(F3, {1: 2}), 1: RatFun.zero(F3),
+                                   2: RatFun.from_t_coeffs(F3, {0: 1})})
+    assert additive_text(P) == poly_text(P.to_poly()) == "X^9 - t*X"
 
 
 def test_intersections_command():

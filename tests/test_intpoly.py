@@ -236,6 +236,86 @@ def test_add_and_sub_of_unequal_lengths(p):
         assert intpoly.sub(a, a, p) == [] and intpoly.add(a, intpoly.neg(a, p), p) == []
 
 
+# -- the byte-string kernels against plain loops --
+
+BYTE_PRIMES = [2, 3, 7, 11, 31, 127, 131, 251, 257, 65537, 2**61 - 1]
+
+
+def _slot_width(na, nb, p):
+    # bytes per Kronecker slot, as _packed_mul chooses them
+    return ((min(na, nb) * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def test_packed_mul_matches_schoolbook_at_every_slot_width():
+    # 2^24 + 43 and 2^28 + 3 give the 7- and 8-byte slots
+    widths = set()
+    for p in BYTE_PRIMES + [16777259, 268435459]:
+        rng = random.Random(p)
+        for na, nb in ((1, 60), (3, 400), (8, 300), (40, 2000), (300, 400)):
+            a, b = _rand(rng, na, p), _rand(rng, nb, p)
+            assert intpoly._packed_mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
+            widths.add(_slot_width(na, nb, p))
+    assert widths >= set(range(1, 9))
+
+
+def test_byte_lanes_reduce_slots_of_every_width():
+    # any slot value at all, carries between lanes included, folds to its
+    # residue, at every prime and width the byte lanes take
+    rng = random.Random(5)
+    for p in [q for q in range(2, 256) if all(q % d for d in range(2, q))]:
+        for w in range(1, 9):
+            if w * (p - 1) >= 256:
+                continue
+            n = 50
+            raw = bytes(rng.randrange(256) for _ in range(n * w)) + bytes(w)
+            oracle = [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, len(raw), w)]
+            assert intpoly._byte_unpack(raw, w, p) == intpoly.trim(oracle)
+            full = intpoly._byte_unpack(bytes([255]) * (n * w), w, p)
+            assert full == intpoly.trim([(256**w - 1) % p] * n)
+
+
+@pytest.mark.parametrize("p", BYTE_PRIMES)
+def test_add_sub_neg_scal_across_the_byte_threshold(p):
+    rng = random.Random(p)
+    t = intpoly._BYTE_THRESHOLD
+    for na, nb in ((t - 1, t - 1), (t, t), (t + 1, t - 1), (t - 1, t + 1), (t, 3), (3, t),
+                   (5 * t, 2 * t), (2 * t, 5 * t)):
+        a, b = _rand(rng, na, p), _rand(rng, nb, p)
+        n = max(na, nb)
+        pa, pb = a + [0] * (n - na), b + [0] * (n - nb)
+        assert intpoly.add(a, b, p) == intpoly.trim([(x + y) % p for x, y in zip(pa, pb)])
+        assert intpoly.sub(a, b, p) == intpoly.trim([(x - y) % p for x, y in zip(pa, pb)])
+        assert intpoly.neg(a, p) == [(-x) % p for x in a]
+        assert intpoly.scal(a, p - 2, p) == intpoly.trim([(p - 2) * x % p for x in a])
+        # sums that cancel at the top, and operands that end in zeros
+        assert intpoly.sub(a, a, p) == [] == intpoly.add(a, intpoly.neg(a, p), p)
+        top = [(-x) % p for x in a[:-1]] + [rng.randrange(1, p)]
+        assert intpoly.add(a, top, p) == intpoly.trim([(x + y) % p for x, y in zip(a, top)])
+        assert intpoly.neg(a + [0, 0], p) == intpoly.neg(a, p) + [0, 0]
+        assert intpoly.scal(a + [0], 1, p) == a
+
+
+@pytest.mark.parametrize("p", [2, 7, 131, 65537])
+def test_newton_division_by_short_divisors(p, monkeypatch):
+    # divisors of degree 0 to 60, quotients just below, at and above the
+    # length from which Newton division pays, and long enough for several
+    # blocks; each through divmod_ and through a Divisor
+    rng = random.Random(p)
+    newton = _spy(monkeypatch, "_newton_divmod")
+    t, block = intpoly._NEWTON_THRESHOLD, intpoly._NEWTON_BLOCK
+    for db in (0, 1, 2, 3, 5, 8, 13, 21, 34, 47, 48, 60):
+        m0 = next(m for m in range(1, 10**4) if intpoly._newton_pays(m, db)) if db else t
+        lengths = sorted({m0 - 1, m0, m0 + 1, 2 * block + 7})
+        b = _rand(rng, db + 1, p)
+        nums = [_rand(rng, m + db, p) for m in lengths]
+        nums.append(intpoly.mul(_rand(rng, 3 * block, p), b, p))
+        expect = [_oracle_divmod(a, b, p) for a in nums]
+        assert [intpoly.divmod_(a, b, p) for a in nums] == expect
+        assert intpoly.Divisor(b, p).divmod_all(nums) == expect
+        assert expect[-1][1] == []
+    assert newton
+
+
 # -- the first irreducible of each degree --
 
 def _eval(g, x, p):

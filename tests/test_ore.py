@@ -98,6 +98,7 @@ def test_artin_schreier_companion():
     (11, 3, "2a8d59939693b8c3"),
     (5, 5, "f3c27b0b430e173e"),
     (7, 4, "b0f937efcf809a04"),
+    (7, 5, "07acdd9845def533"),
 ])
 def test_companion_digest_pinned(p, n, digest):
     # the four companion-ladder rungs at lam = 1, and two companions of
