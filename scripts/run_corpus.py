@@ -8,14 +8,20 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from hahnroot.cli import poly_text
-from hahnroot.corpus import corpus
-from hahnroot.envelope import companion_points, maxexp_base, maxram
-from hahnroot.expand import expand_roots
-from hahnroot.hahn import expands_at, ramifies_at
-from hahnroot.intpoly import prime_factors
-from hahnroot.ore import is_additive
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+if str(TESTS) not in sys.path:
+    sys.path.insert(0, str(TESTS))
+
+from hahnroot.cli import poly_text  # noqa: E402
+from hahnroot.corpus import corpus  # noqa: E402
+from hahnroot.envelope import companion_points, maxexp_base, maxram  # noqa: E402
+from hahnroot.expand import expand_roots  # noqa: E402
+from hahnroot.hahn import expands_at  # noqa: E402
+from hahnroot.intpoly import prime_factors  # noqa: E402
+from hahnroot.ore import is_additive  # noqa: E402
+from oracles import poly_divmod, ramifies_at, to_poly  # noqa: E402
 
 
 def strip_p(n, p):
@@ -28,8 +34,8 @@ def check_poly(g, depth):
     p = g.ctx.p
     problems = []
     P, points = companion_points(g)
-    dense = P.to_poly()
-    if not dense.divmod(g)[1].is_zero():
+    dense = to_poly(P)
+    if not poly_divmod(dense, g)[1].is_zero():
         problems.append("companion not divisible")
     if not is_additive(dense):
         problems.append("companion not additive")

@@ -3,8 +3,8 @@ companions, intersection points, and ramification/residue bounds."""
 
 from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots
 from .ratfun import RatFun, leading_term
-from .hahn import HahnSeries, ramifies_at, expands_at
-from .hasse import Poly, NewtonLine, hasse_derivative, taylor_at, evaluate, newton_data, gamma_J
+from .hahn import HahnSeries, expands_at
+from .hasse import Poly, NewtonLine, taylor_at, evaluate, newton_data
 from .ore import AdditivePolynomial, addpol, is_additive
 from .envelope import (
     Breakpoint,
@@ -21,21 +21,19 @@ from .expand import (
     BranchNode,
     ExpansionTree,
     accumulation_analysis,
-    approximation_terms,
     expand_roots,
 )
 
 __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots",
     "RatFun", "leading_term",
-    "HahnSeries", "ramifies_at", "expands_at",
-    "Poly", "NewtonLine", "hasse_derivative", "taylor_at", "evaluate",
-    "newton_data", "gamma_J",
+    "HahnSeries", "expands_at",
+    "Poly", "NewtonLine", "taylor_at", "evaluate", "newton_data",
     "AdditivePolynomial", "addpol", "is_additive",
     "Breakpoint", "companion_points", "intersection_points", "maxram", "maxexp",
     "maxexp_base", "paper_base", "order_type_bound",
     "AccumulationReport", "BranchNode", "ExpansionTree", "accumulation_analysis",
-    "approximation_terms", "expand_roots",
+    "expand_roots",
     "Command", "parse_polynomial", "poly_text", "run",
 ]
 

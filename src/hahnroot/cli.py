@@ -238,7 +238,8 @@ def _signed_coeffs(P: ore.AdditivePolynomial) -> dict[int, tuple[bool, str]]:
 
 
 def additive_text(P: ore.AdditivePolynomial) -> str:
-    """The text poly_text(P.to_poly()) gives, read off P's sparse support."""
+    """The text poly_text gives for P written densely in X, read off P's
+    sparse support."""
     signed = _signed_coeffs(P)
     return _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
 

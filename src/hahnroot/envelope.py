@@ -20,6 +20,10 @@ from .ore import AdditivePolynomial, addpol
 
 INF = math.inf
 
+# the most decimal digits a maxexp bound may have: CPython's default limit
+# on int-to-text conversion (sys.get_int_max_str_digits)
+_MAX_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -95,7 +99,17 @@ def paper_base(f: Poly) -> int:
 def maxexp(base: int) -> int:
     """A residue-field degree bound from a base D: every root of f has
     coefficients in F_{p^m} with m = D!.  Returned exactly; never used to
-    build fields."""
+    build fields.
+
+    Raises ValueError, before computing D!, when D! has more than 4300
+    digits.  The digit count floor(log10 D!) + 1 comes from lgamma; it
+    matches the exact count for every D below 3000, so the cut falls
+    between 1558! (4300 digits) and 1559! (4303).
+    """
+    digits = math.floor(math.lgamma(base + 1) / math.log(10)) + 1
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"maxexp: {base}! has {digits} digits, more than the {_MAX_DIGITS} "
+                         "that can be printed exactly")
     return math.factorial(base)
 
 

@@ -21,9 +21,12 @@ children of a node of multiplicity mu account for exactly mu roots of f.
 Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
 Instead, a stable two-line zigzag over the last steps of a chain is detected
-and reported as the limit exponent, the line set tied there, and the branch
-equation with its solutions.  For inputs that are not additive in X the
-detector is an extrapolation and is labelled heuristic.
+and reported as the limit exponent, the line set tied there (the points on
+the leaf's ``newton_edges`` edge at that exponent), and the branch equation
+with its solutions.  For inputs that are not additive in X the detector is
+an extrapolation and is labelled heuristic.  ``newton_edges`` is the only
+Newton-polygon query here; the tests check the index-0 steps against a
+from-scratch oracle that computes Taylor data with ``hasse.taylor_at``.
 """
 
 from __future__ import annotations
@@ -34,19 +37,15 @@ from fractions import Fraction
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, gamma_J, newton_data, newton_edges
-from .hasse import taylor_at, taylor_shift
-# not called here; perfbench/tracing.py wraps expand.evaluate by name
-from .hasse import evaluate  # noqa: F401
+from .hasse import INF, NewtonLine, Poly, newton_data, newton_edges, taylor_shift
+# not called here; perfbench/tracing.py wraps expand.taylor_at and
+# expand.evaluate by name until ROADMAP item 3
+from .hasse import evaluate, taylor_at  # noqa: F401
 from .ore import is_additive
 from .ratfun import RatFun, leading_term
 
 # chain steps over which the (term line, valuation line) pair must repeat
 _STABLE_STEPS = 4
-
-
-class AlreadyRootError(ValueError):
-    """Raised when next-term candidates are requested at an exact root."""
 
 
 @dataclass(frozen=True)
@@ -223,28 +222,6 @@ def _edge_children(
     return [(kid, live[kid]) for kid in kids if kid in live]
 
 
-def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]]:
-    """All (r, zeta, multiplicity) making w + zeta*t^r a valuation-raising step.
-
-    r is pinned by requiring the minimum of the lines at r to equal v(f(w)),
-    and zeta runs over the nonzero roots of the tied-line cancellation
-    equation.  Empty when the forced r does not extend w's support.
-    """
-    coeffs = taylor_at(f, w)
-    if coeffs[0].is_zero():
-        raise AlreadyRootError("w is already an exact root; no terms to add")
-    lines = newton_data(coeffs)
-    if not lines:
-        return []
-    vfw, b = leading_term(coeffs[0])
-    r = max(Fraction(vfw - line.rho, line.i) for line in lines)
-    if w.terms and r <= w.terms[-1][0]:
-        return []
-    _, J = gamma_J(lines, r)
-    _, solved = _tied_roots(w.ctx, {0: b} | {line.i: line.b for line in lines if line.i in J})
-    return [(r, zeta, mult) for zeta, mult in solved.roots if zeta]
-
-
 @dataclass
 class ExpansionTree:
     f: Poly
@@ -261,14 +238,6 @@ class ExpansionTree:
             else:
                 out.append(node)
         return out
-
-    def edges(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for kid in node.children:
-                yield node, kid
-                stack.append(kid)
 
 
 def expand_roots(f: Poly, depth: int) -> ExpansionTree:
@@ -352,8 +321,11 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
         return None
 
     leaf = chain[-1]
-    _, J_star = gamma_J(leaf.lines, r_star)
-    if not {ell, m} <= J_star:
+    # the lines tied at r_star are the points on the leaf's hull edge of
+    # negated slope r_star; with no such edge one line alone is minimal there
+    edges = newton_edges([(line.i, line.rho) for line in leaf.lines])
+    J_star = next((frozenset(xs) for r, xs in edges if r == r_star), None)
+    if J_star is None or not {ell, m} <= J_star:
         return None
     by_index = {line.i: line for line in leaf.lines}
     if by_index[ell] != line_l or by_index[m] != line_m:

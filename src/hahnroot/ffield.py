@@ -138,7 +138,7 @@ class FieldCtx:
     def label(self) -> str:
         if self.k == 1:
             return f"F_{self.p}"
-        return f"F_{self.p}[s]/({_modulus_text(self.modulus)})"
+        return f"F_{self.p}[s]/({_coeffs_text(self.modulus)})"
 
     def describe(self) -> str:
         if self.k == 1:
@@ -149,10 +149,12 @@ class FieldCtx:
         return f"FieldCtx({self.describe()})"
 
 
-def _modulus_text(modulus: tuple[int, ...]) -> str:
+def _coeffs_text(coeffs: tuple[int, ...]) -> str:
+    """The polynomial in s with these ascending coefficients, highest power
+    first: an element's text and a modulus's."""
     parts = []
-    for i in range(len(modulus) - 1, -1, -1):
-        c = modulus[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         if i == 0:
@@ -322,17 +324,7 @@ class FF:
         return self.coeffs
 
     def __str__(self) -> str:
-        parts = []
-        for i in range(self.ctx.k - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                s = "s" if i == 1 else f"s^{i}"
-                parts.append(s if c == 1 else f"{c}*{s}")
-        return "+".join(parts) if parts else "0"
+        return _coeffs_text(self.coeffs)
 
     def __repr__(self) -> str:
         return f"FF({self}, {self.ctx.label})"

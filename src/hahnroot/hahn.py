@@ -73,13 +73,6 @@ class HahnSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, e) -> FF:
-        e = Fraction(e)
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return self.ctx.zero
-
     def append_term(self, e, c: FF) -> "HahnSeries":
         """Extend by one term beyond the current support.
 
@@ -107,19 +100,6 @@ class HahnSeries:
 # Operations.
 
 
-def ramifies_at(support: list[Fraction], r: Fraction, q: int) -> bool:
-    """Does the prime q ramify at r given the prior support?
-
-    Requires r = a/(b*q^K) with K >= 1 and a, b coprime to q, while every
-    earlier support element carries q in its denominator to a power < K.
-    """
-    r = Fraction(r)
-    K = prime_exponent(r.denominator, q)
-    if K < 1:
-        return False
-    return all(prime_exponent(Fraction(s).denominator, q) < K for s in support if s < r)
-
-
 def expands_at(prefix_coeffs: list[FF], zeta: FF) -> bool:
     """Does zeta lie outside the field generated by the prefix coefficients?
 
@@ -134,7 +114,12 @@ def expands_at(prefix_coeffs: list[FF], zeta: FF) -> bool:
 
 
 def to_ratfun(x: HahnSeries, M: int | None = None) -> RatFun:
-    """The finite series as an element of F_{p^k}(u)."""
+    """The finite series as an element of F_{p^k}(u).
+
+    Only hasse.taylor_at and hasse.evaluate call it, which stay for the
+    benchmark's perfbench/micro.py and perfbench/tracing.py until ROADMAP
+    item 3.
+    """
     need = math.lcm(1, *(e.denominator for e, _ in x.terms))
     if M is None:
         M = need
@@ -142,13 +127,6 @@ def to_ratfun(x: HahnSeries, M: int | None = None) -> RatFun:
         raise ValueError(f"exponents of the series do not live in (1/{M})Z")
     num = {int(e * M): c for e, c in x.terms}
     return RatFun(x.ctx, M, num, {0: x.ctx.one})
-
-
-def from_ratfun(a: RatFun) -> HahnSeries:
-    """Exact conversion back; defined when a is a Laurent polynomial in u."""
-    if a.den != {0: a.ctx.one}:
-        raise ValueError("element is not a finite series")
-    return HahnSeries.from_terms(a.ctx, [(Fraction(e, a.M), c) for e, c in a.num.items()])
 
 
 def _exp_text(e: Fraction) -> str:

@@ -1,12 +1,16 @@
-"""Polynomials over exact rational-function coefficients.
+"""Polynomials over exact rational-function coefficients, and their Taylor data.
 
-Provides the divided-power (Hasse) derivatives that replace d/dX in
-characteristic p, exact Taylor data at a point (``taylor_at``, from scratch),
-the monomial shift that moves Laurent-polynomial Taylor data from w to
-w + zeta*t^r (``taylor_shift``, what the expansion engine uses), the
-per-index line data (valuation, leading coefficient, slope) that drives
-branching decisions, and the one Newton-polygon routine (``newton_edges``)
-behind both the engine's next exponents and the companion's breakpoints.
+``Poly`` is the kernel's polynomial in X; the parser builds it and the
+engine and the companion read its coefficients, so it carries no
+arithmetic of its own.  The Taylor coefficients c_k of f at w are the
+divided-power (Hasse) derivatives that replace d/dX in characteristic p.
+The expansion engine gets them by the monomial shift that moves
+Laurent-polynomial Taylor data from w to w + zeta*t^r (``taylor_shift``).
+The module also builds the per-index line data (valuation, leading
+coefficient, slope) that drives branching decisions, and holds the one
+Newton-polygon routine (``newton_edges``) behind both the engine's next
+exponents and the companion's breakpoints.  ``taylor_at`` and ``evaluate``
+compute from scratch; only the tests and the benchmark call them.
 """
 
 from __future__ import annotations
@@ -21,20 +25,6 @@ from .hahn import HahnSeries, to_ratfun
 from .ratfun import RatFun, leading_term
 
 INF = math.inf
-
-
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' digit product."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        out = (out * math.comb(nd, kd)) % p
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +55,6 @@ class Poly:
             cs.pop()
         return cls(tuple(cs))
 
-    @classmethod
-    def from_int_coeffs(cls, ctx: FieldCtx, ints) -> "Poly":
-        return cls.make([RatFun.from_int(ctx, n) for n in ints])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -82,11 +68,6 @@ class Poly:
             raise ValueError("the zero polynomial carries no context")
         return self.coeffs[0].ctx
 
-    def coefficient(self, i: int) -> RatFun:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFun.zero(self.ctx)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalise the zero polynomial")
@@ -95,138 +76,8 @@ class Poly:
             return self
         return Poly.make([c / lead for c in self.coeffs])
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        n = max(len(self.coeffs), len(other.coeffs))
-        ctx = self.ctx
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else RatFun.zero(ctx)
-            b = other.coeffs[i] if i < len(other.coeffs) else RatFun.zero(ctx)
-            out.append(a + b)
-        return Poly.make(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        ctx = self.ctx
-        out = [RatFun.zero(ctx) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Poly.make(out)
-
-    def scale(self, c: RatFun) -> "Poly":
-        return Poly.make([a * c for a in self.coeffs])
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = other.coeffs[-1].inverse()
-        q = [RatFun.zero(other.ctx)] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            if not rem[i].is_zero():
-                f = rem[i] * inv
-                q[i - db] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] = rem[i - db + j] - f * b
-        return Poly.make(q), Poly.make(rem)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
-
-
-def hasse_derivative(f: Poly, k: int) -> Poly:
-    """The k-th divided-power derivative: coefficient j becomes C(j+k, k) a_{j+k}."""
-    if k == 0:
-        return f
-    if f.is_zero() or k > f.degree:
-        return Poly(())
-    p = f.ctx.p
-    out = []
-    for j in range(f.degree - k + 1):
-        b = binom_mod_p(j + k, k, p)
-        c = f.coeffs[j + k]
-        out.append(c.scale(c.ctx.from_int(b)))
-    return Poly.make(out)
-
-
-def _as_ratfun(w) -> RatFun:
-    if isinstance(w, HahnSeries):
-        return to_ratfun(w)
-    if isinstance(w, RatFun):
-        return w
-    raise TypeError(f"cannot evaluate at {type(w).__name__}")
-
-
-def _lift_poly(f: Poly, ctx: FieldCtx, M: int) -> list[RatFun]:
-    """Re-express f's coefficients over the target context and exponent group."""
-    out = []
-    emb = None
-    for c in f.coeffs:
-        if c.ctx != ctx:
-            if emb is None:
-                emb = find_embedding(c.ctx, ctx)
-            c = c.embed(emb)
-        out.append(c.rebase(math.lcm(c.M, M)))
-    return out
-
-
-class _LazyPowers:
-    """Powers of a fixed point, computed on demand via base-p decomposition."""
-
-    def __init__(self, x: RatFun):
-        self.x = x
-        self.cache = {0: RatFun.one(x.ctx, x.M), 1: x}
-
-    def __getitem__(self, e: int) -> RatFun:
-        got = self.cache.get(e)
-        if got is None:
-            got = self.x**e
-            self.cache[e] = got
-        return got
-
-
-def taylor_at(f: Poly, w) -> list[RatFun]:
-    """[c_0, .., c_n] with f(X) = sum c_k (X - w)^k; c_k is the k-th Hasse
-    derivative of f at w.  Exact."""
-    if f.is_zero():
-        raise ValueError("no Taylor data for the zero polynomial")
-    x = _as_ratfun(w)
-    coeffs = _lift_poly(f, x.ctx, x.M)
-    n = len(coeffs) - 1
-    p = x.ctx.p
-    powers = _LazyPowers(x)
-    out = []
-    for k in range(n + 1):
-        acc = RatFun.zero(x.ctx, x.M)
-        for i in range(k, n + 1):
-            b = binom_mod_p(i, k, p)
-            if b and not coeffs[i].is_zero():
-                acc = acc + coeffs[i].scale(x.ctx.from_int(b)) * powers[i - k]
-        out.append(acc)
-    return out
 
 
 def taylor_shift(coeffs: list[RatFun], zeta: FF, r) -> list[RatFun]:
@@ -272,20 +123,6 @@ def taylor_shift(coeffs: list[RatFun], zeta: FF, r) -> list[RatFun]:
     return out
 
 
-def evaluate(f: Poly, w) -> RatFun:
-    """f(w), exactly, for a finite exact series or rational-function point."""
-    x = _as_ratfun(w)
-    if f.is_zero():
-        return RatFun.zero(x.ctx, x.M)
-    coeffs = _lift_poly(f, x.ctx, x.M)
-    powers = _LazyPowers(x)
-    acc = RatFun.zero(x.ctx, x.M)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            acc = acc + c * powers[i]
-    return acc
-
-
 @dataclass(frozen=True)
 class NewtonLine:
     """gamma(r) = rho + i*r for the index-i term, with leading coefficient b."""
@@ -303,8 +140,8 @@ class NewtonLine:
 def newton_data(coeffs: list[RatFun]) -> tuple[NewtonLine, ...]:
     """One line per index i >= 1 with a nonzero Taylor coefficient c_i.
 
-    ``coeffs`` is Taylor data [c_0, .., c_n] as returned by ``taylor_at``;
-    this is the one place Newton lines are built.
+    ``coeffs`` is Taylor data [c_0, .., c_n] as returned by ``taylor_shift``
+    (or ``taylor_at``); this is the one place Newton lines are built.
     """
     return tuple(
         NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
@@ -342,13 +179,99 @@ def newton_edges(points) -> list[tuple[Fraction, tuple[int, ...]]]:
     return edges
 
 
-def gamma_J(lines, r) -> tuple[Fraction | float, frozenset[int]]:
-    """The minimum of the lines at r and the set of indices attaining it."""
-    lines = tuple(lines)
-    if not lines:
-        raise ValueError("no lines to minimise over")
-    if r == INF:
-        return INF, frozenset(line.i for line in lines)
-    values = [(line.gamma(r), line.i) for line in lines]
-    low = min(v for v, _ in values)
-    return low, frozenset(i for v, i in values if v == low)
+# ---------------------------------------------------------------------------
+# Taylor data from scratch.  Nothing in src/ calls it: the engine derives
+# every node's Taylor data with taylor_shift.  It stays for the benchmark
+# until ROADMAP item 3 gives it the kernel's own counters, because
+# perfbench/micro.py imports taylor_at at load (hasse.taylor_us.cubic20) and
+# perfbench/tracing.py wraps expand.taylor_at and expand.evaluate by name.
+# The tests check taylor_shift against taylor_at.
+
+
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas' digit product (for taylor_at)."""
+    if k < 0 or k > n:
+        return 0
+    out = 1
+    while n or k:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if kd > nd:
+            return 0
+        out = (out * math.comb(nd, kd)) % p
+    return out
+
+
+def _as_ratfun(w) -> RatFun:
+    # for taylor_at and evaluate, the one caller of hahn.to_ratfun
+    if isinstance(w, HahnSeries):
+        return to_ratfun(w)
+    if isinstance(w, RatFun):
+        return w
+    raise TypeError(f"cannot evaluate at {type(w).__name__}")
+
+
+def _lift_poly(f: Poly, ctx: FieldCtx, M: int) -> list[RatFun]:
+    """Re-express f's coefficients over the target context and exponent group
+    (for taylor_at and evaluate)."""
+    out = []
+    emb = None
+    for c in f.coeffs:
+        if c.ctx != ctx:
+            if emb is None:
+                emb = find_embedding(c.ctx, ctx)
+            c = c.embed(emb)
+        out.append(c.rebase(math.lcm(c.M, M)))
+    return out
+
+
+class _LazyPowers:
+    """Powers of a fixed point, computed on demand via base-p decomposition
+    (for taylor_at and evaluate)."""
+
+    def __init__(self, x: RatFun):
+        self.x = x
+        self.cache = {0: RatFun.one(x.ctx, x.M), 1: x}
+
+    def __getitem__(self, e: int) -> RatFun:
+        got = self.cache.get(e)
+        if got is None:
+            got = self.x**e
+            self.cache[e] = got
+        return got
+
+
+def taylor_at(f: Poly, w) -> list[RatFun]:
+    """[c_0, .., c_n] with f(X) = sum c_k (X - w)^k; c_k is the k-th Hasse
+    derivative of f at w.  Exact.  Imported by perfbench/micro.py."""
+    if f.is_zero():
+        raise ValueError("no Taylor data for the zero polynomial")
+    x = _as_ratfun(w)
+    coeffs = _lift_poly(f, x.ctx, x.M)
+    n = len(coeffs) - 1
+    p = x.ctx.p
+    powers = _LazyPowers(x)
+    out = []
+    for k in range(n + 1):
+        acc = RatFun.zero(x.ctx, x.M)
+        for i in range(k, n + 1):
+            b = binom_mod_p(i, k, p)
+            if b and not coeffs[i].is_zero():
+                acc = acc + coeffs[i].scale(x.ctx.from_int(b)) * powers[i - k]
+        out.append(acc)
+    return out
+
+
+def evaluate(f: Poly, w) -> RatFun:
+    """f(w), exactly, for a finite exact series or rational-function point.
+    Wrapped as expand.evaluate by perfbench/tracing.py."""
+    x = _as_ratfun(w)
+    if f.is_zero():
+        return RatFun.zero(x.ctx, x.M)
+    coeffs = _lift_poly(f, x.ctx, x.M)
+    powers = _LazyPowers(x)
+    acc = RatFun.zero(x.ctx, x.M)
+    for i, c in enumerate(coeffs):
+        if not c.is_zero():
+            acc = acc + c * powers[i]
+    return acc

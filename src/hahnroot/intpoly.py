@@ -408,10 +408,6 @@ def pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def derivative(a: list[int], p: int) -> list[int]:
-    return _strip([(i * c) % p for i, c in enumerate(a)][1:])
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []

@@ -60,15 +60,6 @@ class AdditivePolynomial:
     def ctx(self) -> FieldCtx:
         return next(iter(self.coeffs.values())).ctx
 
-    def to_poly(self) -> Poly:
-        """The same element of F_p(t)[X], dense in X."""
-        ctx = self.ctx
-        top = self.p ** max(self.coeffs)
-        out = [RatFun.zero(ctx) for _ in range(top + 1)]
-        for i, a in self.coeffs.items():
-            out[self.p**i] = a
-        return Poly.make(out)
-
 
 def is_additive(f: Poly) -> bool:
     """True iff f is nonzero and every monomial exponent is a power of p."""

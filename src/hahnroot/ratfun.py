@@ -121,17 +121,6 @@ class RatFun:
         return cls.from_ff(ctx.from_int(n), M)
 
     @classmethod
-    def t_power(cls, ctx: FieldCtx, exponent: Fraction | int, M: int | None = None) -> "RatFun":
-        """The monomial t^exponent, choosing M from the exponent if omitted."""
-        exponent = Fraction(exponent)
-        if M is None:
-            M = exponent.denominator
-        e = exponent * M
-        if e.denominator != 1:
-            raise ValueError(f"exponent {exponent} does not live in (1/{M})Z")
-        return cls(ctx, M, {int(e): ctx.one}, {0: ctx.one})
-
-    @classmethod
     def from_t_coeffs(cls, ctx: FieldCtx, num: dict[int, int], den: dict[int, int] | None = None) -> "RatFun":
         """Build from integer t-coefficients (M = 1)."""
         n = {e: ctx.from_int(c) for e, c in num.items() if c % ctx.p}
@@ -267,7 +256,11 @@ class RatFun:
         return Fraction(min(self.num), self.M)
 
     def __repr__(self) -> str:
-        return f"RatFun({to_text(self)!s}, M={self.M}, {self.ctx.label})"
+        if self.M == 1:
+            return f"RatFun({to_text(self)!s}, M=1, {self.ctx.label})"
+        # to_text is defined for M = 1 only; the sides are polynomials in u
+        num, den = _side_text(self.num, 0, "u"), _side_text(self.den, 0, "u")
+        return f"RatFun(num={num}, den={den}, M={self.M}, {self.ctx.label})"
 
 
 def leading_term(a: RatFun) -> tuple[Fraction, FF]:
@@ -278,31 +271,7 @@ def leading_term(a: RatFun) -> tuple[Fraction, FF]:
     return Fraction(e, a.M), a.num[e]
 
 
-def laurent_terms(a: RatFun, count: int) -> list[tuple[Fraction, FF]]:
-    """The first `count` terms of the Laurent expansion of a, exactly.
-
-    Long division against the (normalised) denominator: each emitted term is
-    final because the denominator starts with 1*u^0.
-    """
-    rem = dict(a.num)
-    out: list[tuple[Fraction, FF]] = []
-    while rem and len(out) < count:
-        e = min(rem)
-        c = rem[e]
-        out.append((Fraction(e, a.M), c))
-        for de, dc in a.den.items():
-            ee = e + de
-            s = rem.get(ee)
-            prod = c * dc
-            s = -prod if s is None else s - prod
-            if s:
-                rem[ee] = s
-            else:
-                rem.pop(ee, None)
-    return out
-
-
-def _side_text(side: dict[int, FF], shift: int) -> str:
+def _side_text(side: dict[int, FF], shift: int, var: str = "t") -> str:
     parts = []
     for e in sorted(side, reverse=True):
         c = side[e]
@@ -313,9 +282,9 @@ def _side_text(side: dict[int, FF], shift: int) -> str:
         if ee == 0:
             parts.append(cs)
         elif cs == "1":
-            parts.append("t" if ee == 1 else f"t^{ee}")
+            parts.append(var if ee == 1 else f"{var}^{ee}")
         else:
-            parts.append(f"{cs}*t" if ee == 1 else f"{cs}*t^{ee}")
+            parts.append(f"{cs}*{var}" if ee == 1 else f"{cs}*{var}^{ee}")
     return " + ".join(parts) if parts else "0"
 
 

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from hahnroot.cli import (
 from hahnroot.corpus import corpus
 from hahnroot.ffield import field_ctx
 from hahnroot.ratfun import RatFun
+from oracles import to_poly
 
 
 F3 = field_ctx(3)
@@ -115,11 +118,11 @@ def test_companion_text_matches_its_dense_form():
     polys += [parse_polynomial("X^2 + 2*t*X + 3/t", p) for p in (5, 7)]
     for g in polys:
         P = ore.addpol(g)
-        assert additive_text(P) == poly_text(P.to_poly())
+        assert additive_text(P) == poly_text(to_poly(P))
     # a zero coefficient, which addpol never stores, prints no term
     P = ore.AdditivePolynomial(3, {0: RatFun.from_t_coeffs(F3, {1: 2}), 1: RatFun.zero(F3),
                                    2: RatFun.from_t_coeffs(F3, {0: 1})})
-    assert additive_text(P) == poly_text(P.to_poly()) == "X^9 - t*X"
+    assert additive_text(P) == poly_text(to_poly(P)) == "X^9 - t*X"
 
 
 def test_intersections_command():
@@ -139,6 +142,19 @@ def test_bounds_command():
     assert doc["maxexp_sharp_base"] == 3
     assert doc["maxexp_sharp"] == "6"
     assert doc["maxexp_paper_base"] == 27
+
+
+def test_bounds_fails_fast_on_a_factorial_too_long_to_print():
+    # the (5, 4) companion-ladder rung has sharp base 5^10; its factorial
+    # has 64017637 digits and used to be computed before failing to print
+    for mode in ("sharp", "paper"):
+        start = time.perf_counter()
+        code, out = run(Command("bounds", 5, "X^4+t*X^3+X+1/t", fmt="json", mode=mode))
+        elapsed = time.perf_counter() - start
+        doc = json.loads(out)
+        assert code == 2 and doc["error"]["kind"] == "ValueError"
+        assert "9765625! has 64017637 digits" in doc["error"]["message"]
+        assert elapsed < 5, f"--mode {mode} took {elapsed:.1f} s"
 
 
 def test_order_bound_command():
@@ -166,6 +182,16 @@ def test_each_verb_builds_the_companion_once(monkeypatch):
         assert len(builds) == 1, f"{verb} built the companion {len(builds)} times"
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1 by integer comparison, without int-to-str."""
+    d = max(1, int(n.bit_length() * math.log10(2)))
+    while 10**d <= n:
+        d += 1
+    while d > 1 and 10 ** (d - 1) > n:
+        d -= 1
+    return d
+
+
 def test_bounds_and_order_bound_agree_on_corpus():
     compared = 0
     for g in corpus(seed=20260810, count=10, ps=(2, 3), max_deg=4):
@@ -176,8 +202,13 @@ def test_bounds_and_order_bound_agree_on_corpus():
         code, out = run(Command("bounds", g.ctx.p, text, fmt="json"))
         doc = json.loads(out)
         if code != 0:
-            # the sharp factorial outgrows int-to-str conversion (ROADMAP 5a)
-            assert "integer string conversion" in doc["error"]["message"]
+            # the sharp factorial has more digits than can be printed
+            # (ROADMAP item 1): the error names the base and the digit count
+            base = envelope.maxexp_base(*envelope.companion_points(g))
+            assert doc["error"]["kind"] == "ValueError"
+            assert f"{base}! has {_decimal_digits(math.factorial(base))} digits" in (
+                doc["error"]["message"]
+            )
             continue
         assert doc["order_m"] == order_m
         compared += 1

@@ -1,6 +1,9 @@
 import math
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from hahnroot.cli import parse_polynomial
 from hahnroot.corpus import corpus
@@ -171,3 +174,20 @@ def test_structural_count_bounds():
         assert len(finite) <= len(P.coeffs) - 1 if len(P.coeffs) > 1 else not finite
         n = max(P.support)
         assert len(intersection_points(P)) <= n * (n + 1) // 2 + 1
+
+
+def test_maxexp_prints_up_to_4300_digits_and_refuses_above():
+    # 1558! has exactly 4300 digits, 1559! has 4303
+    assert len(str(maxexp(1558))) == 4300
+    assert maxexp(1558) == math.factorial(1558)
+    with pytest.raises(ValueError, match=r"1559! has 4303 digits"):
+        maxexp(1559)
+    assert [maxexp(d) for d in range(6)] == [1, 1, 2, 6, 24, 120]
+
+
+def test_maxexp_refuses_a_huge_base_without_computing_it():
+    # the (5, 4) companion-ladder rung: sharp base 5^10
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"9765625! has 64017637 digits"):
+        maxexp(5**10)
+    assert time.perf_counter() - start < 1

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot.ffield import field_ctx
-from hahnroot.ratfun import RatFun, _side_text, laurent_terms, leading_term, to_text
+from hahnroot.ratfun import RatFun, _side_text, leading_term, to_text
+from oracles import laurent_terms, t_power
 
 
 F3 = field_ctx(3)
@@ -52,17 +53,17 @@ def test_leading_term_of_zero_signals():
 
 
 def test_rebase_monomials():
-    t = RatFun.t_power(F3, 1)
+    t = t_power(F3, 1)
     r = t.rebase(2)
     assert r.M == 2 and r.num == {2: F3.one}
-    inv = RatFun.t_power(F3, -1)
+    inv = t_power(F3, -1)
     r = inv.rebase(6)
     assert r.M == 6 and r.num == {-6: F3.one}
 
 
 def test_rebase_rejects_non_multiple():
     with pytest.raises(ValueError):
-        RatFun.t_power(F3, 1, M=2).rebase(3)
+        t_power(F3, 1, M=2).rebase(3)
 
 
 @given(ratfuns())
@@ -147,3 +148,10 @@ def test_side_text_prints_prime_and_extension_coefficients():
         side = {e: c for e, c in enumerate(elems)}
         for shift in (0, 1, 3):
             assert _side_text(side, shift) == _side_text_via_str(side, shift)
+
+
+def test_repr_renders_fractional_exponent_groups():
+    # to_text is defined for M = 1 only; repr must not raise for M = 2
+    a = RatFun(F3, 2, {1: F3.one, -1: F3.from_int(2)}, {0: F3.one, 1: F3.one})
+    assert repr(a) == "RatFun(num=u + 2*u^-1, den=u + 1, M=2, F_3)"
+    assert repr(RatFun.from_t_coeffs(F3, {1: 2}, {0: 1, 2: 1})) == "RatFun(2*t/(t^2 + 1), M=1, F_3)"

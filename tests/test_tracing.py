@@ -30,3 +30,14 @@ def test_tracer_counts_one_product_in_f81_and_uninstalls():
     assert tracer.counts["ffield.mul.calls.k_gt1"] == before["ffield.mul.calls.k_gt1"] + 1
     assert tracer.counts["ffield.mul.calls.k1"] == before["ffield.mul.calls.k1"]
     assert product == x * y
+
+
+def test_benchmark_modules_import_against_src():
+    # perfbench/ imports these names at load; a src/ change that drops one
+    # fails here rather than in a benchmark run
+    import hahnroot.hasse
+    from perfbench import micro, workloads
+
+    assert micro.taylor_at is hahnroot.hasse.taylor_at
+    for workload in workloads.WORKLOADS.values():
+        assert workload.all_requests()
