@@ -4,7 +4,7 @@ companions, intersection points, and ramification/residue bounds."""
 from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots
 from .ratfun import RatFun, leading_term
 from .hahn import HahnSeries, expands_at
-from .hasse import Poly, NewtonLine, taylor_at, evaluate, newton_data
+from .hasse import Poly, NewtonLine, taylor_at, evaluate
 from .ore import AdditivePolynomial, addpol, is_additive
 from .envelope import (
     Breakpoint,
@@ -28,7 +28,7 @@ __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots",
     "RatFun", "leading_term",
     "HahnSeries", "expands_at",
-    "Poly", "NewtonLine", "taylor_at", "evaluate", "newton_data",
+    "Poly", "NewtonLine", "taylor_at", "evaluate",
     "AdditivePolynomial", "addpol", "is_additive",
     "Breakpoint", "companion_points", "intersection_points", "maxram", "maxexp",
     "maxexp_base", "paper_base", "order_type_bound",

@@ -22,6 +22,11 @@ from .ratfun import RatFun, to_text
 
 SCHEMA = "hahnroot-json/1"
 
+# largest X-exponent the parser accepts: f is stored densely in X, and the
+# engine's binomial table has (n+1)(n+2)/2 entries; roots of X^4096+t over
+# F_2 answer in about 5 s
+_X_DEGREE_LIMIT = 4096
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -105,7 +110,12 @@ class _Parser:
             exp = 1
             if self.peek() == "^":
                 self.take()
+                exp_pos = self.pos()
                 exp = self.parse_nat()
+                if exp > _X_DEGREE_LIMIT:
+                    raise ParseError(
+                        f"X-exponent {exp} is above the limit {_X_DEGREE_LIMIT}", exp_pos
+                    )
             return exp, coeff if coeff is not None else RatFun.one(self.ctx)
         if coeff is None:
             raise ParseError("expected a coefficient or 'X'", self.pos())

@@ -4,15 +4,19 @@ The engine grows truncations w of roots of f one term at a time.  It clears
 denominators once: D, the product of f's distinct denominators, starts with
 1*u^0 like each of them, so D*f has f's residual valuations, leading
 coefficients and Newton lines at every w, and its Taylor data
-c_i = D^(i)(D*f)(w) are Laurent polynomials.  At w = 0 they are D*f's
-coefficients; a child w + zeta*t^r derives its own from its parent's by a
-monomial shift (``hasse.taylor_shift``), so no node computes Taylor data
-from scratch.  The data lives on the frontier only until the node's
-children are built; the node keeps its Newton data (v(c_0), the leading
-coefficient of c_0, and one line per nonzero c_i with i >= 1).  The
+c_i = D^(i)(D*f)(w) are Laurent polynomials.  The engine holds them as
+``hasse.TaylorData``, one exponent denominator M and a sparse dict per c_i;
+``RatFun`` appears only where f is cleared, once per request.  At w = 0
+the data are D*f's coefficients; a child w + zeta*t^r derives its own from
+its parent's by a monomial shift (``hasse.taylor_shift``), so no node
+computes Taylor data from scratch.  The data lives on the frontier only
+until the node's children are built; the node keeps its Newton data, read
+off the dicts: v(c_i) = min(c_i)/M and the leading coefficient
+c_i[min(c_i)], for c_0 and for one line per nonzero c_i with i >= 1.  The
 candidate next exponents r are the negated slopes of the lower convex hull
-of the points (i, v(c_i)), i = 0..n (``hasse.newton_edges``); the coefficient candidates for an edge
-are the nonzero roots of the edge-restricted leading-coefficient equation.
+of the points (i, v(c_i)), i = 0..n (``hasse.newton_edges``); the
+coefficient candidates for an edge are the nonzero roots of the
+edge-restricted leading-coefficient equation.
 Edges through index 0 are exactly the valuation-raising "approximation
 term" steps; edges avoiding index 0 are the tie branches that split off
 roots diverging from w at r.  The hull census is sound and complete: the
@@ -31,13 +35,14 @@ from-scratch oracle that computes Taylor data with ``hasse.taylor_at``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, newton_data, newton_edges, taylor_shift
+from .hasse import INF, NewtonLine, Poly, TaylorData, newton_edges, taylor_shift
 # not called here; perfbench/tracing.py wraps expand.taylor_at and
 # expand.evaluate by name until ROADMAP item 3
 from .hasse import evaluate, taylor_at  # noqa: F401
@@ -95,24 +100,35 @@ class BranchNode:
         return len(self.w.terms)
 
 
-def _node(w: HahnSeries, coeffs: list[RatFun], **fields) -> BranchNode:
-    """A node at w carrying the Newton data of its Taylor data coeffs."""
-    if coeffs[0].is_zero():
-        valuation, lead = INF, None
+def _node(w: HahnSeries, data: TaylorData, **fields) -> BranchNode:
+    """A node at w carrying the Newton data of its Taylor data (M, [c_0, .., c_n]):
+    v(c_i) is Fraction(min(c_i), M) and its leading coefficient c_i[min(c_i)]."""
+    M, cs = data
+    c0 = cs[0]
+    if c0:
+        e = min(c0)
+        valuation, lead = Fraction(e, M), c0[e]
     else:
-        valuation, lead = leading_term(coeffs[0])
+        valuation, lead = INF, None
+    lines = []
+    for i in range(1, len(cs)):
+        c = cs[i]
+        if c:
+            e = min(c)
+            lines.append(NewtonLine(i, Fraction(e, M), c[e]))
     return BranchNode(
-        w=w, residual_valuation=valuation, residual_lead=lead, lines=newton_data(coeffs), **fields
+        w=w, residual_valuation=valuation, residual_lead=lead, lines=tuple(lines), **fields
     )
 
 
-def _cleared_coefficients(f: Poly) -> list[RatFun]:
+def _cleared_coefficients(f: Poly) -> TaylorData:
     """The coefficients of D*f, D the product of f's distinct denominators.
 
-    Each is a Laurent polynomial (denominator 1); as a list they are the
-    Taylor data of D*f at w = 0.  Every denominator starts with 1*u^0, so
-    v(D) = 0 and D has leading coefficient 1: D*f has f's residual
-    valuations, leading coefficients and Newton lines at every w.
+    Each is a Laurent polynomial; over one exponent denominator M they are
+    the Taylor data of D*f at w = 0, the engine's only ``RatFun`` work.
+    Every denominator starts with 1*u^0, so v(D) = 0 and D has leading
+    coefficient 1: D*f has f's residual valuations, leading coefficients and
+    Newton lines at every w.
     """
     ctx = f.ctx
     one = {0: ctx.one}
@@ -133,7 +149,8 @@ def _cleared_coefficients(f: Poly) -> list[RatFun]:
             if d != own:
                 cleared = cleared * d
         out.append(cleared)
-    return out
+    M = math.lcm(*(c.M for c in out))
+    return M, [c.rebase(M).num for c in out]
 
 
 def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.RootsResult]:
@@ -144,12 +161,10 @@ def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.Ro
     return equation, ffield.poly_roots(equation)
 
 
-def _edge_children(
-    node: BranchNode, coeffs: list[RatFun]
-) -> list[tuple[BranchNode, list[RatFun]]]:
+def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode, TaylorData]]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
 
-    ``coeffs`` is the node's denominator-cleared Taylor data; each step
+    ``data`` is the node's denominator-cleared Taylor data; each step
     child gets its own by ``taylor_shift``.  Returns the live children with
     their Taylor data.
 
@@ -167,7 +182,7 @@ def _edge_children(
         points.insert(0, (0, node.residual_valuation))
         lead[0] = node.residual_lead
     kids: list[BranchNode] = []
-    live: dict[BranchNode, list[RatFun]] = {}
+    live: dict[BranchNode, TaylorData] = {}
     order = points[0][0]
     if order > 0:
         kids.append(
@@ -184,17 +199,19 @@ def _edge_children(
         if node.last_r is not None and r <= node.last_r:
             continue
         _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
-        w_base, coeffs_base = w, coeffs
+        w_base, data_base = w, data
         if solved.ctx != w.ctx:
-            w_base = w.embed(solved.embed)
-            coeffs_base = [c.embed(solved.embed) for c in coeffs]
+            emb = solved.embed
+            w_base = w.embed(emb)
+            M, cs = data
+            data_base = M, [{e: emb(c) for e, c in d.items()} for d in cs]
         for zeta, mult in solved.roots:
             if not zeta:
                 continue
-            kid_coeffs = taylor_shift(coeffs_base, zeta, r)
+            kid_data = taylor_shift(data_base, zeta, r)
             kid = _node(
                 w_base.append_term(r, zeta),
-                kid_coeffs,
+                kid_data,
                 last_r=r,
                 multiplicity=mult,
                 step_zeta=zeta,
@@ -204,7 +221,7 @@ def _edge_children(
             if kid.residual_lead is None:
                 kid.status = "exact_root"
             else:
-                live[kid] = kid_coeffs
+                live[kid] = kid_data
             kids.append(kid)
     total = sum(k.multiplicity for k in kids)
     if total != node.multiplicity:
@@ -251,17 +268,17 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
     if f.is_zero() or f.degree < 1:
         raise ValueError("expansion requires a polynomial of degree >= 1")
     f = f.monic()
-    coeffs = _cleared_coefficients(f)
-    root = _node(HahnSeries.zero(f.ctx), coeffs, last_r=None, multiplicity=f.degree)
+    data = _cleared_coefficients(f)
+    root = _node(HahnSeries.zero(f.ctx), data, last_r=None, multiplicity=f.degree)
     tree = ExpansionTree(f, depth, root)
     # a node's Taylor data lives only on the frontier, until its children exist
-    frontier = [(root, coeffs)]
+    frontier = [(root, data)]
     while frontier:
-        node, coeffs = frontier.pop()
+        node, data = frontier.pop()
         if node.depth() >= depth:
             _close_out(f, node)
             continue
-        frontier.extend(_edge_children(node, coeffs))
+        frontier.extend(_edge_children(node, data))
     return tree
 
 

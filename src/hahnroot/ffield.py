@@ -8,8 +8,11 @@ lex order on coefficient vectors), so independently computed towers agree.
 
 Fields of order at most ``_TABLE_ORDER`` compute by table lookup: on first
 use a context builds one interned :class:`FF` per element and log/exp (Zech)
-tables over a primitive element, so every operation indexes a list.  Larger
-fields multiply coefficient vectors as polynomials modulo the modulus.
+tables over a primitive element, so every operation indexes a list;
+``sparse_addmul``, the expansion engine's multiply-add on sparse Laurent
+carriers, indexes the same tables without an operator call per term.
+Larger fields multiply coefficient vectors as polynomials modulo the
+modulus.
 
 Enlarging a tower never mutates a context.  ``enlarge`` builds the bigger
 field and returns an :class:`Embedding` that callers apply to every live
@@ -430,6 +433,46 @@ def _primitive_element(ctx: FieldCtx) -> list[int]:
         if all(intpoly.pow_mod(intpoly.trim(g), e, modulus, p) != [1] for e in cofactors):
             return g
     raise FieldError(f"{ctx.label} has no primitive element; is its modulus irreducible?")
+
+
+# ---------------------------------------------------------------------------
+# Sparse Laurent polynomials, as dicts {exponent: nonzero element}.
+
+
+def sparse_addmul(acc: dict[int, FF], src: dict[int, FF], scale: FF, shift: int) -> None:
+    """acc += scale * u^shift * src, in place; a sum that cancels leaves acc.
+
+    scale is nonzero and every dict lies over scale's field.  In a field with
+    tables the loop indexes the exp and Zech lists by log, with no
+    ``FF`` operator call: with i, j the logs of two nonzero elements,
+    alpha^i + alpha^j = exp[i + zech[j - i]], and a log of 2n or more is zero.
+    """
+    t = scale._t
+    if t is None:
+        for e, c in src.items():
+            e += shift
+            s = acc.get(e)
+            s = c * scale if s is None else s + c * scale
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+        return
+    exp, zech, a, zero = t.exp, t.zech, scale._log, 2 * t.n
+    get = acc.get
+    for e, c in src.items():
+        e += shift
+        x = exp[c._log + a]
+        s = get(e)
+        if s is None:
+            acc[e] = x
+        else:
+            i = s._log
+            j = i + zech[x._log - i]
+            if j < zero:
+                acc[e] = exp[j]
+            else:
+                del acc[e]
 
 
 # ---------------------------------------------------------------------------

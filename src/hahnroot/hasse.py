@@ -4,13 +4,16 @@
 engine and the companion read its coefficients, so it carries no
 arithmetic of its own.  The Taylor coefficients c_k of f at w are the
 divided-power (Hasse) derivatives that replace d/dX in characteristic p.
-The expansion engine gets them by the monomial shift that moves
-Laurent-polynomial Taylor data from w to w + zeta*t^r (``taylor_shift``).
-The module also builds the per-index line data (valuation, leading
-coefficient, slope) that drives branching decisions, and holds the one
-Newton-polygon routine (``newton_edges``) behind both the engine's next
-exponents and the companion's breakpoints.  ``taylor_at`` and ``evaluate``
-compute from scratch; only the tests and the benchmark call them.
+The expansion engine carries them as ``TaylorData``: one exponent
+denominator M and, per c_k, a sparse dict {u-exponent: coefficient} in
+u = t^(1/M), with no ``RatFun`` and no denominator.  ``taylor_shift`` moves
+such data from w to w + zeta*t^r by monomial shifts whose multiply-adds run
+in ``ffield.sparse_addmul``, on the log/Zech tables for fields of order at
+most 1024.  The module also holds the one Newton-polygon routine
+(``newton_edges``) behind both the engine's next exponents and the
+companion's breakpoints.  ``taylor_at`` and ``evaluate`` compute from
+scratch in ``RatFun`` arithmetic; only the tests and the benchmark call
+them.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ffield import FF, FieldCtx, find_embedding
+from .ffield import FF, FieldCtx, find_embedding, sparse_addmul
 from .hahn import HahnSeries, to_ratfun
-from .ratfun import RatFun, leading_term
+from .ratfun import RatFun
 
 INF = math.inf
 
@@ -80,47 +83,47 @@ class Poly:
         raise TypeError("polynomials are not hashable")
 
 
-def taylor_shift(coeffs: list[RatFun], zeta: FF, r) -> list[RatFun]:
-    """Taylor data at w + zeta*t^r from Taylor data [c_0, .., c_n] at w.
+# Taylor data of a denominator-cleared f: one exponent denominator M and the
+# coefficients c_0..c_n as Laurent polynomials in u = t^(1/M), each a sparse
+# dict {u-exponent: nonzero element}; every c_i lies over one field.
+TaylorData = tuple[int, list[dict[int, FF]]]
+
+
+def taylor_shift(data: TaylorData, zeta: FF, r: Fraction) -> TaylorData:
+    """Taylor data at w + zeta*t^r from Taylor data (M, [c_0, .., c_n]) at w.
 
     c_k(w + zeta*t^r) = sum_{i>=k} C(i,k) zeta^(i-k) t^((i-k)r) c_i(w), so each
-    term is a carrier's exponent shift times a scalar.  The c_i must be
-    Laurent polynomials (denominator 1) over zeta's field, as the Taylor
-    data of a denominator-cleared polynomial is.  Exact.
+    term is a carrier's exponent shift times a scalar.  zeta is nonzero and
+    the c_i lie over its field; M grows only when r's denominator does not
+    divide it.  A c_k that no term changes is returned as the same dict.
+    Exact.
     """
-    r = Fraction(r)
+    M, cs = data
+    den = r.denominator
+    if M % den:
+        f = den // math.gcd(M, den)
+        M *= f
+        cs = [{e * f: c for e, c in d.items()} for d in cs]
+    step = r.numerator * (M // den)
     ctx = zeta.ctx
-    M = math.lcm(r.denominator, *(c.M for c in coeffs))
-    step = int(r * M)
-    nums = []
-    for c in coeffs:
-        if len(c.den) != 1 or c.ctx != ctx:
-            raise ValueError("Taylor shift needs Laurent-polynomial data over zeta's field")
-        nums.append(c.rebase(M).num)
-    n = len(nums) - 1
+    n = len(cs) - 1
     powers = [ctx.one]
     for _ in range(n):
         powers.append(powers[-1] * zeta)
     binomials = _binomial_rows(n, ctx.p)
     out = []
     for k in range(n + 1):
-        acc = dict(nums[k])
+        acc = None
         for i in range(k + 1, n + 1):
             b = binomials[i][k]
-            if not b or not nums[i]:
+            src = cs[i]
+            if not b or not src:
                 continue
-            scale = ctx.from_int(b) * powers[i - k]
-            shift = (i - k) * step
-            for e, c in nums[i].items():
-                e += shift
-                s = acc.get(e)
-                s = c * scale if s is None else s + c * scale
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        out.append(RatFun(ctx, M, acc, {0: ctx.one}))
-    return out
+            if acc is None:
+                acc = dict(cs[k])
+            sparse_addmul(acc, src, ctx.from_int(b) * powers[i - k], (i - k) * step)
+        out.append(cs[k] if acc is None else acc)
+    return M, out
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,6 @@ class NewtonLine:
         if r == INF:
             return INF
         return self.rho + self.i * Fraction(r)
-
-
-def newton_data(coeffs: list[RatFun]) -> tuple[NewtonLine, ...]:
-    """One line per index i >= 1 with a nonzero Taylor coefficient c_i.
-
-    ``coeffs`` is Taylor data [c_0, .., c_n] as returned by ``taylor_shift``
-    (or ``taylor_at``); this is the one place Newton lines are built.
-    """
-    return tuple(
-        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
-    )
 
 
 def newton_edges(points) -> list[tuple[Fraction, tuple[int, ...]]]:

@@ -40,6 +40,12 @@ from .ratfun import RatFun
 # (7, 6), at the limit, answers in about 40 s
 _DEGREE_LIMIT = 7**6
 
+# largest cleared t-span (``_t_span``) whose companion is computed: the
+# residues are dense in t, so memory grows with the span; under a 2 GB
+# address space X+t^(6*10^7) answers at p = 2 in about 10 s and X+t^(10^8)
+# runs out of memory at p = 2 and 3
+_T_SPAN_LIMIT = 2**26
+
 
 @dataclass(frozen=True)
 class AdditivePolynomial:
@@ -76,6 +82,15 @@ def is_additive(f: Poly) -> bool:
         if i != 1:
             return False
     return True
+
+
+def _t_span(f: Poly) -> int:
+    """The sum over f's coefficients of their t-spans, largest minus smallest
+    exponent of numerator and denominator together: a bound on the degree of
+    every coefficient once the denominators are cleared."""
+    # each denominator holds the exponent 0, so the span reaches down to it
+    spans = ((*c.num, *c.den) for c in f.coeffs)
+    return sum(max(exps) - min(exps) for exps in spans)
 
 
 def _ratfun_as_intpoly_pair(a: RatFun) -> tuple[list[int], list[int]]:
@@ -168,6 +183,10 @@ def addpol(f: Poly) -> AdditivePolynomial:
     if n >= 2 and p**n > _DEGREE_LIMIT:
         raise ValueError(f"additive companion of degree up to p^n = {p}^{n} is above "
                          f"the limit {_DEGREE_LIMIT} = 7^6")
+    span = _t_span(f)
+    if span > _T_SPAN_LIMIT:
+        raise ValueError(f"additive companion of f spanning {span} powers of t is above "
+                         f"the limit {_T_SPAN_LIMIT} = 2^26")
 
     # clear denominators: same roots, polynomial coefficients
     pairs = [_ratfun_as_intpoly_pair(c) for c in f.coeffs]

@@ -6,9 +6,9 @@ method became a function that takes the object first):
 
 - ``approximation_terms`` finds a node's valuation-raising steps from
   scratch (``taylor_at``), where the engine shifts Taylor data;
-- ``hasse_derivative`` and ``gamma_J`` give Taylor data and tied lines by
-  definition, where the engine reads them off ``taylor_shift`` and
-  ``newton_edges``;
+- ``hasse_derivative``, ``newton_data`` and ``gamma_J`` give Taylor data,
+  Newton lines and tied lines by definition, where the engine reads them
+  off ``taylor_shift``'s carriers and ``newton_edges``;
 - the ``Poly`` arithmetic rebuilds f from its Taylor data and divides the
   dense companion ``to_poly(P)`` by f;
 - ``from_ratfun``, ``laurent_terms`` and ``t_power`` convert between
@@ -26,7 +26,7 @@ from fractions import Fraction
 from hahnroot.expand import ExpansionTree, _tied_roots
 from hahnroot.ffield import FF, FieldCtx
 from hahnroot.hahn import HahnSeries, prime_exponent
-from hahnroot.hasse import INF, Poly, binom_mod_p, newton_data, taylor_at
+from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
 from hahnroot.ore import AdditivePolynomial
 from hahnroot.ratfun import RatFun, leading_term
 
@@ -87,6 +87,16 @@ def hasse_derivative(f: Poly, k: int) -> Poly:
         c = f.coeffs[j + k]
         out.append(c.scale(c.ctx.from_int(b)))
     return Poly.make(out)
+
+
+def newton_data(coeffs: list[RatFun]) -> tuple[NewtonLine, ...]:
+    """One line per index i >= 1 with a nonzero Taylor coefficient c_i.
+
+    ``coeffs`` is Taylor data [c_0, .., c_n] as returned by ``taylor_at``.
+    """
+    return tuple(
+        NewtonLine(i, *leading_term(c)) for i, c in enumerate(coeffs) if i >= 1 and not c.is_zero()
+    )
 
 
 def gamma_J(lines, r) -> tuple[Fraction | float, frozenset[int]]:

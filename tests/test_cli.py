@@ -303,6 +303,17 @@ _CAPPED_MAIN = (
 )
 
 
+def _run_capped(argv, timeout):
+    """The CLI on argv in a child whose address space is capped at 2 GB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize(
     "p, text, depth, field",
     [
@@ -316,13 +327,9 @@ _CAPPED_MAIN = (
 def test_large_prime_roots_answer_quickly_under_a_memory_cap(p, text, depth, field):
     # root splitting must not scan the p residues; the child caps its
     # address space at 2 GB, and the timeout bounds the wall clock
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, "roots", "--p", str(p), "--poly", text,
-         "--depth", str(depth), "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30,
+    proc = _run_capped(
+        ["roots", "--p", str(p), "--poly", text, "--depth", str(depth), "--format", "json"],
+        timeout=30,
     )
     assert proc.returncode == 0, proc.stderr
     leaves = json.loads(proc.stdout)["branches"]
@@ -334,15 +341,57 @@ def test_large_prime_roots_answer_quickly_under_a_memory_cap(p, text, depth, fie
 def test_companion_at_large_prime_fails_fast_under_a_memory_cap(verb):
     # the companion of a quadratic at p = 10^9+7 would take about p X-slots;
     # every verb that builds it refuses before allocating
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, verb, "--p", "1000000007", "--poly", "X^2-t",
-         "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=10,
+    proc = _run_capped(
+        [verb, "--p", "1000000007", "--poly", "X^2-t", "--format", "json"], timeout=10
     )
     assert proc.returncode == 2, proc.stderr
     err = json.loads(proc.stdout)["error"]
     assert err["kind"] == "ValueError"
     assert "p^n = 1000000007^2" in err["message"] and "117649" in err["message"]
+
+
+VERBS = ["roots", "addpol", "intersections", "bounds", "order-bound"]
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_wide_t_span_fails_fast_under_a_memory_cap(verb):
+    # the companion's residues are dense in t: f = X + t^(10^8) would take
+    # lists of 10^8 ints, so every verb that builds it refuses before
+    # allocating; the engine's carriers are sparse, so roots answers
+    proc = _run_capped([verb, "--p", "3", "--poly", "X+t^100000000", "--format", "json"],
+                       timeout=10)
+    if verb == "roots":
+        assert proc.returncode == 0, proc.stderr
+        (leaf,) = json.loads(proc.stdout)["branches"]
+        assert leaf["status"] == "exact_root"
+        return
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["kind"] == "ValueError"
+    assert "spanning 100000000 powers of t" in err["message"]
+    assert "67108864" in err["message"]
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_huge_x_exponent_fails_fast_under_a_memory_cap(verb):
+    # f is stored densely in X: the parser refuses the exponent at its
+    # position before building 10^8 zero coefficients
+    proc = _run_capped([verb, "--p", "3", "--poly", "X^100000000+t", "--format", "json"],
+                       timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["kind"] == "ParseError"
+    assert err["position"] == 2
+    assert "X-exponent 100000000" in err["message"] and "4096" in err["message"]
+
+
+def test_limits_admit_their_boundary():
+    # an exponent at the degree limit parses, one above it does not; a span
+    # at the companion's limit passes the check (and would be computed)
+    assert parse_polynomial("X^4096+t", 2).degree == 4096
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("t*X^4097+X", 2)
+    assert info.value.position == 4
+    f = parse_polynomial("X+t^67108864", 2)
+    assert ore._t_span(f) == 2**26 == ore._T_SPAN_LIMIT
+    assert ore._t_span(parse_polynomial("X^2+1/t^3*X+(t^2+1)/(t-1)", 3)) == 3 + 2

@@ -1,17 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot.cli import parse_polynomial
-from hahnroot.ffield import field_ctx
+from hahnroot.ffield import enlarge, field_ctx
 from hahnroot.hahn import HahnSeries
-from hahnroot.hasse import INF, Poly, evaluate, newton_data, newton_edges, taylor_at
+from hahnroot.hasse import INF, Poly, evaluate, newton_edges, taylor_at, taylor_shift
 from hahnroot.ratfun import RatFun, leading_term
 from oracles import (
     from_int_coeffs,
     gamma_J,
     hasse_derivative,
+    newton_data,
     poly_add,
     poly_mul,
     poly_scale,
@@ -234,3 +236,123 @@ def test_newton_edges_golden():
 @settings(max_examples=300, deadline=None)
 def test_newton_edges_match_the_brute_force_hull(points):
     assert newton_edges(points) == brute_edges(points)
+
+
+# ---------------------------------------------------------------------------
+# taylor_shift against taylor_at, whole carriers
+
+# every field with tables up to F_81, and F_1031, which has none
+SHIFT_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (2, 4), (5, 1), (3, 3), (5, 2),
+                (7, 1), (3, 4), (1031, 1)]
+
+
+def _as_taylor_data(coeffs):
+    """taylor_at's Laurent-polynomial RatFuns as (M, [{u-exponent: coefficient}])."""
+    assert all(c.den == {0: c.ctx.one} for c in coeffs)
+    M = math.lcm(*(c.M for c in coeffs))
+    return M, [c.rebase(M).num for c in coeffs]
+
+
+def _carriers(data):
+    """Each carrier as {t-exponent: coefficient}, whatever its M."""
+    M, cs = data
+    assert all(c for d in cs for c in d.values()), "a zero coefficient is stored"
+    return [{Fraction(e, M): c for e, c in d.items()} for d in cs]
+
+
+def _check_shift(f, w, zeta, r, emb=None):
+    """Shift f's Taylor data at w (embedded by emb) by zeta*t^r; every
+    exponent and coefficient must equal taylor_at at w + zeta*t^r."""
+    data = _as_taylor_data(taylor_at(f, w))
+    if emb is not None:
+        M, cs = data
+        data = M, [{e: emb(c) for e, c in d.items()} for d in cs]
+        w = w.embed(emb)
+    shifted = taylor_shift(data, zeta, r)
+    expected = taylor_at(f, w.append_term(r, zeta))
+    assert _carriers(shifted) == _carriers(_as_taylor_data(expected))
+    return data, shifted
+
+
+@st.composite
+def shift_cases(draw):
+    p, k = draw(st.sampled_from(SHIFT_FIELDS))
+    base = field_ctx(p)
+    coeffs = [
+        RatFun.from_t_coeffs(base, draw(st.dictionaries(st.integers(-3, 3), st.integers(1, p - 1),
+                                                        max_size=3)))
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = RatFun.one(base)
+    f = Poly.make(coeffs)
+    emb = None
+    ctx = field_ctx(p, k)
+    if draw(st.booleans()):
+        # the parent lives in F_{p^k}; the edge equation's root in F_{p^2k}
+        big, emb = enlarge(ctx, 2 * k)
+    else:
+        big = ctx
+
+    def element(field):
+        return field.from_coeffs([draw(st.integers(0, p - 1)) for _ in range(field.k)])
+
+    terms, e = [], Fraction(draw(st.integers(-2, 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        c = element(ctx)
+        if c:
+            terms.append((e, c))
+        e += Fraction(draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3])))
+    zeta = element(big)
+    if not zeta:
+        zeta = big.one
+    r = e + Fraction(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3, 5])))
+    return f, HahnSeries(ctx, tuple(terms)), zeta, r, emb
+
+
+@given(shift_cases())
+@settings(max_examples=150, deadline=None)
+def test_taylor_shift_matches_taylor_at_term_by_term(case):
+    _check_shift(*case)
+
+
+def test_taylor_shift_without_tables():
+    F = field_ctx(1031)
+    f = parse_polynomial("X^3 + 5*t*X^2 - 7/t*X + t^2 + 1", 1031)
+    w = HahnSeries(F, ((Fraction(-1), F.from_int(3)), (Fraction(1, 2), F.from_int(1030))))
+    assert F._tables is None
+    _check_shift(f, w, F.from_int(17), Fraction(3, 2))
+
+
+def test_taylor_shift_refines_M_only_when_needed():
+    F9 = field_ctx(3, 2)
+    f = parse_polynomial("X^4 + t*X^2 - X + 1/t", 3)
+    w = HahnSeries(F9, ((Fraction(1, 2), F9.gen),))
+    data, shifted = _check_shift(f, w, F9.gen + F9.one, Fraction(5, 3))
+    assert (data[0], shifted[0]) == (2, 6)
+    _, again = _check_shift(f, w, F9.gen, Fraction(3, 2))
+    assert again[0] == 2
+
+
+def test_taylor_shift_into_a_larger_tower():
+    F4 = field_ctx(2, 2)
+    big, emb = enlarge(F4, 4)
+    f = parse_polynomial("X^3 + t*X + 1/t", 2)
+    w = HahnSeries(F4, ((Fraction(-1, 3), F4.gen),))
+    zeta = next(x for x in big.elements() if x.degree() == 4)
+    _, shifted = _check_shift(f, w, zeta, Fraction(1, 2), emb)
+    assert all(c.ctx == big for d in shifted[1] for c in d.values())
+
+
+def test_taylor_shift_drops_a_cancelled_term():
+    F3 = field_ctx(3)
+    # X^2 + X - t at w = t: c_0 = -t + t + t^2, the t-term cancels
+    f = parse_polynomial("X^2 + X - t", 3)
+    _, shifted = _check_shift(f, HahnSeries.zero(F3), F3.one, Fraction(1))
+    assert _carriers(shifted) == [{Fraction(2): F3.one},
+                                  {Fraction(0): F3.one, Fraction(1): F3.from_int(2)},
+                                  {Fraction(0): F3.one}]
+    # X - t at w = t: the whole constant carrier cancels, so f(w) = 0
+    g = parse_polynomial("X - t", 3)
+    _, shifted = _check_shift(g, HahnSeries.zero(F3), F3.one, Fraction(1))
+    assert shifted[1][0] == {}
