@@ -2,7 +2,7 @@
 companions, intersection points, and ramification/residue bounds."""
 
 from .ffield import FF, FieldCtx, Embedding, field_ctx, poly_roots
-from .ratfun import RatFun, leading_term
+from .ratfun import RatFun
 from .hahn import HahnSeries, expands_at
 from .hasse import Poly, NewtonLine, taylor_at, evaluate
 from .ore import AdditivePolynomial, addpol, is_additive
@@ -26,8 +26,7 @@ from .expand import (
 
 __all__ = [
     "FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots",
-    "RatFun", "leading_term",
-    "HahnSeries", "expands_at",
+    "RatFun", "HahnSeries", "expands_at",
     "Poly", "NewtonLine", "taylor_at", "evaluate",
     "AdditivePolynomial", "addpol", "is_additive",
     "Breakpoint", "companion_points", "intersection_points", "maxram", "maxexp",

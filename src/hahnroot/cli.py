@@ -382,14 +382,16 @@ def run(cmd: Command) -> tuple[int, str]:
         if cmd.fmt == "json":
             return 0, json.dumps(payload, ensure_ascii=False)
         return 0, "\n".join(lines)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, MemoryError) as exc:
+        # a MemoryError carries no message of its own
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         if cmd.fmt == "json":
             err = {"schema": SCHEMA, "error": {"kind": type(exc).__name__,
-                                               "message": str(exc)}}
+                                               "message": message}}
             if isinstance(exc, ParseError):
                 err["error"]["position"] = exc.position
             return 2, json.dumps(err, ensure_ascii=False)
-        return 2, f"error: {exc}"
+        return 2, f"error: {message}"
 
 
 def _build_argparser() -> argparse.ArgumentParser:

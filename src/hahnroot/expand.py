@@ -1,22 +1,24 @@
 """Finite-depth root expansion of f in generalized power series.
 
 The engine grows truncations w of roots of f one term at a time.  It clears
-denominators once: D, the product of f's distinct denominators, starts with
-1*u^0 like each of them, so D*f has f's residual valuations, leading
-coefficients and Newton lines at every w, and its Taylor data
-c_i = D^(i)(D*f)(w) are Laurent polynomials.  The engine holds them as
-``hasse.TaylorData``, one exponent denominator M and a sparse dict per c_i;
-``RatFun`` appears only where f is cleared, once per request.  At w = 0
-the data are D*f's coefficients; a child w + zeta*t^r derives its own from
-its parent's by a monomial shift (``hasse.taylor_shift``), so no node
-computes Taylor data from scratch.  The data lives on the frontier only
-until the node's children are built; the node keeps its Newton data, read
-off the dicts: v(c_i) = min(c_i)/M and the leading coefficient
-c_i[min(c_i)], for c_0 and for one line per nonzero c_i with i >= 1.  The
-candidate next exponents r are the negated slopes of the lower convex hull
-of the points (i, v(c_i)), i = 0..n (``hasse.newton_edges``); the
-coefficient candidates for an edge are the nonzero roots of the
-edge-restricted leading-coefficient equation.
+denominators once, in sparse dicts: D, the product of f's distinct
+denominators, starts with 1*u^0 like each of them, and lam*u^e0, the
+leading term of D*f_n, is that of f_n.  So D*f/(lam*u^e0) = D'*f/f_n, where
+v(D') = 0 and D' has leading coefficient 1: it has the residual valuations,
+leading coefficients and Newton lines of f/f_n at every w, and its Taylor
+data c_i = D^(i)(D'*f/f_n)(w) are Laurent polynomials.  The engine holds
+them as ``hasse.TaylorData``, one exponent denominator M and a sparse dict
+per c_i, and does no ``RatFun`` arithmetic.  At w = 0 the data are the
+cleared coefficients; a child w + zeta*t^r derives its own from its
+parent's by a monomial shift (``hasse.taylor_shift``), so no node computes
+Taylor data from scratch.  The data lives on the frontier only until the
+node's children are built; the node keeps its Newton data, read off the
+dicts: v(c_i) = min(c_i)/M and the leading coefficient c_i[min(c_i)], for
+c_0 and for one line per nonzero c_i with i >= 1.  The candidate next
+exponents r are the negated slopes of the lower convex hull of the points
+(i, v(c_i)), i = 0..n (``hasse.newton_edges``); the coefficient candidates
+for an edge are the nonzero roots of the edge-restricted leading-coefficient
+equation.
 Edges through index 0 are exactly the valuation-raising "approximation
 term" steps; edges avoiding index 0 are the tie branches that split off
 roots diverging from w at r.  The hull census is sound and complete: the
@@ -40,14 +42,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ffield
-from .ffield import FF, FieldCtx
+from .ffield import FF, FieldCtx, sparse_addmul, sparse_mul
 from .hahn import HahnSeries, expands_at
 from .hasse import INF, NewtonLine, Poly, TaylorData, newton_edges, taylor_shift
 # not called here; perfbench/tracing.py wraps expand.taylor_at and
 # expand.evaluate by name until ROADMAP item 3
 from .hasse import evaluate, taylor_at  # noqa: F401
 from .ore import is_additive
-from .ratfun import RatFun, leading_term
 
 # chain steps over which the (term line, valuation line) pair must repeat
 _STABLE_STEPS = 4
@@ -122,35 +123,30 @@ def _node(w: HahnSeries, data: TaylorData, **fields) -> BranchNode:
 
 
 def _cleared_coefficients(f: Poly) -> TaylorData:
-    """The coefficients of D*f, D the product of f's distinct denominators.
+    """The coefficients of D*f/(lam*u^e0), the Taylor data at w = 0.
 
-    Each is a Laurent polynomial; over one exponent denominator M they are
-    the Taylor data of D*f at w = 0, the engine's only ``RatFun`` work.
-    Every denominator starts with 1*u^0, so v(D) = 0 and D has leading
-    coefficient 1: D*f has f's residual valuations, leading coefficients and
-    Newton lines at every w.
+    D is the product of f's distinct denominators and lam*u^e0 the leading
+    term of f_n's numerator; every product is a new dict, so no dict of f
+    changes.
     """
-    ctx = f.ctx
-    one = {0: ctx.one}
-    dens: list[RatFun] = []
-    for c in f.coeffs:
-        d = RatFun(c.ctx, c.M, c.den, one)
-        if len(c.den) > 1 and d not in dens:
-            dens.append(d)
-    D = RatFun.one(ctx)
-    for d in dens:
-        D = D * d
-    assert leading_term(D) == (0, ctx.one), "a denominator lost its 1*u^0 term"
+    M = math.lcm(*(c.M for c in f.coeffs))
+    coeffs = [c.rebase(M) for c in f.coeffs]
+    dens: list[dict[int, FF]] = []
+    for c in coeffs:
+        if len(c.den) > 1 and c.den not in dens:
+            dens.append(c.den)
+    top = coeffs[-1].num
+    e0 = min(top)
+    inv = top[e0].inverse()
     out = []
-    for c in f.coeffs:
-        own = RatFun(c.ctx, c.M, c.den, one)
-        cleared = RatFun(c.ctx, c.M, c.num, one)
+    for c in coeffs:
+        acc: dict[int, FF] = {}
+        sparse_addmul(acc, c.num, inv, -e0)
         for d in dens:
-            if d != own:
-                cleared = cleared * d
-        out.append(cleared)
-    M = math.lcm(*(c.M for c in out))
-    return M, [c.rebase(M).num for c in out]
+            if d != c.den:
+                acc = sparse_mul(acc, d)
+        out.append(acc)
+    return M, out
 
 
 def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.RootsResult]:
@@ -267,7 +263,6 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
         raise ValueError("expansion depth must be at least 1")
     if f.is_zero() or f.degree < 1:
         raise ValueError("expansion requires a polynomial of degree >= 1")
-    f = f.monic()
     data = _cleared_coefficients(f)
     root = _node(HahnSeries.zero(f.ctx), data, last_r=None, multiplicity=f.degree)
     tree = ExpansionTree(f, depth, root)

@@ -9,8 +9,9 @@ lex order on coefficient vectors), so independently computed towers agree.
 Fields of order at most ``_TABLE_ORDER`` compute by table lookup: on first
 use a context builds one interned :class:`FF` per element and log/exp (Zech)
 tables over a primitive element, so every operation indexes a list;
-``sparse_addmul``, the expansion engine's multiply-add on sparse Laurent
-carriers, indexes the same tables without an operator call per term.
+``sparse_addmul``, the one multiply-add on sparse Laurent polynomials (the
+engine's Taylor data and ``RatFun``'s sides, whose products are
+``sparse_mul``), indexes the same tables without an operator call per term.
 Larger fields multiply coefficient vectors as polynomials modulo the
 modulus.
 
@@ -121,21 +122,9 @@ class FieldCtx:
         return FF(self, tuple(cs))
 
     def elements(self):
-        """All field elements in canonical (lex on coefficient vector) order."""
-        t = self._tables
-        if t is not None:
-            return iter(t.lex)
-        return self._lex_walk()
-
-    def _lex_walk(self):
-        coeffs = [0] * self.k
-        for _ in range(self.order):
-            yield FF(self, tuple(coeffs))
-            for i in range(self.k - 1, -1, -1):
-                coeffs[i] += 1
-                if coeffs[i] < self.p:
-                    break
-                coeffs[i] = 0
+        """All elements of a field with tables (order at most 1024) in
+        canonical (lex on coefficient vector) order."""
+        return iter(self._tables.lex)
 
     @property
     def label(self) -> str:
@@ -473,6 +462,16 @@ def sparse_addmul(acc: dict[int, FF], src: dict[int, FF], scale: FF, shift: int)
                 acc[e] = exp[j]
             else:
                 del acc[e]
+
+
+def sparse_mul(a: dict[int, FF], b: dict[int, FF]) -> dict[int, FF]:
+    """The product of two sparse dicts over one field, as a new dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, FF] = {}
+    for e, c in a.items():
+        sparse_addmul(out, b, c, e)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,6 @@ class Poly:
             raise ValueError("the zero polynomial carries no context")
         return self.coeffs[0].ctx
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("cannot normalise the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == RatFun.one(lead.ctx, lead.M):
-            return self
-        return Poly.make([c / lead for c in self.coeffs])
-
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
 

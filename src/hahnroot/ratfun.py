@@ -1,16 +1,17 @@
 """Exact rational functions over F_{p^k} in a rescaled variable u = t^(1/M).
 
 Numerators and denominators are sparse Laurent polynomials (dicts mapping an
-integer u-exponent to a nonzero field coefficient): root expansions push the
-exponent denominator M to huge p-power multiples, where dense coefficient
-lists would be hopeless.  Denominators are normalised so their lowest term is
-exactly 1*u^0; valuations and leading coefficients then read off the
-numerator in O(1), with or without gcd reduction.
+integer u-exponent to a nonzero field coefficient), so a wide t-span such as
+t^100000000 costs one term.  Denominators are normalised so their lowest
+term is exactly 1*u^0; valuations read off the numerator in O(1).  Sums
+and products of the sides run in ``ffield.sparse_addmul`` and
+``ffield.sparse_mul``.
 
-gcd reduction runs only when both carriers fit a small dense profile.  That
-keeps the classical reduced form on the plain-polynomial path (exponent
-denominator 1, small degrees) and skips it for the deep-expansion carriers,
-where no observable behaviour depends on it.
+The parser and the companion build plain fractions of t over F_p (M = 1,
+k = 1), and those are gcd-reduced through a dense ``intpoly`` gcd whenever
+both sides span at most ``_REDUCE_SPAN`` powers of t, which keeps that gcd
+bounded.  ``RatFun``s with M > 1 or k > 1 come only from ``hasse.taylor_at``,
+the tests and the benchmark's micro timings, and stay unreduced.
 """
 
 from __future__ import annotations
@@ -18,46 +19,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ffield import FF, FieldCtx, Embedding
+from .ffield import FF, FieldCtx, Embedding, sparse_addmul, sparse_mul
 
-# Largest exponent span (max - min) for which carriers are densified and
+# Largest exponent span (max - min) for which fractions are densified and
 # gcd-reduced.
 _REDUCE_SPAN = 1024
 
 INFINITE_VALUATION = math.inf
-
-
-def _sp_add(a: dict[int, FF], b: dict[int, FF]) -> dict[int, FF]:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _sp_neg(a: dict[int, FF]) -> dict[int, FF]:
-    return {e: -c for e, c in a.items()}
-
-
-def _sp_mul(a: dict[int, FF], b: dict[int, FF]) -> dict[int, FF]:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, FF] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            prod = ca * cb
-            s = out.get(e)
-            s = prod if s is None else s + prod
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _sp_frobenius(a: dict[int, FF], p: int) -> dict[int, FF]:
@@ -78,8 +46,8 @@ def _sp_pow(a: dict[int, FF], e: int, ctx: FieldCtx) -> dict[int, FF]:
         if digit:
             piece = base
             for _ in range(digit - 1):
-                piece = _sp_mul(piece, base)
-            result = piece if result is None else _sp_mul(result, piece)
+                piece = sparse_mul(piece, base)
+            result = piece if result is None else sparse_mul(result, piece)
         if e:
             base = _sp_frobenius(base, ctx.p)
     assert result is not None
@@ -143,8 +111,8 @@ class RatFun:
             self._maybe_reduce()
 
     def _maybe_reduce(self) -> None:
-        # reduction pays off only on the dense prime-field path (linear algebra
-        # over F_p(t)); the deep-expansion carriers skip it by design
+        # only the parser's and the companion's fractions (M = 1 over F_p)
+        # are reduced, and only while the dense gcd stays within _REDUCE_SPAN
         if self.ctx.k != 1 or self.M != 1:
             return
         nlo, nhi = min(self.num), max(self.num)
@@ -204,25 +172,29 @@ class RatFun:
     def __add__(self, other: "RatFun") -> "RatFun":
         a, b = self._aligned(other)
         if a.den == b.den:
-            return RatFun(a.ctx, a.M, _sp_add(a.num, b.num), dict(a.den))
-        num = _sp_add(_sp_mul(a.num, b.den), _sp_mul(b.num, a.den))
-        return RatFun(a.ctx, a.M, num, _sp_mul(a.den, b.den))
+            num, den = dict(a.num), a.den
+            sparse_addmul(num, b.num, a.ctx.one, 0)
+        else:
+            num, den = sparse_mul(a.num, b.den), sparse_mul(a.den, b.den)
+            for e, c in b.num.items():
+                sparse_addmul(num, a.den, c, e)
+        return RatFun(a.ctx, a.M, num, den)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
 
     def __neg__(self) -> "RatFun":
-        return RatFun(self.ctx, self.M, _sp_neg(self.num), self.den)
+        return RatFun(self.ctx, self.M, {e: -c for e, c in self.num.items()}, self.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         a, b = self._aligned(other)
-        return RatFun(a.ctx, a.M, _sp_mul(a.num, b.num), _sp_mul(a.den, b.den))
+        return RatFun(a.ctx, a.M, sparse_mul(a.num, b.num), sparse_mul(a.den, b.den))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         a, b = self._aligned(other)
         if not b.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(a.ctx, a.M, _sp_mul(a.num, b.den), _sp_mul(a.den, b.num))
+        return RatFun(a.ctx, a.M, sparse_mul(a.num, b.den), sparse_mul(a.den, b.num))
 
     def inverse(self) -> "RatFun":
         return RatFun.one(self.ctx, self.M) / self
@@ -242,7 +214,7 @@ class RatFun:
         if not isinstance(other, RatFun):
             return NotImplemented
         a, b = self._aligned(other)
-        return _sp_add(_sp_mul(a.num, b.den), _sp_neg(_sp_mul(b.num, a.den))) == {}
+        return sparse_mul(a.num, b.den) == sparse_mul(b.num, a.den)
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
@@ -261,14 +233,6 @@ class RatFun:
         # to_text is defined for M = 1 only; the sides are polynomials in u
         num, den = _side_text(self.num, 0, "u"), _side_text(self.den, 0, "u")
         return f"RatFun(num={num}, den={den}, M={self.M}, {self.ctx.label})"
-
-
-def leading_term(a: RatFun) -> tuple[Fraction, FF]:
-    """(v, c) with c*t^v the initial term of a; a - c*t^v has valuation > v."""
-    if not a.num:
-        raise ZeroDivisionError("the zero element has infinite valuation")
-    e = min(a.num)
-    return Fraction(e, a.M), a.num[e]
 
 
 def _side_text(side: dict[int, FF], shift: int, var: str = "t") -> str:

@@ -10,9 +10,11 @@ method became a function that takes the object first):
   Newton lines and tied lines by definition, where the engine reads them
   off ``taylor_shift``'s carriers and ``newton_edges``;
 - the ``Poly`` arithmetic rebuilds f from its Taylor data and divides the
-  dense companion ``to_poly(P)`` by f;
+  dense companion ``to_poly(P)`` by f, and ``monic`` gives f/f_n, whose
+  Taylor data have the leading terms the engine reads off its own;
 - ``from_ratfun``, ``laurent_terms`` and ``t_power`` convert between
-  series, rational functions and monomials;
+  series, rational functions and monomials, and ``leading_term`` reads a
+  rational function's initial term;
 - ``ramifies_at`` is the paper's ramification predicate on a support.
 
 Scripts put ``tests/`` on ``sys.path`` to import it; pytest does so for
@@ -28,7 +30,7 @@ from hahnroot.ffield import FF, FieldCtx
 from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
 from hahnroot.ore import AdditivePolynomial
-from hahnroot.ratfun import RatFun, leading_term
+from hahnroot.ratfun import RatFun
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,15 @@ def gamma_J(lines, r) -> tuple[Fraction | float, frozenset[int]]:
     values = [(line.gamma(r), line.i) for line in lines]
     low = min(v for v, _ in values)
     return low, frozenset(i for v, i in values if v == low)
+
+
+def monic(f: Poly) -> Poly:
+    if f.is_zero():
+        raise ValueError("cannot normalise the zero polynomial")
+    lead = f.coeffs[-1]
+    if lead == RatFun.one(lead.ctx, lead.M):
+        return f
+    return Poly.make([c / lead for c in f.coeffs])
 
 
 def from_int_coeffs(ctx: FieldCtx, ints) -> Poly:
@@ -223,6 +234,14 @@ def t_power(ctx: FieldCtx, exponent: Fraction | int, M: int | None = None) -> Ra
     if e.denominator != 1:
         raise ValueError(f"exponent {exponent} does not live in (1/{M})Z")
     return RatFun(ctx, M, {int(e): ctx.one}, {0: ctx.one})
+
+
+def leading_term(a: RatFun) -> tuple[Fraction, FF]:
+    """(v, c) with c*t^v the initial term of a; a - c*t^v has valuation > v."""
+    if not a.num:
+        raise ZeroDivisionError("the zero element has infinite valuation")
+    e = min(a.num)
+    return Fraction(e, a.M), a.num[e]
 
 
 def laurent_terms(a: RatFun, count: int) -> list[tuple[Fraction, FF]]:

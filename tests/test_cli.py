@@ -20,6 +20,7 @@ from hahnroot.cli import (
 )
 from hahnroot.corpus import corpus
 from hahnroot.ffield import field_ctx
+from hahnroot.hasse import Poly
 from hahnroot.ratfun import RatFun
 from oracles import to_poly
 
@@ -278,6 +279,26 @@ def test_roots_json_at_depth_25_is_pinned():
     assert digest.hexdigest() == ROOTS_DEPTH_25_SHA256
 
 
+def test_roots_branches_of_f_and_a_scalar_multiple_agree():
+    # lam = (t+1)/(t^5+t^4+t^3) has valuation -3 and neither side a
+    # monomial; lam*f has the roots of f, and the engine divides its cleared
+    # data by one monomial, so both get the same branches.  f is read back
+    # from its text, the polynomial the CLI answers for
+    for f in corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4):
+        p, f_text = f.ctx.p, poly_text(f)
+        f = parse_polynomial(f_text, p)
+        lam = RatFun.from_t_coeffs(f.ctx, {0: 1, 1: 1}, {3: 1, 4: 1, 5: 1})
+        g = Poly.make([c * lam for c in f.coeffs])
+        g_text = poly_text(g)
+        assert parse_polynomial(g_text, p) == g
+        branches = []
+        for text in (f_text, g_text):
+            code, out = run(Command("roots", p, text, depth=25, fmt="json"))
+            assert code == 0
+            branches.append(json.loads(out)["branches"])
+        assert branches[0] == branches[1]
+
+
 # the same digest over a p = 5, 7 corpus, which the benchmark (p = 2, 3) does
 # not reach: towers F_25 .. F_625, the last above the root scan's limit, so
 # there edge equations of degree 2 or more are solved by trace splitting
@@ -297,19 +318,20 @@ def test_roots_json_at_depth_25_over_p5_p7_is_pinned():
 
 _CAPPED_MAIN = (
     "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "cap = int(sys.argv[1])\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
     "from hahnroot.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
+    "sys.exit(main(sys.argv[2:]))\n"
 )
 
 
-def _run_capped(argv, timeout):
-    """The CLI on argv in a child whose address space is capped at 2 GB."""
+def _run_capped(argv, timeout, cap=2 << 30):
+    """The CLI on argv in a child whose address space is capped at cap bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        [sys.executable, "-c", _CAPPED_MAIN, str(cap), *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
 
@@ -383,6 +405,21 @@ def test_huge_x_exponent_fails_fast_under_a_memory_cap(verb):
     assert err["kind"] == "ParseError"
     assert err["position"] == 2
     assert "X-exponent 100000000" in err["message"] and "4096" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["X^2+1/t^67108864", "X^2+t^67108864/(t+1)"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_running_out_of_memory_exits_2(text, fmt):
+    # spans at the t-span limit pass its check, and their residues outgrow
+    # a 512 MB address space: the CLI reports that instead of a traceback
+    proc = _run_capped(["addpol", "--p", "3", "--poly", text, "--format", fmt],
+                       timeout=10, cap=512 << 20)
+    assert proc.returncode == 2, proc.stderr
+    if fmt == "text":
+        assert proc.stdout == "error: out of memory\n"
+    else:
+        err = json.loads(proc.stdout)["error"]
+        assert err == {"kind": "MemoryError", "message": "out of memory"}
 
 
 def test_limits_admit_their_boundary():

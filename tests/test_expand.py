@@ -7,7 +7,7 @@ from hahnroot.expand import accumulation_analysis, equation_text, expand_roots
 from hahnroot.ffield import field_ctx
 from hahnroot.hahn import HahnSeries
 from hahnroot.hasse import INF
-from oracles import AlreadyRootError, approximation_terms, edges, gamma_J, poly_mul
+from oracles import AlreadyRootError, approximation_terms, edges, gamma_J, monic, poly_mul
 
 
 F3 = field_ctx(3)
@@ -318,7 +318,7 @@ def test_accumulation_artin_schreier():
 def test_accumulation_none_for_exact_roots():
     f = parse_polynomial("X^2 - t", 3)
     leaf = expand_roots(f, 6).leaves()[0]
-    assert accumulation_analysis(f.monic(), leaf.chain()) is None
+    assert accumulation_analysis(monic(f), leaf.chain()) is None
 
 
 def test_budget_exhausted_without_cycle():
@@ -333,11 +333,10 @@ def _assert_nodes_match_taylor_at(f, depth):
     # the engine's shifted, denominator-cleared Taylor data must give every
     # node the Newton data that taylor_at computes from scratch at its w
     from hahnroot.hasse import taylor_at
-    from oracles import newton_data
-    from hahnroot.ratfun import leading_term
+    from oracles import leading_term, newton_data
 
     tree = expand_roots(f, depth)
-    g = f.monic()
+    g = monic(f)
     nodes = [tree.root] + [kid for node, kid in edges(tree) if kid.w is not node.w]
     for node in nodes:
         coeffs = taylor_at(g, node.w)
@@ -364,6 +363,14 @@ def test_shifted_taylor_data_matches_taylor_at_on_the_corpus():
         # two distinct non-monomial denominators, so D is a real product;
         # the steps also ramify (exponents in (1/3)Z)
         (7, "X^3 + 1/(t+1)*X + 1/(t^3+2*t)", 3),
+        # two distinct dense denominators, of t-degree 7 and 9, one under a
+        # leading coefficient that is not a monomial
+        (
+            5,
+            "(t^2+3)/(t^7+2*t^6+t^5+3*t^4+2*t^3+t^2+4*t+1)*X^3 + 1/t*X"
+            " + 1/(2*t^9+t^8+4*t^7+t^6+t^5+2*t^4+3*t^3+t^2+t+1)",
+            2,
+        ),
     ],
 )
 def test_shifted_taylor_data_matches_taylor_at(p, text, tower_k):

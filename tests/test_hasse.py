@@ -8,11 +8,12 @@ from hahnroot.cli import parse_polynomial
 from hahnroot.ffield import enlarge, field_ctx
 from hahnroot.hahn import HahnSeries
 from hahnroot.hasse import INF, Poly, evaluate, newton_edges, taylor_at, taylor_shift
-from hahnroot.ratfun import RatFun, leading_term
+from hahnroot.ratfun import RatFun
 from oracles import (
     from_int_coeffs,
     gamma_J,
     hasse_derivative,
+    leading_term,
     newton_data,
     poly_add,
     poly_mul,
