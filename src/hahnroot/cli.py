@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -26,6 +27,11 @@ SCHEMA = "hahnroot-json/1"
 # engine's binomial table has (n+1)(n+2)/2 entries; roots of X^4096+t over
 # F_2 answer in about 5 s
 _X_DEGREE_LIMIT = 4096
+
+# largest roots depth: X^2+X+t over F_3 answers in about 0.2 s at it, and
+# X^3-X^2-1/t, whose accumulating chain's exponent denominator grows like
+# 3^depth, in about 40 s
+_DEPTH_LIMIT = 800
 
 
 class ParseError(ValueError):
@@ -322,14 +328,19 @@ def run(cmd: Command) -> tuple[int, str]:
                          "poly": poly_text(f)}
         lines: list[str] = []
         if cmd.verb == "roots":
+            if cmd.depth > _DEPTH_LIMIT:
+                raise ValueError(f"depth {cmd.depth} is above the limit {_DEPTH_LIMIT}")
             tree = expand.expand_roots(f, cmd.depth)
             leaves = sorted(
                 tree.leaves(), key=lambda n: [(e, c.sort_key()) for e, c in n.w.terms]
             )
-            payload["depth"] = cmd.depth
-            payload["branches"] = [_branch_json(n) for n in leaves]
-            lines.append(f"roots of {payload['poly']} over F_{cmd.p} (depth {cmd.depth}):")
-            lines.extend(_branch_text(n) for n in leaves)
+            # only the requested format is rendered
+            if cmd.fmt == "json":
+                payload["depth"] = cmd.depth
+                payload["branches"] = [_branch_json(n) for n in leaves]
+            else:
+                lines.append(f"roots of {payload['poly']} over F_{cmd.p} (depth {cmd.depth}):")
+                lines.extend(_branch_text(n) for n in leaves)
         elif cmd.verb == "addpol":
             P = ore.addpol(f)
             # each coefficient is rendered once; only a sign-folded one is
@@ -421,7 +432,14 @@ def main(argv: list[str] | None = None) -> int:
         mode=getattr(ns, "mode", "sharp"),
     )
     code, text = run(cmd)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); stdout goes to devnull so
+        # that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -24,6 +24,13 @@ term" steps; edges avoiding index 0 are the tie branches that split off
 roots diverging from w at r.  The hull census is sound and complete: the
 children of a node of multiplicity mu account for exactly mu roots of f.
 
+A simple root separates from the others after a few terms; from then on
+its chain is in the Hensel regime, where each term is one linear step
+(Kung & Traub, J. ACM 1978).  There the one hull edge past ``last_r`` joins
+indices 0 and 1 alone, and ``_hensel_step``, which tests this on integers,
+gives the node's one child w - c_0[min]/c_1[min]*t^(v(c_0) - v(c_1))
+without ``newton_edges`` or a root solve; the test proves the census.
+
 Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
 Instead, a stable two-line zigzag over the last steps of a chain is detected
@@ -157,6 +164,63 @@ def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.Ro
     return equation, ffield.poly_roots(equation)
 
 
+def _hensel_step(node: BranchNode, data: TaylorData) -> tuple[FF, Fraction] | None:
+    """(zeta, r) for the one child of a node in the Hensel regime, else None.
+
+    With M the exponent denominator of ``data`` = (M, [c_0, .., c_n]),
+    e_i = min(c_i) and L = last_r*M, the node is in the regime when its
+    multiplicity is 1, f(w) != 0, c_1 != 0, R = e_0 - e_1 > L, and every
+    nonzero c_i with i >= 2 has e_i + (i-1)*L >= e_1.  Then line 1 lies
+    strictly below every line i >= 2 at each r > last_r, so the one hull edge
+    with r > last_r joins (0, v(c_0)) to (1, v(c_1)) alone, at r = R/M, and
+    its equation c_0[e_0] + c_1[e_1]*z has the one root zeta in w's field:
+    the census of the node's one root holds by construction.
+    """
+    last_r = node.last_r
+    if node.multiplicity != 1 or last_r is None or node.residual_lead is None:
+        return None
+    M, cs = data
+    c0, c1 = cs[0], cs[1]
+    if not c1:
+        return None
+    e1 = min(c1)
+    R = min(c0) - e1
+    L = last_r.numerator * (M // last_r.denominator)
+    if R <= L:
+        return None
+    for i in range(2, len(cs)):
+        c = cs[i]
+        if c and min(c) + (i - 1) * L < e1:
+            return None
+    return -node.residual_lead / c1[e1], Fraction(R, M)
+
+
+def _step_child(
+    node: BranchNode,
+    w: HahnSeries,
+    data: TaylorData,
+    r: Fraction,
+    zeta: FF,
+    multiplicity: int,
+    term_lines: frozenset[int],
+) -> tuple[BranchNode, TaylorData]:
+    """The child w + zeta*t^r of node with its Taylor data shifted from ``data``
+    (w and data over zeta's field); an exact root when f(child) = 0."""
+    kid_data = taylor_shift(data, zeta, r)
+    kid = _node(
+        w.append_term(r, zeta),
+        kid_data,
+        last_r=r,
+        multiplicity=multiplicity,
+        step_zeta=zeta,
+        term_lines=term_lines,
+        parent=node,
+    )
+    if kid.residual_lead is None:
+        kid.status = "exact_root"
+    return kid, kid_data
+
+
 def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode, TaylorData]]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
 
@@ -164,7 +228,9 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
     child gets its own by ``taylor_shift``.  Returns the live children with
     their Taylor data.
 
-    Each step child w + zeta*t^r comes from a hull edge of level
+    A node in the Hensel regime (``_hensel_step``) gets its one child
+    directly.  Every other node runs the hull: each step child
+    w + zeta*t^r comes from a hull edge of level
     L = min(min_i (v(D^(i)f(w)) + i*r), v(f(w))), and zeta cancels the
     leading terms along that edge, so every step child has v(f(child)) > L.
     The inequality is strict over v(f(w)) exactly when the edge passes
@@ -172,6 +238,12 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
     lies below v(f(w)), and its child may keep or lower v(f(w)).
     """
     w = node.w
+    step = _hensel_step(node, data)
+    if step is not None:
+        zeta, r = step
+        kid, kid_data = _step_child(node, w, data, r, zeta, 1, frozenset({1}))
+        node.children = [kid]
+        return [] if kid.residual_lead is None else [(kid, kid_data)]
     points = [(line.i, line.rho) for line in node.lines]
     lead = {line.i: line.b for line in node.lines}
     if node.residual_lead is not None:
@@ -201,22 +273,12 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
             w_base = w.embed(emb)
             M, cs = data
             data_base = M, [{e: emb(c) for e, c in d.items()} for d in cs]
+        term_lines = frozenset(i for i in on_edge if i >= 1)
         for zeta, mult in solved.roots:
             if not zeta:
                 continue
-            kid_data = taylor_shift(data_base, zeta, r)
-            kid = _node(
-                w_base.append_term(r, zeta),
-                kid_data,
-                last_r=r,
-                multiplicity=mult,
-                step_zeta=zeta,
-                term_lines=frozenset(i for i in on_edge if i >= 1),
-                parent=node,
-            )
-            if kid.residual_lead is None:
-                kid.status = "exact_root"
-            else:
+            kid, kid_data = _step_child(node, w_base, data_base, r, zeta, mult, term_lines)
+            if kid.residual_lead is not None:
                 live[kid] = kid_data
             kids.append(kid)
     total = sum(k.multiplicity for k in kids)

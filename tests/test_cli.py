@@ -239,18 +239,37 @@ def test_main_entry(capsys):
     assert doc["error"]["kind"] == "ValueError"
 
 
-def test_module_entry_runs_without_warnings():
-    # importing the package must not load hahnroot.cli before -m runs it
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_runs_without_warnings():
+    # importing the package must not load hahnroot.cli before -m runs it
     proc = subprocess.run(
         [sys.executable, "-m", "hahnroot.cli", "roots", "--p", "3", "--poly", "X", "--depth", "2"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "exact_root" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes the pipe before the CLI writes, as `| head -1` may:
+    # no traceback, and the answer's own exit status
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hahnroot.cli", "roots", "--p", "3", "--poly", "X^2+X+t",
+         "--depth", "50"],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 0
 
 
 def test_prime_above_the_primality_limit_is_an_error():
@@ -327,12 +346,9 @@ _CAPPED_MAIN = (
 
 def _run_capped(argv, timeout, cap=2 << 30):
     """The CLI on argv in a child whose address space is capped at cap bytes."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", _CAPPED_MAIN, str(cap), *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=_src_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -420,6 +436,20 @@ def test_running_out_of_memory_exits_2(text, fmt):
     else:
         err = json.loads(proc.stdout)["error"]
         assert err == {"kind": "MemoryError", "message": "out of memory"}
+
+
+def test_depth_limit_answers_at_its_boundary_under_a_memory_cap():
+    # the deepest expansion the CLI runs answers in about 0.2 s; one term
+    # more is refused before expansion
+    argv = ["roots", "--p", "3", "--poly", "X^2+X+t", "--format", "json", "--depth"]
+    proc = _run_capped([*argv, "800"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    leaves = json.loads(proc.stdout)["branches"]
+    assert [len(leaf["terms"]) for leaf in leaves] == [800, 800]
+    proc = _run_capped([*argv, "801"], timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err == {"kind": "ValueError", "message": "depth 801 is above the limit 800"}
 
 
 def test_limits_admit_their_boundary():

@@ -382,3 +382,82 @@ def test_shifted_taylor_data_matches_taylor_at(p, text, tower_k):
     if "/(" in text:
         dens = {str(RatFun(c.ctx, 1, c.den, {0: c.ctx.one})) for c in f.coeffs if len(c.den) > 1}
         assert len(dens) == 2
+
+
+def _corpus_roots_json(depth):
+    from hahnroot.cli import Command, poly_text, run
+    from hahnroot.corpus import corpus
+
+    out = []
+    for ps, count in (((2, 3), 50), ((5, 7), 20)):
+        for f in corpus(seed=20260810, count=count, ps=ps, max_deg=4):
+            code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=depth, fmt="json"))
+            assert code == 0
+            out.append(text)
+    return out
+
+
+def test_hensel_steps_change_no_answer_and_take_most_expansions(monkeypatch):
+    # the one child of a Hensel step, built directly, is the one the hull and
+    # the root solve build; on the acceptance corpus and the p = 5, 7 corpus
+    # the fast path takes at least 80% of the expansions
+    from hahnroot import expand
+
+    calls = {"expansions": 0, "taken": 0}
+    hensel_step = expand._hensel_step
+
+    def counted(node, data):
+        step = hensel_step(node, data)
+        calls["expansions"] += 1
+        calls["taken"] += step is not None
+        return step
+
+    monkeypatch.setattr(expand, "_hensel_step", counted)
+    fast = _corpus_roots_json(25)
+    assert calls["taken"] >= 0.8 * calls["expansions"] > 0
+    monkeypatch.setattr(expand, "_hensel_step", lambda node, data: None)
+    assert _corpus_roots_json(25) == fast
+
+
+def _regime_node(e2, e0=5):
+    # a node of multiplicity 1 over F_3 at w = t with last_r = 1 and Taylor
+    # data c_0 = t^e0, c_1 = t^2, c_2 = 2*t^e2 (M = 1): line 1 reaches
+    # v(c_0) at R = e0 - 2, and line 2 meets line 1 at r = 2 - e2
+    from hahnroot.expand import _node
+
+    one, two = F3.one, F3.from_int(2)
+    data = (1, [{e0: one}, {2: one}, {e2: two}])
+    w = HahnSeries.monomial(F3, 1, one)
+    return _node(w, data, last_r=Fraction(1), multiplicity=1), data
+
+
+def test_hensel_step_boundary(monkeypatch):
+    from hahnroot import expand
+
+    # line 2 meets line 1 exactly at last_r: the only edge past last_r is
+    # the one from index 0 to 1, and the fast path builds its child
+    node, data = _regime_node(1)
+    zeta, r = expand._hensel_step(node, data)
+    assert (zeta, r) == (-F3.one, Fraction(3))
+    (fast_kid, _), = expand._edge_children(node, data)
+    assert fast_kid.w.terms == ((Fraction(1), F3.one), (Fraction(3), -F3.one))
+    assert fast_kid.term_lines == frozenset({1}) and fast_kid.multiplicity == 1
+    node, data = _regime_node(1)
+    monkeypatch.setattr(expand, "_hensel_step", lambda node, data: None)
+    (hull_kid, _), = expand._edge_children(node, data)
+    assert (hull_kid.w, hull_kid.last_r, hull_kid.step_zeta, hull_kid.term_lines) == (
+        fast_kid.w, fast_kid.last_r, fast_kid.step_zeta, fast_kid.term_lines
+    )
+    assert hull_kid.lines == fast_kid.lines
+    assert hull_kid.residual_valuation == fast_kid.residual_valuation
+    monkeypatch.undo()
+
+    # one unit lower, line 2 dips below line 1 just past last_r: the fast
+    # path declines, and the hull finds a second edge, which a node of
+    # multiplicity 1 cannot have, so the census refuses it
+    node, data = _regime_node(0)
+    assert expand._hensel_step(node, data) is None
+    # and it declines when line 1 reaches v(c_0) no later than last_r
+    assert expand._hensel_step(*_regime_node(1, e0=3)) is None
+    with pytest.raises(AssertionError, match="fail to account"):
+        expand._edge_children(node, data)
