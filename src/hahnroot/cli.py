@@ -248,16 +248,17 @@ def poly_text(f: Poly) -> str:
     return _terms_text((i, _signed_text(c)) for i, c in coeffs if not c.is_zero())
 
 
-def _signed_coeffs(P: ore.AdditivePolynomial) -> dict[int, tuple[bool, str]]:
-    """_signed_text(a_i) for each nonzero coefficient a_i of P, keyed by i."""
-    return {i: _signed_text(a) for i, a in P.coeffs.items() if not a.is_zero()}
+def _additive_rendering(P: ore.AdditivePolynomial) -> tuple[str, dict[int, tuple[bool, str]]]:
+    """The text poly_text gives for P written densely in X, read off P's
+    sparse support, and the _signed_text(a_i) it was built from, keyed by i;
+    each nonzero coefficient a_i is rendered once."""
+    signed = {i: _signed_text(a) for i, a in P.coeffs.items() if not a.is_zero()}
+    return _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True)), signed
 
 
 def additive_text(P: ore.AdditivePolynomial) -> str:
-    """The text poly_text gives for P written densely in X, read off P's
-    sparse support."""
-    signed = _signed_coeffs(P)
-    return _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
+    """The text poly_text gives for P written densely in X."""
+    return _additive_rendering(P)[0]
 
 
 def _fraction_str(r) -> str:
@@ -343,10 +344,9 @@ def run(cmd: Command) -> tuple[int, str]:
                 lines.extend(_branch_text(n) for n in leaves)
         elif cmd.verb == "addpol":
             P = ore.addpol(f)
-            # each coefficient is rendered once; only a sign-folded one is
-            # rendered again, unfolded, for "coeffs"
-            signed = _signed_coeffs(P)
-            text = _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
+            # only a sign-folded coefficient is rendered again, unfolded,
+            # for "coeffs"
+            text, signed = _additive_rendering(P)
             payload["additive"] = {
                 "text": text,
                 "coeffs": {str(i): to_text(P.coeffs[i]) if neg else body

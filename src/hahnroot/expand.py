@@ -12,13 +12,16 @@ per c_i, and does no ``RatFun`` arithmetic.  At w = 0 the data are the
 cleared coefficients; a child w + zeta*t^r derives its own from its
 parent's by a monomial shift (``hasse.taylor_shift``), so no node computes
 Taylor data from scratch.  The data lives on the frontier only until the
-node's children are built; the node keeps its Newton data, read off the
-dicts: v(c_i) = min(c_i)/M and the leading coefficient c_i[min(c_i)], for
-c_0 and for one line per nonzero c_i with i >= 1.  The candidate next
-exponents r are the negated slopes of the lower convex hull of the points
-(i, v(c_i)), i = 0..n (``hasse.newton_edges``); the coefficient candidates
+node's children are built; the node keeps M, the integer minima
+e_i = min(c_i) and the leading coefficients c_i[e_i] of the nonzero c_i,
+read off the dicts in one scan, and derives v(f(w)) = e_0/M and its Newton
+lines from them.  The candidate next exponents r are the negated slopes of
+the lower convex hull of the points (i, e_i/M), i = 0..n, that exceed
+``last_r``: ``hasse.newton_edges`` walks the hull on the integers e_i over
+M and stops at the first edge with r <= last_r.  The coefficient candidates
 for an edge are the nonzero roots of the edge-restricted leading-coefficient
-equation.
+equation; a two-point edge {j, j+1} has the one root -b_j/b_(j+1), in w's
+field, so only the other edges need a root solve.
 Edges through index 0 are exactly the valuation-raising "approximation
 term" steps; edges avoiding index 0 are the tie branches that split off
 roots diverging from w at r.  The hull census is sound and complete: the
@@ -26,10 +29,9 @@ children of a node of multiplicity mu account for exactly mu roots of f.
 
 A simple root separates from the others after a few terms; from then on
 its chain is in the Hensel regime, where each term is one linear step
-(Kung & Traub, J. ACM 1978).  There the one hull edge past ``last_r`` joins
-indices 0 and 1 alone, and ``_hensel_step``, which tests this on integers,
-gives the node's one child w - c_0[min]/c_1[min]*t^(v(c_0) - v(c_1))
-without ``newton_edges`` or a root solve; the test proves the census.
+(Kung & Traub, J. ACM 1978).  The walk reads the regime off the hull: its
+one edge past ``last_r`` is {0, 1}, and its step from index 1 reaches no
+r above ``last_r``, so the node's one child needs no root solve.
 
 Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import ffield
 from .ffield import FF, FieldCtx, sparse_addmul, sparse_mul
@@ -77,23 +80,42 @@ class AccumulationReport:
 class BranchNode:
     """One node of the expansion tree: a truncation w plus its bookkeeping.
 
-    ``residual_valuation`` and ``residual_lead`` are v(f(w)) and the leading
-    coefficient of f(w) (INF and None when f(w) = 0); ``lines`` are the
-    Newton lines of the Taylor data of f at w.
+    ``minima`` holds (i, min(c_i)) for each nonzero Taylor coefficient c_i
+    of f at w, over the exponent denominator ``M``, and ``leads`` the
+    leading coefficient c_i[min(c_i)] by i; ``residual_valuation``,
+    ``residual_lead`` and ``lines`` are read off them.
     """
 
     w: HahnSeries
     last_r: Fraction | None
     multiplicity: int
-    residual_valuation: Fraction | float
+    M: int = 1
+    minima: list[tuple[int, int]] = field(default_factory=list)
+    leads: dict[int, FF] = field(default_factory=dict)
     status: str = "live"
     step_zeta: FF | None = None
     term_lines: frozenset[int] = frozenset()
     parent: "BranchNode | None" = None
     children: list["BranchNode"] = field(default_factory=list)
-    residual_lead: FF | None = None
-    lines: tuple[NewtonLine, ...] = ()
     accumulation: AccumulationReport | None = None
+
+    @property
+    def residual_valuation(self) -> Fraction | float:
+        """v(f(w)); INF when f(w) = 0."""
+        if self.minima and self.minima[0][0] == 0:
+            return Fraction(self.minima[0][1], self.M)
+        return INF
+
+    @property
+    def residual_lead(self) -> FF | None:
+        """The leading coefficient of f(w); None when f(w) = 0."""
+        return self.leads.get(0)
+
+    @cached_property
+    def lines(self) -> tuple[NewtonLine, ...]:
+        """The Newton lines v(c_i) + i*r of the nonzero c_i with i >= 1."""
+        M, leads = self.M, self.leads
+        return tuple(NewtonLine(i, Fraction(e, M), leads[i]) for i, e in self.minima if i)
 
     def chain(self) -> list["BranchNode"]:
         out: list[BranchNode] = []
@@ -109,24 +131,17 @@ class BranchNode:
 
 
 def _node(w: HahnSeries, data: TaylorData, **fields) -> BranchNode:
-    """A node at w carrying the Newton data of its Taylor data (M, [c_0, .., c_n]):
-    v(c_i) is Fraction(min(c_i), M) and its leading coefficient c_i[min(c_i)]."""
+    """A node at w carrying the minima and leading coefficients of its Taylor
+    data (M, [c_0, .., c_n]), read in one scan of the dicts."""
     M, cs = data
-    c0 = cs[0]
-    if c0:
-        e = min(c0)
-        valuation, lead = Fraction(e, M), c0[e]
-    else:
-        valuation, lead = INF, None
-    lines = []
-    for i in range(1, len(cs)):
-        c = cs[i]
+    minima = []
+    leads = {}
+    for i, c in enumerate(cs):
         if c:
             e = min(c)
-            lines.append(NewtonLine(i, Fraction(e, M), c[e]))
-    return BranchNode(
-        w=w, residual_valuation=valuation, residual_lead=lead, lines=tuple(lines), **fields
-    )
+            minima.append((i, e))
+            leads[i] = c[e]
+    return BranchNode(w=w, M=M, minima=minima, leads=leads, **fields)
 
 
 def _cleared_coefficients(f: Poly) -> TaylorData:
@@ -164,63 +179,6 @@ def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.Ro
     return equation, ffield.poly_roots(equation)
 
 
-def _hensel_step(node: BranchNode, data: TaylorData) -> tuple[FF, Fraction] | None:
-    """(zeta, r) for the one child of a node in the Hensel regime, else None.
-
-    With M the exponent denominator of ``data`` = (M, [c_0, .., c_n]),
-    e_i = min(c_i) and L = last_r*M, the node is in the regime when its
-    multiplicity is 1, f(w) != 0, c_1 != 0, R = e_0 - e_1 > L, and every
-    nonzero c_i with i >= 2 has e_i + (i-1)*L >= e_1.  Then line 1 lies
-    strictly below every line i >= 2 at each r > last_r, so the one hull edge
-    with r > last_r joins (0, v(c_0)) to (1, v(c_1)) alone, at r = R/M, and
-    its equation c_0[e_0] + c_1[e_1]*z has the one root zeta in w's field:
-    the census of the node's one root holds by construction.
-    """
-    last_r = node.last_r
-    if node.multiplicity != 1 or last_r is None or node.residual_lead is None:
-        return None
-    M, cs = data
-    c0, c1 = cs[0], cs[1]
-    if not c1:
-        return None
-    e1 = min(c1)
-    R = min(c0) - e1
-    L = last_r.numerator * (M // last_r.denominator)
-    if R <= L:
-        return None
-    for i in range(2, len(cs)):
-        c = cs[i]
-        if c and min(c) + (i - 1) * L < e1:
-            return None
-    return -node.residual_lead / c1[e1], Fraction(R, M)
-
-
-def _step_child(
-    node: BranchNode,
-    w: HahnSeries,
-    data: TaylorData,
-    r: Fraction,
-    zeta: FF,
-    multiplicity: int,
-    term_lines: frozenset[int],
-) -> tuple[BranchNode, TaylorData]:
-    """The child w + zeta*t^r of node with its Taylor data shifted from ``data``
-    (w and data over zeta's field); an exact root when f(child) = 0."""
-    kid_data = taylor_shift(data, zeta, r)
-    kid = _node(
-        w.append_term(r, zeta),
-        kid_data,
-        last_r=r,
-        multiplicity=multiplicity,
-        step_zeta=zeta,
-        term_lines=term_lines,
-        parent=node,
-    )
-    if kid.residual_lead is None:
-        kid.status = "exact_root"
-    return kid, kid_data
-
-
 def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode, TaylorData]]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
 
@@ -228,57 +186,53 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
     child gets its own by ``taylor_shift``.  Returns the live children with
     their Taylor data.
 
-    A node in the Hensel regime (``_hensel_step``) gets its one child
-    directly.  Every other node runs the hull: each step child
+    The children come from the hull edges past ``last_r``, which
+    ``newton_edges`` walks on the node's integer minima.  Each step child
     w + zeta*t^r comes from a hull edge of level
     L = min(min_i (v(D^(i)f(w)) + i*r), v(f(w))), and zeta cancels the
     leading terms along that edge, so every step child has v(f(child)) > L.
     The inequality is strict over v(f(w)) exactly when the edge passes
     through index 0 (then L = v(f(w))); a tie edge avoids index 0, its level
-    lies below v(f(w)), and its child may keep or lower v(f(w)).
+    lies below v(f(w)), and its child may keep or lower v(f(w)).  A
+    two-point edge {j, j+1} has the one root -b_j/b_(j+1), in w's field.
     """
-    w = node.w
-    step = _hensel_step(node, data)
-    if step is not None:
-        zeta, r = step
-        kid, kid_data = _step_child(node, w, data, r, zeta, 1, frozenset({1}))
-        node.children = [kid]
-        return [] if kid.residual_lead is None else [(kid, kid_data)]
-    points = [(line.i, line.rho) for line in node.lines]
-    lead = {line.i: line.b for line in node.lines}
-    if node.residual_lead is not None:
-        points.insert(0, (0, node.residual_valuation))
-        lead[0] = node.residual_lead
+    w, M, lead, last_r = node.w, node.M, node.leads, node.last_r
     kids: list[BranchNode] = []
     live: dict[BranchNode, TaylorData] = {}
-    order = points[0][0]
+    order = node.minima[0][0]
     if order > 0:
         kids.append(
-            BranchNode(
-                w=w,
-                last_r=node.last_r,
-                multiplicity=order,
-                residual_valuation=INF,
-                status="exact_root",
-                parent=node,
-            )
+            BranchNode(w=w, last_r=last_r, multiplicity=order, status="exact_root", parent=node)
         )
-    for r, on_edge in newton_edges(points):
-        if node.last_r is not None and r <= node.last_r:
-            continue
-        _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
+    above = None if last_r is None else last_r.numerator * (M // last_r.denominator)
+    for r, on_edge in newton_edges(node.minima, M, above):
         w_base, data_base = w, data
-        if solved.ctx != w.ctx:
-            emb = solved.embed
-            w_base = w.embed(emb)
-            M, cs = data
-            data_base = M, [{e: emb(c) for e, c in d.items()} for d in cs]
+        if len(on_edge) == 2 and on_edge[1] == on_edge[0] + 1:
+            roots = [(-lead[on_edge[0]] / lead[on_edge[1]], 1)]
+        else:
+            _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
+            roots = solved.roots
+            if solved.ctx != w.ctx:
+                emb = solved.embed
+                w_base = w.embed(emb)
+                data_base = M, [{e: emb(c) for e, c in d.items()} for d in data[1]]
         term_lines = frozenset(i for i in on_edge if i >= 1)
-        for zeta, mult in solved.roots:
+        for zeta, mult in roots:
             if not zeta:
                 continue
-            kid, kid_data = _step_child(node, w_base, data_base, r, zeta, mult, term_lines)
-            if kid.residual_lead is not None:
+            kid_data = taylor_shift(data_base, zeta, r)
+            kid = _node(
+                w_base.append_term(r, zeta),
+                kid_data,
+                last_r=r,
+                multiplicity=mult,
+                step_zeta=zeta,
+                term_lines=term_lines,
+                parent=node,
+            )
+            if kid.residual_lead is None:
+                kid.status = "exact_root"
+            else:
                 live[kid] = kid_data
             kids.append(kid)
     total = sum(k.multiplicity for k in kids)
@@ -397,7 +351,7 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
     leaf = chain[-1]
     # the lines tied at r_star are the points on the leaf's hull edge of
     # negated slope r_star; with no such edge one line alone is minimal there
-    edges = newton_edges([(line.i, line.rho) for line in leaf.lines])
+    edges = newton_edges([(i, e) for i, e in leaf.minima if i], leaf.M)
     J_star = next((frozenset(xs) for r, xs in edges if r == r_star), None)
     if J_star is None or not {ell, m} <= J_star:
         return None

@@ -9,11 +9,12 @@ denominator M and, per c_k, a sparse dict {u-exponent: coefficient} in
 u = t^(1/M), with no ``RatFun`` and no denominator.  ``taylor_shift`` moves
 such data from w to w + zeta*t^r by monomial shifts whose multiply-adds run
 in ``ffield.sparse_addmul``, on the log/Zech tables for fields of order at
-most 1024.  The module also holds the one Newton-polygon routine
-(``newton_edges``) behind both the engine's next exponents and the
-companion's breakpoints.  ``taylor_at`` and ``evaluate`` compute from
-scratch in ``RatFun`` arithmetic; only the tests and the benchmark call
-them.
+most 1024.  The module also holds the one Newton-polygon routine,
+``newton_edges``, a left-to-right walk of the lower hull that can stop at
+a bound on r: the engine's next exponents past ``last_r`` and the
+companion's breakpoints both come from it.  ``taylor_at`` and
+``evaluate`` compute from scratch in ``RatFun`` arithmetic; only the tests
+and the benchmark call them.
 """
 
 from __future__ import annotations
@@ -132,34 +133,41 @@ class NewtonLine:
         return self.rho + self.i * Fraction(r)
 
 
-def newton_edges(points) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """The edges (r, xs) of the lower convex hull of points (x, y), left to right.
+def newton_edges(points, d=1, above=None) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The edges (r, xs) of the lower convex hull of points (x, y/d), left to right.
 
-    The x are distinct ascending integers and the y rationals; r is an edge's
-    negated slope, so it falls from edge to edge, and xs holds the x of every
-    point on the edge.  For Taylor data, points (i, v(c_i)) give the next
-    exponents (``expand``); for an additive polynomial, points (p^i, v(a_i))
-    give the kinks of the envelope of its lines v(a_i) + p^i*r, where the
-    lines of xs attain the minimum (``envelope``).  The hull runs on
-    integers, every y scaled by one common denominator.
+    The x are distinct ascending integers, the y integers over the common
+    denominator d (or rationals, with d = 1); r is an edge's negated slope,
+    so it falls from edge to edge, and xs holds the x of every point on the
+    edge.  The walk steps from each vertex, the first point first, to the
+    farthest point of largest r, comparing slopes by cross-multiplication,
+    so integer y need no Fraction until an edge is kept.  With ``above`` it
+    stops at the first edge with r*d <= above, so it returns exactly the
+    edges with r > above/d.  For Taylor data over one exponent denominator
+    M, the points (i, min(c_i)) over d = M give the next exponents, and the
+    engine passes above = last_r*M (``expand``); for an additive
+    polynomial, the points (p^i, v(a_i)) give the kinks of the envelope of
+    its lines v(a_i) + p^i*r, where the lines of xs attain the minimum
+    (``envelope``).
     """
-    d = math.lcm(*(y.denominator for _, y in points))
-    pts = [(x, y.numerator * (d // y.denominator)) for x, y in points]
-    hull: list[int] = []
-    for j, (x, y) in enumerate(pts):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = pts[hull[-2]], pts[hull[-1]]
-            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(j)
     edges = []
-    for a, b in zip(hull, hull[1:]):
-        (x1, y1), (x2, y2) = pts[a], pts[b]
-        dx, dy = x2 - x1, y2 - y1
-        xs = tuple(x for x, y in pts[a : b + 1] if (y - y1) * dx == dy * (x - x1))
-        edges.append((Fraction(-dy, dx * d), xs))
+    vertex = 0
+    while vertex < len(points) - 1:
+        x0, y0 = points[vertex]
+        # the least slope dy/dx from the vertex, the points on it, the farthest
+        dy = None
+        for j in range(vertex + 1, len(points)):
+            x, y = points[j]
+            ey, ex = y - y0, x - x0
+            if dy is None or ey * dx < dy * ex:
+                dy, dx, xs, far = ey, ex, [x0, x], j
+            elif ey * dx == dy * ex:
+                xs.append(x)
+                far = j
+        vertex = far
+        if above is not None and -dy <= above * dx:
+            break
+        edges.append((Fraction(-dy, dx * d), tuple(xs)))
     return edges
 
 

@@ -397,26 +397,26 @@ def _corpus_roots_json(depth):
     return out
 
 
-def test_hensel_steps_change_no_answer_and_take_most_expansions(monkeypatch):
-    # the one child of a Hensel step, built directly, is the one the hull and
-    # the root solve build; on the acceptance corpus and the p = 5, 7 corpus
-    # the fast path takes at least 80% of the expansions
+def test_walk_bound_changes_no_answer(monkeypatch):
+    # the engine's walk stops at the first edge with r <= last_r; walking the
+    # whole hull and dropping those edges afterwards gives the same answers
+    # on the acceptance corpus and the p = 5, 7 corpus
     from hahnroot import expand
+    from hahnroot.hasse import newton_edges
 
-    calls = {"expansions": 0, "taken": 0}
-    hensel_step = expand._hensel_step
+    bounded = _corpus_roots_json(25)
+    dropped = []
 
-    def counted(node, data):
-        step = hensel_step(node, data)
-        calls["expansions"] += 1
-        calls["taken"] += step is not None
-        return step
+    def whole_hull(points, d=1, above=None):
+        edges = newton_edges(points, d)
+        kept = [(r, xs) for r, xs in edges if above is None or r * d > above]
+        dropped.append(len(edges) - len(kept))
+        return kept
 
-    monkeypatch.setattr(expand, "_hensel_step", counted)
-    fast = _corpus_roots_json(25)
-    assert calls["taken"] >= 0.8 * calls["expansions"] > 0
-    monkeypatch.setattr(expand, "_hensel_step", lambda node, data: None)
-    assert _corpus_roots_json(25) == fast
+    monkeypatch.setattr(expand, "newton_edges", whole_hull)
+    assert _corpus_roots_json(25) == bounded
+    # most walks end at the bound with edges left behind it
+    assert sum(1 for n in dropped if n) >= 0.8 * len(dropped) > 0
 
 
 def _regime_node(e2, e0=5):
@@ -431,33 +431,21 @@ def _regime_node(e2, e0=5):
     return _node(w, data, last_r=Fraction(1), multiplicity=1), data
 
 
-def test_hensel_step_boundary(monkeypatch):
-    from hahnroot import expand
+def test_hensel_step_boundary():
+    from hahnroot.expand import _edge_children
 
-    # line 2 meets line 1 exactly at last_r: the only edge past last_r is
-    # the one from index 0 to 1, and the fast path builds its child
-    node, data = _regime_node(1)
-    zeta, r = expand._hensel_step(node, data)
-    assert (zeta, r) == (-F3.one, Fraction(3))
-    (fast_kid, _), = expand._edge_children(node, data)
-    assert fast_kid.w.terms == ((Fraction(1), F3.one), (Fraction(3), -F3.one))
-    assert fast_kid.term_lines == frozenset({1}) and fast_kid.multiplicity == 1
-    node, data = _regime_node(1)
-    monkeypatch.setattr(expand, "_hensel_step", lambda node, data: None)
-    (hull_kid, _), = expand._edge_children(node, data)
-    assert (hull_kid.w, hull_kid.last_r, hull_kid.step_zeta, hull_kid.term_lines) == (
-        fast_kid.w, fast_kid.last_r, fast_kid.step_zeta, fast_kid.term_lines
-    )
-    assert hull_kid.lines == fast_kid.lines
-    assert hull_kid.residual_valuation == fast_kid.residual_valuation
-    monkeypatch.undo()
+    # line 2 meets line 1 exactly at last_r: the walk's one edge past last_r
+    # joins indices 0 and 1 alone, and its one child is t - t^3
+    (kid, _), = _edge_children(*_regime_node(1))
+    assert kid.w.terms == ((Fraction(1), F3.one), (Fraction(3), -F3.one))
+    assert kid.term_lines == frozenset({1}) and kid.multiplicity == 1
 
-    # one unit lower, line 2 dips below line 1 just past last_r: the fast
-    # path declines, and the hull finds a second edge, which a node of
-    # multiplicity 1 cannot have, so the census refuses it
-    node, data = _regime_node(0)
-    assert expand._hensel_step(node, data) is None
-    # and it declines when line 1 reaches v(c_0) no later than last_r
-    assert expand._hensel_step(*_regime_node(1, e0=3)) is None
+    # one unit lower, line 2 dips below line 1 just past last_r: the walk
+    # finds a second edge, which a node of multiplicity 1 cannot have, so the
+    # census refuses it
     with pytest.raises(AssertionError, match="fail to account"):
-        expand._edge_children(node, data)
+        _edge_children(*_regime_node(0))
+    # and when line 1 reaches v(c_0) at last_r itself (R = L), no edge lies
+    # past last_r
+    with pytest.raises(AssertionError, match="fail to account"):
+        _edge_children(*_regime_node(1, e0=3))

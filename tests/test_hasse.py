@@ -231,12 +231,29 @@ def test_newton_edges_golden():
         (Fraction(1, 2), (1, 3)),
         (Fraction(-1, 6), (3, 9)),
     ]
+    # integer ordinates over d = 2: the edges have r = 3, 3/2 and 1/4, and
+    # the bound 2 stops the walk at the third, whose r*d = 1/2 <= 2
+    assert newton_edges([(0, 10), (1, 4), (2, 1), (4, 0)], 2, 2) == [
+        (Fraction(3), (0, 1)),
+        (Fraction(3, 2), (1, 2)),
+    ]
 
 
-@given(hull_points())
+@given(hull_points(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_newton_edges_match_the_brute_force_hull(points):
-    assert newton_edges(points) == brute_edges(points)
+def test_newton_edges_match_the_brute_force_hull(points, data):
+    edges = brute_edges(points)
+    assert newton_edges(points) == edges
+    # the same points as integer ordinates over one denominator d
+    d = math.lcm(*(y.denominator for _, y in points)) * data.draw(st.integers(1, 3))
+    scaled = [(x, int(y * d)) for x, y in points]
+    assert newton_edges(scaled, d) == edges
+    # the bound keeps exactly the edges with r*d above it; drawn at or just
+    # below an edge's own r*d, or anywhere
+    cuts = [math.floor(r * d) - k for r, _ in edges for k in (0, 1)]
+    anywhere = st.integers(-500, 500)
+    above = data.draw(st.sampled_from(cuts) if cuts and data.draw(st.booleans()) else anywhere)
+    assert newton_edges(scaled, d, above) == [(r, xs) for r, xs in edges if r * d > above]
 
 
 # ---------------------------------------------------------------------------
