@@ -41,74 +41,134 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(\d+|[Xt^*/+()-])")
+# the most digits an integer literal may have: CPython's default limit on
+# text-to-int conversion (sys.get_int_max_str_digits)
+_LITERAL_DIGITS = 4300
+
+# a run of digits, a symbol of the grammar, or any other visible character
+_TOKEN = re.compile(r"(\d+)|([Xt^*/+()-])|(\S)")
+
+# a t-polynomial (or Laurent polynomial) over F_p: {t-exponent: int mod p},
+# zero entries dropped
+TPoly = dict[int, int]
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = len(text) - len(text[pos:].lstrip())
-                raise ParseError(f"unexpected character {text[bad]!r}", bad)
-            break
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+def _tokenize(text: str) -> tuple[list[str | None], list[int]]:
+    """The tokens of text and their positions, from one regex scan, closed
+    by the end marker None at position len(text)."""
+    toks: list[str | None] = []
+    poss = []
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        toks.append(m.group())
+        poss.append(m.start())
+    toks.append(None)
+    poss.append(len(text))
+    return toks, poss
+
+
+def _add_into(acc: TPoly, src: TPoly, scale: int, shift: int, p: int) -> None:
+    # acc += scale * t^shift * src over F_p, in place
+    for e, c in src.items():
+        e += shift
+        s = (acc.get(e, 0) + c * scale) % p
+        if s:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
 
 
 class _Parser:
+    """Recursive descent over the token list.  Every value is summed as
+    {t-exponent: int mod p}; a term whose denominator has two or more terms
+    stays a fraction (numerator, denominator), and ``parse_poly`` builds
+    one ``RatFun`` per X-power at the end."""
+
     def __init__(self, text: str, ctx: FieldCtx):
-        self.tokens = _tokenize(text)
+        self.toks, self.poss = _tokenize(text)
         self.i = 0
         self.ctx = ctx
-        self.length = len(text)
+        self.p = ctx.p
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.toks[self.i]
 
     def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
+        return self.poss[self.i]
 
     def take(self) -> str:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok is None:
-            raise ParseError("unexpected end of input", self.length)
+            raise ParseError("unexpected end of input", self.poss[self.i])
         self.i += 1
         return tok
+
+    def take_int(self) -> int:
+        # the next token, a run of digits, as an int; refused above the
+        # length int() converts
+        pos = self.pos()
+        tok = self.take()
+        if len(tok) > _LITERAL_DIGITS:
+            raise ParseError(f"integer literal of {len(tok)} digits is above the limit "
+                             f"of {_LITERAL_DIGITS} digits", pos)
+        return int(tok)
 
     def expect(self, tok: str) -> None:
         if self.peek() != tok:
             raise ParseError(f"expected {tok!r}", self.pos())
         self.i += 1
 
+    def take_sign(self) -> int:
+        return -1 if self.take() == "-" else 1
+
     # polynomial := [sign] term (sign term)*
     def parse_poly(self) -> Poly:
-        coeffs: dict[int, RatFun] = {}
+        p = self.p
+        polys: dict[int, TPoly] = {}
+        fracs: dict[int, list[tuple[TPoly, TPoly]]] = {}
         sign = 1
         if self.peek() in {"+", "-"}:
-            sign = -1 if self.take() == "-" else 1
+            sign = self.take_sign()
         while True:
-            exp, coeff = self.parse_term()
-            if sign < 0:
-                coeff = -coeff
-            coeffs[exp] = coeffs.get(exp, RatFun.zero(self.ctx)) + coeff
+            exp, num, den = self.parse_term()
+            acc = polys.setdefault(exp, {})
+            if len(den) == 1:
+                # a monomial denominator d*t^k: a Laurent polynomial
+                (k, d), = den.items()
+                _add_into(acc, num, sign * pow(d, -1, p), -k, p)
+            elif num:
+                fracs.setdefault(exp, []).append(
+                    ({e: -c % p for e, c in num.items()} if sign < 0 else num, den))
             nxt = self.peek()
             if nxt is None:
                 break
             if nxt not in {"+", "-"}:
                 raise ParseError(f"expected '+' or '-', found {nxt!r}", self.pos())
-            sign = -1 if self.take() == "-" else 1
-        top = max(coeffs)
-        return Poly.make([coeffs.get(i, RatFun.zero(self.ctx)) for i in range(top + 1)])
+            sign = self.take_sign()
+        zero = RatFun.zero(self.ctx)
+        coeffs = [zero] * (max(polys) + 1)
+        for exp, acc in polys.items():
+            coeffs[exp] = self.ratfun(acc, fracs.get(exp, ()))
+        return Poly.make(coeffs)
+
+    def ratfun(self, poly: TPoly, fractions) -> RatFun:
+        """poly plus the fractions num/den, in the order given."""
+        ff = self.ctx.from_int
+        terms = [({e: ff(c) for e, c in num.items()}, {e: ff(c) for e, c in den.items()})
+                 for num, den in fractions]
+        if poly or not terms:
+            terms.insert(0, ({e: ff(c) for e, c in poly.items()}, {0: self.ctx.one}))
+        out = RatFun(self.ctx, 1, *terms[0])
+        for num, den in terms[1:]:
+            out = out + RatFun(self.ctx, 1, num, den)
+        return out
 
     # term := [coeff ['*']] 'X' ['^' nat] | coeff
-    def parse_term(self) -> tuple[int, RatFun]:
-        coeff = None
+    def parse_term(self) -> tuple[int, TPoly, TPoly]:
+        num = den = None
         if self.peek() in {"(", "t"} or (self.peek() or "").isdigit():
-            coeff = self.parse_ratfun()
+            num, den = self.parse_ratfun()
             if self.peek() == "*":
                 self.take()
         if self.peek() == "X":
@@ -122,25 +182,27 @@ class _Parser:
                     raise ParseError(
                         f"X-exponent {exp} is above the limit {_X_DEGREE_LIMIT}", exp_pos
                     )
-            return exp, coeff if coeff is not None else RatFun.one(self.ctx)
-        if coeff is None:
+            if num is None:
+                return exp, {0: 1}, {0: 1}
+            return exp, num, den
+        if num is None:
             raise ParseError("expected a coefficient or 'X'", self.pos())
-        return 0, coeff
+        return 0, num, den
 
     # ratfun := tfactor ['/' tfactor]
-    def parse_ratfun(self) -> RatFun:
+    def parse_ratfun(self) -> tuple[TPoly, TPoly]:
         num = self.parse_tfactor()
         if self.peek() == "/":
             slash_pos = self.pos()
             self.take()
             den = self.parse_tfactor()
-            if den.is_zero():
+            if not den:
                 raise ParseError("division by the zero polynomial", slash_pos)
-            return num / den
-        return num
+            return num, den
+        return num, {0: 1}
 
     # tfactor := '(' tpoly ')' | tmonomial
-    def parse_tfactor(self) -> RatFun:
+    def parse_tfactor(self) -> TPoly:
         if self.peek() == "(":
             self.take()
             value = self.parse_tpoly()
@@ -149,53 +211,53 @@ class _Parser:
         return self.parse_tmonomial()
 
     # tpoly := [sign] tmonomial (sign tmonomial)*
-    def parse_tpoly(self) -> RatFun:
+    def parse_tpoly(self) -> TPoly:
         sign = 1
         if self.peek() in {"+", "-"}:
-            sign = -1 if self.take() == "-" else 1
-        acc = RatFun.zero(self.ctx)
+            sign = self.take_sign()
+        acc: TPoly = {}
         while True:
-            mono = self.parse_tmonomial()
-            acc = acc + (-mono if sign < 0 else mono)
+            _add_into(acc, self.parse_tmonomial(), sign, 0, self.p)
             if self.peek() not in {"+", "-"}:
                 return acc
-            sign = -1 if self.take() == "-" else 1
+            sign = self.take_sign()
 
     # tmonomial := int ['*'] ['t' ['^' nat]] | 't' ['^' nat]
-    def parse_tmonomial(self) -> RatFun:
-        n = None
+    def parse_tmonomial(self) -> TPoly:
+        n = 1
         tok = self.peek()
-        if tok is not None and tok.isdigit():
-            n = int(self.take())
+        digits = tok is not None and tok.isdigit()
+        if digits:
+            n = self.take_int()
             if self.peek() == "*":
                 self.take()
+        e = 0
         if self.peek() == "t":
             self.take()
             e = 1
             if self.peek() == "^":
                 self.take()
                 e = self.parse_nat()
-            value = RatFun.from_t_coeffs(self.ctx, {e: 1})
-            return value if n is None else value.scale(self.ctx.from_int(n))
-        if n is None:
+        elif not digits:
             raise ParseError("expected an integer or 't'", self.pos())
-        return RatFun.from_int(self.ctx, n)
+        n %= self.p
+        return {e: n} if n else {}
 
     def parse_nat(self) -> int:
         tok = self.peek()
         if tok is None or not tok.isdigit():
             raise ParseError("expected a natural number", self.pos())
-        return int(self.take())
+        return self.take_int()
 
 
 def parse_polynomial(text: str, p: int) -> Poly:
     """Parse f in F_p(t)[X]; raises ParseError with a position on bad input."""
     ctx = field_ctx(p)
     parser = _Parser(text, ctx)
-    if not parser.tokens:
+    if parser.peek() is None:
         raise ParseError("empty polynomial", 0)
     poly = parser.parse_poly()
-    if parser.i != len(parser.tokens):
+    if parser.peek() is not None:
         raise ParseError("trailing input", parser.pos())
     return poly
 

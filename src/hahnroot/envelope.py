@@ -49,7 +49,7 @@ def intersection_points(P: AdditivePolynomial) -> list[Breakpoint]:
     if len(support) < 2:
         return []
     index = {P.p**i: i for i in support}
-    edges = newton_edges([(P.p**i, P.coeffs[i].valuation()) for i in support])
+    edges = newton_edges([(P.p**i, P.valuation(i)) for i in support])
     points = [Breakpoint(r, frozenset(index[x] for x in xs)) for r, xs in reversed(edges)]
     points.append(Breakpoint(INF, frozenset(support)))
     return points
@@ -59,7 +59,9 @@ def companion_points(f: Poly) -> tuple[AdditivePolynomial, list[Breakpoint]]:
     """The additive companion P of f and its intersection points.
 
     Every bound below is read off this pair, so one request builds the
-    companion and reads its breakpoints once.
+    companion and reads its breakpoints once.  The breakpoints need only
+    the valuations v(a_i), read off P's unreduced sides, so no coefficient
+    is reduced here.
     """
     P = addpol(f)
     return P, intersection_points(P)
@@ -117,7 +119,7 @@ def order_type_bound(P: AdditivePolynomial, points: list[Breakpoint]) -> tuple[i
     """(m, "w^m"): the support of any root of f has order type at most
     omega^m, with m the number of intersection points of the companion."""
     m = len(points)
-    lines = len(P.coeffs)
+    lines = len(P.sides)
     if lines >= 2:
         cap = (lines - 1) * lines // 2 + 1
         if m > cap:

@@ -23,14 +23,23 @@ polynomial, and when that polynomial divides it, the one division is the
 whole gcd step; started from two long entries, the first gcd alone is a
 half-gcd on thousands of terms.  The gcd, and so every printed coefficient,
 does not depend on the order.
+
+Each a_i is kept as the elimination leaves it: its numerator and
+denominator sides as dicts {t-exponent: int mod p}, not reduced.  The
+bounds read only the valuations v(a_i) = min(num) - min(den), which a
+common factor does not change.  The reduced ``RatFun`` coefficients, which
+only the verbs that print them need, are built from the sides on first read
+of ``coeffs``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intpoly
-from .ffield import FieldCtx
+from .ffield import FieldCtx, field_ctx
 from .hasse import Poly
 from .ratfun import RatFun
 
@@ -47,24 +56,43 @@ _DEGREE_LIMIT = 7**6
 _T_SPAN_LIMIT = 2**26
 
 
+# an a_i as its numerator and denominator, each {t-exponent: int mod p}
+Sides = tuple[dict[int, int], dict[int, int]]
+
+
 @dataclass(frozen=True)
 class AdditivePolynomial:
-    """P(X) = sum_{i in support} a_i X^(p^i), coefficients in F_p(t)."""
+    """P(X) = sum_{i in support} a_i X^(p^i), coefficients in F_p(t), each
+    a_i kept as its unreduced sides."""
 
     p: int
-    coeffs: dict[int, RatFun]
+    sides: dict[int, Sides]
 
     def __post_init__(self):
-        if not self.coeffs:
+        if not self.sides:
             raise ValueError("additive polynomial must have a nonzero coefficient")
 
     @property
     def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        return sorted(self.sides)
 
     @property
     def ctx(self) -> FieldCtx:
-        return next(iter(self.coeffs.values())).ctx
+        return field_ctx(self.p)
+
+    def valuation(self, i: int) -> int | float:
+        """v(a_i), read off the sides; +infinity for a zero a_i."""
+        num, den = self.sides[i]
+        return min(num) - min(den) if num else math.inf
+
+    @cached_property
+    def coeffs(self) -> dict[int, RatFun]:
+        """Each a_i as a ``RatFun``, reduced by its constructor; built on
+        first read."""
+        ctx = self.ctx
+        return {i: RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
+                          {e: ctx.from_int(c) for e, c in den.items()})
+                for i, (num, den) in self.sides.items()}
 
 
 def is_additive(f: Poly) -> bool:
@@ -276,14 +304,13 @@ def addpol(f: Poly) -> AdditivePolynomial:
     # then normalise the highest nonzero coefficient to 1
     supported = [i for i in range(n + 1) if kernel[i]]
     top_i = max(supported)
-    coeffs: dict[int, RatFun] = {}
+    sides: dict[int, Sides] = {}
     for i in supported:
         delta = shifts[top_i] - shifts[i]
-        num = {e + delta: ctx.from_int(c) for e, c in enumerate(kernel[i]) if c}
+        num = {e + delta: c for e, c in enumerate(kernel[i]) if c}
         # lc^(p^top) / lc^(p^i) = (lc^(p^(top-i) - 1))^(p^i), folded into the
         # denominator; the division is by lc itself, not by its p^i-th power
         lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
         den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
-        den = {e: ctx.from_int(c) for e, c in enumerate(den_poly) if c}
-        coeffs[i] = RatFun(ctx, 1, num, den)
-    return AdditivePolynomial(p, coeffs)
+        sides[i] = num, {e: c for e, c in enumerate(den_poly) if c}
+    return AdditivePolynomial(p, sides)

@@ -7,11 +7,15 @@ term is exactly 1*u^0; valuations read off the numerator in O(1).  Sums
 and products of the sides run in ``ffield.sparse_addmul`` and
 ``ffield.sparse_mul``.
 
-The parser and the companion build plain fractions of t over F_p (M = 1,
-k = 1), and those are gcd-reduced through a dense ``intpoly`` gcd whenever
-both sides span at most ``_REDUCE_SPAN`` powers of t, which keeps that gcd
-bounded.  ``RatFun``s with M > 1 or k > 1 come only from ``hasse.taylor_at``,
-the tests and the benchmark's micro timings, and stay unreduced.
+Fractions are reduced in one place, the constructor: a plain fraction of t
+over F_p (M = 1, k = 1) is gcd-reduced through a dense ``intpoly`` gcd
+whenever both sides span at most ``_REDUCE_SPAN`` powers of t, which keeps
+that gcd bounded.  The parser builds one such fraction per X-power, and the
+companion builds one per a_i when its coefficients are first read.
+Negation and scaling by a nonzero constant map a normalised fraction to a
+normalised one, so they skip the constructor's work.  ``RatFun``s with
+M > 1 or k > 1 come only from ``hasse.taylor_at``, the tests and the
+benchmark's micro timings, and stay unreduced.
 """
 
 from __future__ import annotations
@@ -71,6 +75,13 @@ class RatFun:
         self._normalise()
 
     # -- construction -------------------------------------------------------
+
+    def _unit_multiple(self, num: dict[int, FF]) -> "RatFun":
+        # num is self.num times a nonzero constant: the sides keep their
+        # exponents and their gcd, so the fraction is already normalised
+        out = object.__new__(RatFun)
+        out.ctx, out.M, out.num, out.den = self.ctx, self.M, num, self.den
+        return out
 
     @classmethod
     def zero(cls, ctx: FieldCtx, M: int = 1) -> "RatFun":
@@ -184,7 +195,7 @@ class RatFun:
         return self + (-other)
 
     def __neg__(self) -> "RatFun":
-        return RatFun(self.ctx, self.M, {e: -c for e, c in self.num.items()}, self.den)
+        return self._unit_multiple({e: -c for e, c in self.num.items()})
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         a, b = self._aligned(other)
@@ -208,7 +219,7 @@ class RatFun:
     def scale(self, c: FF) -> "RatFun":
         if not c:
             return RatFun.zero(self.ctx, self.M)
-        return RatFun(self.ctx, self.M, {e: x * c for e, x in self.num.items()}, dict(self.den))
+        return self._unit_multiple({e: x * c for e, x in self.num.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFun):

@@ -15,7 +15,9 @@ method became a function that takes the object first):
 - ``from_ratfun``, ``laurent_terms`` and ``t_power`` convert between
   series, rational functions and monomials, and ``leading_term`` reads a
   rational function's initial term;
-- ``ramifies_at`` is the paper's ramification predicate on a support.
+- ``ramifies_at`` is the paper's ramification predicate on a support;
+- ``reference_parse`` is the parser that built a ``RatFun`` per monomial
+  and summed them in ``RatFun`` arithmetic, where ``cli`` sums int dicts.
 
 Scripts put ``tests/`` on ``sys.path`` to import it; pytest does so for
 the test modules.
@@ -23,10 +25,12 @@ the test modules.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from hahnroot.cli import _X_DEGREE_LIMIT, ParseError
 from hahnroot.expand import ExpansionTree, _tied_roots
-from hahnroot.ffield import FF, FieldCtx
+from hahnroot.ffield import FF, FieldCtx, field_ctx
 from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
 from hahnroot.ore import AdditivePolynomial
@@ -266,3 +270,165 @@ def laurent_terms(a: RatFun, count: int) -> list[tuple[Fraction, FF]]:
             else:
                 rem.pop(ee, None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# cli
+
+
+_TOKEN = re.compile(r"\s*(\d+|[Xt^*/+()-])")
+
+
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                bad = len(text) - len(text[pos:].lstrip())
+                raise ParseError(f"unexpected character {text[bad]!r}", bad)
+            break
+        out.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    def __init__(self, text: str, ctx: FieldCtx):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.ctx = ctx
+        self.length = len(text)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self) -> int:
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.length)
+        self.i += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise ParseError(f"expected {tok!r}", self.pos())
+        self.i += 1
+
+    # polynomial := [sign] term (sign term)*
+    def parse_poly(self) -> Poly:
+        coeffs: dict[int, RatFun] = {}
+        sign = 1
+        if self.peek() in {"+", "-"}:
+            sign = -1 if self.take() == "-" else 1
+        while True:
+            exp, coeff = self.parse_term()
+            if sign < 0:
+                coeff = -coeff
+            coeffs[exp] = coeffs.get(exp, RatFun.zero(self.ctx)) + coeff
+            nxt = self.peek()
+            if nxt is None:
+                break
+            if nxt not in {"+", "-"}:
+                raise ParseError(f"expected '+' or '-', found {nxt!r}", self.pos())
+            sign = -1 if self.take() == "-" else 1
+        top = max(coeffs)
+        return Poly.make([coeffs.get(i, RatFun.zero(self.ctx)) for i in range(top + 1)])
+
+    # term := [coeff ['*']] 'X' ['^' nat] | coeff
+    def parse_term(self) -> tuple[int, RatFun]:
+        coeff = None
+        if self.peek() in {"(", "t"} or (self.peek() or "").isdigit():
+            coeff = self.parse_ratfun()
+            if self.peek() == "*":
+                self.take()
+        if self.peek() == "X":
+            self.take()
+            exp = 1
+            if self.peek() == "^":
+                self.take()
+                exp_pos = self.pos()
+                exp = self.parse_nat()
+                if exp > _X_DEGREE_LIMIT:
+                    raise ParseError(
+                        f"X-exponent {exp} is above the limit {_X_DEGREE_LIMIT}", exp_pos
+                    )
+            return exp, coeff if coeff is not None else RatFun.one(self.ctx)
+        if coeff is None:
+            raise ParseError("expected a coefficient or 'X'", self.pos())
+        return 0, coeff
+
+    # ratfun := tfactor ['/' tfactor]
+    def parse_ratfun(self) -> RatFun:
+        num = self.parse_tfactor()
+        if self.peek() == "/":
+            slash_pos = self.pos()
+            self.take()
+            den = self.parse_tfactor()
+            if den.is_zero():
+                raise ParseError("division by the zero polynomial", slash_pos)
+            return num / den
+        return num
+
+    # tfactor := '(' tpoly ')' | tmonomial
+    def parse_tfactor(self) -> RatFun:
+        if self.peek() == "(":
+            self.take()
+            value = self.parse_tpoly()
+            self.expect(")")
+            return value
+        return self.parse_tmonomial()
+
+    # tpoly := [sign] tmonomial (sign tmonomial)*
+    def parse_tpoly(self) -> RatFun:
+        sign = 1
+        if self.peek() in {"+", "-"}:
+            sign = -1 if self.take() == "-" else 1
+        acc = RatFun.zero(self.ctx)
+        while True:
+            mono = self.parse_tmonomial()
+            acc = acc + (-mono if sign < 0 else mono)
+            if self.peek() not in {"+", "-"}:
+                return acc
+            sign = -1 if self.take() == "-" else 1
+
+    # tmonomial := int ['*'] ['t' ['^' nat]] | 't' ['^' nat]
+    def parse_tmonomial(self) -> RatFun:
+        n = None
+        tok = self.peek()
+        if tok is not None and tok.isdigit():
+            n = int(self.take())
+            if self.peek() == "*":
+                self.take()
+        if self.peek() == "t":
+            self.take()
+            e = 1
+            if self.peek() == "^":
+                self.take()
+                e = self.parse_nat()
+            value = RatFun.from_t_coeffs(self.ctx, {e: 1})
+            return value if n is None else value.scale(self.ctx.from_int(n))
+        if n is None:
+            raise ParseError("expected an integer or 't'", self.pos())
+        return RatFun.from_int(self.ctx, n)
+
+    def parse_nat(self) -> int:
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise ParseError("expected a natural number", self.pos())
+        return int(self.take())
+
+
+def reference_parse(text: str, p: int) -> Poly:
+    """``cli.parse_polynomial`` through the reference parser."""
+    parser = _Parser(text, field_ctx(p))
+    if not parser.tokens:
+        raise ParseError("empty polynomial", 0)
+    poly = parser.parse_poly()
+    if parser.i != len(parser.tokens):
+        raise ParseError("trailing input", parser.pos())
+    return poly

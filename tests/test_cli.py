@@ -121,8 +121,7 @@ def test_companion_text_matches_its_dense_form():
         P = ore.addpol(g)
         assert additive_text(P) == poly_text(to_poly(P))
     # a zero coefficient, which addpol never stores, prints no term
-    P = ore.AdditivePolynomial(3, {0: RatFun.from_t_coeffs(F3, {1: 2}), 1: RatFun.zero(F3),
-                                   2: RatFun.from_t_coeffs(F3, {0: 1})})
+    P = ore.AdditivePolynomial(3, {0: ({1: 2}, {0: 1}), 1: ({}, {0: 1}), 2: ({0: 1}, {0: 1})})
     assert additive_text(P) == poly_text(to_poly(P)) == "X^9 - t*X"
 
 

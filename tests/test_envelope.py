@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hahnroot.cli import parse_polynomial
+from hahnroot.cli import Command, parse_polynomial, poly_text, run
 from hahnroot.corpus import corpus
 from hahnroot.envelope import (
     INF,
@@ -17,18 +18,14 @@ from hahnroot.envelope import (
     order_type_bound,
     paper_base,
 )
-from hahnroot.ffield import field_ctx
 from hahnroot.ore import AdditivePolynomial, addpol
 from hahnroot.ratfun import RatFun
 
 
-F3 = field_ctx(3)
-
-
 def additive(p, coeff_map):
-    ctx = field_ctx(p)
-    coeffs = {i: RatFun.from_t_coeffs(ctx, num) for i, num in coeff_map.items()}
-    return AdditivePolynomial(p, coeffs)
+    sides = {i: ({e: c % p for e, c in num.items() if c % p}, {0: 1})
+             for i, num in coeff_map.items()}
+    return AdditivePolynomial(p, sides)
 
 
 def oracle_points(P):
@@ -82,14 +79,16 @@ def test_crossings_above_the_envelope_do_not_count():
 
 
 def synthetic_additive(rng):
-    """An additive polynomial with valuations in (1/6)Z, often collinear.
+    """An additive polynomial whose valuations are 6v for v drawn in (1/6)Z,
+    often collinear.
 
-    Coefficients are monomials c*t^(e/6).  Half the time a run of at least
-    three points (p^i, v(a_i)) lies on one line and every other point lies on
-    or above it, so several lines meet at one breakpoint.
+    Coefficients are monomials c*t^(6v).  Scaling every valuation by 6
+    scales each breakpoint by 6 and keeps its argmin set, so the draws cover
+    the configurations of valuations in (1/6)Z.  Half the time a run of at
+    least three points (p^i, v(a_i)) lies on one line and every other point
+    lies on or above it, so several lines meet at one breakpoint.
     """
     p = rng.choice((2, 3, 5))
-    ctx = field_ctx(p)
     support = sorted(rng.sample(range(6), rng.randint(2, 5)))
     vals = {i: Fraction(rng.randint(-24, 24), 6) for i in support}
     if len(support) >= 3 and rng.random() < 0.5:
@@ -98,11 +97,8 @@ def synthetic_additive(rng):
         for i in support:
             lift = 0 if i in run else Fraction(rng.randint(0, 12), 6)
             vals[i] = c + s * p**i + lift
-    coeffs = {}
-    for i, v in vals.items():
-        coeff = ctx.from_int(rng.randint(1, p - 1))
-        coeffs[i] = RatFun(ctx, 6, {int(v * 6): coeff}, {0: ctx.one})
-    return AdditivePolynomial(p, coeffs)
+    sides = {i: ({int(v * 6): rng.randint(1, p - 1)}, {0: 1}) for i, v in vals.items()}
+    return AdditivePolynomial(p, sides)
 
 
 def test_agrees_with_argmin_oracle_on_corpus():
@@ -191,3 +187,34 @@ def test_maxexp_refuses_a_huge_base_without_computing_it():
     with pytest.raises(ValueError, match=r"9765625! has 64017637 digits"):
         maxexp(5**10)
     assert time.perf_counter() - start < 1
+
+
+# sha256 of the bounds and order-bound JSON responses, in that order, for
+# each polynomial of corpus(20260810, 50, ps=(2, 3), max_deg=4)
+BOUNDS_SHA256 = "c9d768f39814697ae6e78913bae84669fdfcd09068ffd617a9e79e88cdbf0c82"
+
+
+def test_bounds_build_no_coefficient(monkeypatch):
+    # the bounds read only v(a_i), off the companion's unreduced sides: no
+    # RatFun is built and no a_i is reduced
+    built = []
+    init = RatFun.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    digest = hashlib.sha256()
+    for g in corpus(20260810, 50, ps=(2, 3), max_deg=4):
+        with monkeypatch.context() as patch:
+            patch.setattr(RatFun, "__init__", counting_init)
+            P, points = companion_points(g)
+            maxram(P, points)
+            maxexp_base(P, points)
+            order_type_bound(P, points)
+        assert not built
+        assert "coeffs" not in vars(P)
+        for verb in ("bounds", "order-bound"):
+            code, text = run(Command(verb, g.ctx.p, poly_text(g), fmt="json"))
+            digest.update(f"{code} {text}\n".encode())
+    assert digest.hexdigest() == BOUNDS_SHA256

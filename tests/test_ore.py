@@ -9,7 +9,8 @@ from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import evaluate
 from hahnroot.ore import addpol, is_additive
-from hahnroot.ratfun import RatFun
+from hahnroot.intpoly import deg, gcd
+from hahnroot.ratfun import _REDUCE_SPAN, RatFun
 from oracles import from_int_coeffs, poly_divmod, t_power, to_poly
 
 
@@ -33,6 +34,29 @@ def test_addpol_golden_quadratic():
 def test_addpol_of_additive_input():
     P = addpol(parse_polynomial("X^2 + X", 2))
     assert P.coeffs == {0: RatFun.one(F2), 1: RatFun.one(F2)}
+
+
+def test_coefficients_are_reduced_on_first_read():
+    # P keeps each a_i as its unreduced sides; P.coeffs, built once on first
+    # read, holds each a_i in lowest terms with the constant term of its
+    # denominator 1, and the benchmark's tracer reads its num and den
+    for g in corpus(seed=3, count=20, ps=(2, 3), max_deg=4):
+        P = addpol(g)
+        ctx, p = g.ctx, g.ctx.p
+        assert "coeffs" not in vars(P)
+        coeffs = P.coeffs
+        assert P.coeffs is coeffs and set(coeffs) == set(P.sides)
+        for i, a in coeffs.items():
+            num, den = P.sides[i]
+            assert a == RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
+                               {e: ctx.from_int(c) for e, c in den.items()})
+            assert a.valuation() == P.valuation(i)
+            assert min(a.den) == 0 and a.den[0] == ctx.one
+            lo = min(a.num)
+            dense_num = [a.num[e].coeffs[0] if e in a.num else 0 for e in range(lo, max(a.num) + 1)]
+            dense_den = [a.den[e].coeffs[0] if e in a.den else 0 for e in range(max(a.den) + 1)]
+            assert max(len(dense_num), len(dense_den)) <= _REDUCE_SPAN
+            assert deg(gcd(dense_num, dense_den, p)) == 0
 
 
 def test_addpol_rejects_constants():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahnroot import intpoly
 from hahnroot.ffield import field_ctx
-from hahnroot.ratfun import RatFun, _side_text, to_text
+from hahnroot.ratfun import _REDUCE_SPAN, RatFun, _side_text, to_text
 from oracles import laurent_terms, leading_term, t_power
 
 
@@ -155,3 +156,26 @@ def test_repr_renders_fractional_exponent_groups():
     a = RatFun(F3, 2, {1: F3.one, -1: F3.from_int(2)}, {0: F3.one, 1: F3.one})
     assert repr(a) == "RatFun(num=u + 2*u^-1, den=u + 1, M=2, F_3)"
     assert repr(RatFun.from_t_coeffs(F3, {1: 2}, {0: 1, 2: 1})) == "RatFun(2*t/(t^2 + 1), M=1, F_3)"
+
+
+@pytest.mark.parametrize("num, den", [
+    # (t+1)(t^2+1) / ((t+1)(t+2)): reduced by its constructor
+    ({3: 1, 2: 1, 1: 1, 0: 1}, {2: 1, 1: 3, 0: 2}),
+    # (t^2000 - 1)/(t - 1): its span is above _REDUCE_SPAN, so it stays as built
+    ({2000: 1, 0: -1}, {1: 1, 0: -1}),
+])
+def test_negation_and_scaling_run_no_gcd(monkeypatch, num, den):
+    c = RatFun.from_t_coeffs(F3, num, den)
+    assert (max(c.num) - min(c.num) > _REDUCE_SPAN) == (2000 in num)
+    calls = []
+    gcd = intpoly.gcd
+    with monkeypatch.context() as patch:
+        patch.setattr(intpoly, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        neg, scaled = -c, c.scale(F3.from_int(2))
+    assert not calls
+    # the result is the fraction the constructor builds and reduces
+    for got, k in ((neg, -1), (scaled, 2)):
+        u = F3.from_int(k)
+        ref = RatFun(F3, 1, {e: x * u for e, x in c.num.items()}, dict(c.den))
+        assert (got.num, got.den) == (ref.num, ref.den)
+        assert got == ref
