@@ -41,10 +41,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-# the most digits an integer literal may have: CPython's default limit on
-# text-to-int conversion (sys.get_int_max_str_digits)
-_LITERAL_DIGITS = 4300
-
 # a run of digits, a symbol of the grammar, or any other visible character
 _TOKEN = re.compile(r"(\d+)|([Xt^*/+()-])|(\S)")
 
@@ -109,9 +105,9 @@ class _Parser:
         # length int() converts
         pos = self.pos()
         tok = self.take()
-        if len(tok) > _LITERAL_DIGITS:
+        if len(tok) > envelope.MAX_DIGITS:
             raise ParseError(f"integer literal of {len(tok)} digits is above the limit "
-                             f"of {_LITERAL_DIGITS} digits", pos)
+                             f"of {envelope.MAX_DIGITS} digits", pos)
         return int(tok)
 
     def expect(self, tok: str) -> None:
@@ -138,8 +134,7 @@ class _Parser:
                 (k, d), = den.items()
                 _add_into(acc, num, sign * pow(d, -1, p), -k, p)
             elif num:
-                fracs.setdefault(exp, []).append(
-                    ({e: -c % p for e, c in num.items()} if sign < 0 else num, den))
+                fracs.setdefault(exp, []).append(({e: sign * c % p for e, c in num.items()}, den))
             nxt = self.peek()
             if nxt is None:
                 break
@@ -149,19 +144,17 @@ class _Parser:
         zero = RatFun.zero(self.ctx)
         coeffs = [zero] * (max(polys) + 1)
         for exp, acc in polys.items():
-            coeffs[exp] = self.ratfun(acc, fracs.get(exp, ()))
+            coeffs[exp] = self.coefficient(acc, fracs.get(exp, []))
         return Poly.make(coeffs)
 
-    def ratfun(self, poly: TPoly, fractions) -> RatFun:
-        """poly plus the fractions num/den, in the order given."""
-        ff = self.ctx.from_int
-        terms = [({e: ff(c) for e, c in num.items()}, {e: ff(c) for e, c in den.items()})
-                 for num, den in fractions]
-        if poly or not terms:
-            terms.insert(0, ({e: ff(c) for e, c in poly.items()}, {0: self.ctx.one}))
-        out = RatFun(self.ctx, 1, *terms[0])
-        for num, den in terms[1:]:
-            out = out + RatFun(self.ctx, 1, num, den)
+    def coefficient(self, poly: TPoly, fractions: list[tuple[TPoly, TPoly]]) -> RatFun:
+        """poly plus the fractions num/den, summed in the order given."""
+        ctx = self.ctx
+        out = None
+        for num, den in ([(poly, {0: 1})] if poly or not fractions else []) + fractions:
+            term = RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
+                          {e: ctx.from_int(c) for e, c in den.items()})
+            out = term if out is None else out + term
         return out
 
     # term := [coeff ['*']] 'X' ['^' nat] | coeff

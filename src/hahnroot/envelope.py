@@ -20,9 +20,10 @@ from .ore import AdditivePolynomial, addpol
 
 INF = math.inf
 
-# the most decimal digits a maxexp bound may have: CPython's default limit
-# on int-to-text conversion (sys.get_int_max_str_digits)
-_MAX_DIGITS = 4300
+# the most decimal digits an integer may have as text, a maxexp bound here
+# and a literal in the parser's input: CPython's default limit on
+# conversion between int and text (sys.get_int_max_str_digits)
+MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def maxexp(base: int) -> int:
     between 1558! (4300 digits) and 1559! (4303).
     """
     digits = math.floor(math.lgamma(base + 1) / math.log(10)) + 1
-    if digits > _MAX_DIGITS:
-        raise ValueError(f"maxexp: {base}! has {digits} digits, more than the {_MAX_DIGITS} "
+    if digits > MAX_DIGITS:
+        raise ValueError(f"maxexp: {base}! has {digits} digits, more than the {MAX_DIGITS} "
                          "that can be printed exactly")
     return math.factorial(base)
 

@@ -10,8 +10,9 @@ and products of the sides run in ``ffield.sparse_addmul`` and
 Fractions are reduced in one place, the constructor: a plain fraction of t
 over F_p (M = 1, k = 1) is gcd-reduced through a dense ``intpoly`` gcd
 whenever both sides span at most ``_REDUCE_SPAN`` powers of t, which keeps
-that gcd bounded.  The parser builds one such fraction per X-power, and the
-companion builds one per a_i when its coefficients are first read.
+that gcd bounded.  The parser builds such fractions once per X-power and
+once per term whose denominator has two or more terms, and the companion
+builds one per a_i when its coefficients are first read.
 Negation and scaling by a nonzero constant map a normalised fraction to a
 normalised one, so they skip the constructor's work.  ``RatFun``s with
 M > 1 or k > 1 come only from ``hasse.taylor_at``, the tests and the
