@@ -477,6 +477,13 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a token that starts with "-" and holds no space for an
+    # option, so "--poly -X^2+t" would lose its value; "--poly=-X^2+t" keeps
+    # it, whatever the polynomial starts with
+    if "--poly" in argv[:-1]:
+        i = argv.index("--poly")
+        argv[i:i + 2] = [f"--poly={argv[i + 1]}"]
     ns = _build_argparser().parse_args(argv)
     cmd = Command(
         verb=ns.verb,

@@ -7,13 +7,26 @@ vectors in an n-dimensional space, so a nontrivial dependency exists.
 The computation stays inside F_p[t] throughout: f is scaled to polynomial
 coefficients, passed to the monic model g(X) = lc^(n-1) f(X/lc), and the
 dependency is found by fraction-free elimination on the residue matrix.
-Residue columns shed powers of t as they grow (an integer of bookkeeping
-each), which keeps the polynomial degrees near their intrinsic size.  Each
-pivot of the elimination divides the next step's entries and its own row of
-the back-substitution through one ``intpoly.Divisor``, so its series inverse
-is computed once.  The output is deterministic: the kernel vector attached
-to the earliest free column, divided by its content and normalised so the
-highest nonzero a_i equals 1.
+
+Each residue is the last one raised to the p-th power: with v = sum_j v_j
+X^j, v^p = sum_j v_j(t)^p X^(jp), and v_j(t)^p only spreads v_j's
+exponents.  One table T[j] = X^(jp) mod g, j < n, built per request, turns
+the reduction into n^2 products of a stretched entry by a short table
+entry.  Residue columns shed powers of t as they grow (an integer of
+bookkeeping each), which keeps the polynomial degrees near their intrinsic
+size.
+
+The elimination is Bareiss's.  Each pivot divides the next step's entries
+and its own row of the back-substitution through one ``intpoly.Divisor``,
+so its series inverse is computed once.  A step whose pivot equals the one
+before it, over a column zero below it, changes no entry and is only
+recorded; the unit columns X^(p^i) with p^i < n are such steps.  The
+output is deterministic: the kernel vector attached to the earliest free
+column, scaled there by the last pivot before it (by Cramer, the minor that
+makes the vector polynomial), divided by its content and normalised so the
+highest nonzero a_i equals 1.  Any other scale of the vector gives the
+same a_i: the content is a monic gcd, so the sides can differ only by a
+unit of F_p, and the reduced a_i not at all.
 
 The content is the gcd of the kernel's entries, taken in ascending length.
 The entries are thousands of terms long, but the content is about as long
@@ -45,8 +58,8 @@ from .ratfun import RatFun
 
 
 # largest p^n (n = deg f >= 2) whose companion is computed: the Frobenius
-# residues take (n-1)p + 1 slots and the companion's t-degrees grow like p^n;
-# (7, 6), at the limit, answers in about 40 s
+# table takes (n-1)p + 1 powers of X and the companion's t-degrees grow like
+# p^n; (7, 6), at the limit, answers in about 8 s
 _DEGREE_LIMIT = 7**6
 
 # largest cleared t-span (``_t_span``) whose companion is computed: the
@@ -180,22 +193,33 @@ def _strip_content(vec: list[list[int]], p: int) -> list[list[int]]:
     return vec
 
 
-def _frobenius_residue(vec: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
-    # map sum_j vec_j X^j to its p-th power and reduce mod the monic g
+def _frobenius_table(g: list[list[int]], p: int) -> list[list[list[int]]]:
+    # T[j] = X^(jp) mod the monic g for j < n, from X^0 on: X^(m+1) is X^m
+    # shifted up one place, less its top coefficient times g
     n = len(g) - 1
-    top = (len(vec) - 1) * p
-    out: list[list[int]] = [[] for _ in range(top + 1)]
-    for j, entry in enumerate(vec):
+    power = [[1]] + [[] for _ in range(n - 1)]
+    table = [power]
+    for m in range(1, (n - 1) * p + 1):
+        top = power[-1]
+        power = [[]] + power[:-1]
+        if top:
+            power = [intpoly.sub(power[j], intpoly.mul(top, g[j], p), p) for j in range(n)]
+        if m % p == 0:
+            table.append(power)
+    return table
+
+
+def _frobenius_step(vec: list[list[int]], table: list[list[list[int]]], p: int) -> list[list[int]]:
+    # (sum_j vec_j X^j)^p = sum_j vec_j(t)^p X^(jp), and vec_j(t)^p is
+    # vec_j stretched, so the residue mod g is sum_j stretch(vec_j) T[j]
+    out: list[list[int]] = [[] for _ in table]
+    for entry, row in zip(vec, table):
         if entry:
-            out[j * p] = _stretch(entry, p)
-    for m in range(top, n - 1, -1):
-        c = out[m]
-        if c:
-            out[m] = []
-            for j in range(n):
-                if g[j]:
-                    out[m - n + j] = intpoly.sub(out[m - n + j], intpoly.mul(c, g[j], p), p)
-    return out[:n] + [[] for _ in range(n - len(out))]
+            long = _stretch(entry, p)
+            for k, short in enumerate(row):
+                if short:
+                    out[k] = intpoly.add(out[k], intpoly.mul(long, short, p), p)
+    return out
 
 
 def addpol(f: Poly) -> AdditivePolynomial:
@@ -250,52 +274,59 @@ def addpol(f: Poly) -> AdditivePolynomial:
     vec, e = _valuation_strip(vec)
     columns.append(vec)
     shifts.append(e)
+    table = _frobenius_table(g, p)
     for _ in range(n):
-        vec = _frobenius_residue(vec, g, p)
+        vec = _frobenius_step(vec, table, p)
         vec, e = _valuation_strip(vec)
         columns.append(vec)
         shifts.append(p * shifts[-1] + e)
 
-    # fraction-free echelon on the n x (n+1) matrix of t-polynomials
+    # fraction-free echelon on the n x (n+1) matrix of t-polynomials.  Once
+    # a residue lies in the span of those before it, so does every later one
+    # (Frobenius maps the span into itself), so the pivots sit in columns
+    # 0, 1, ... and the first column without one, the earliest free column,
+    # ends the elimination.  Each pivot divides every entry of the next step,
+    # and its own row's kernel entry, through one Divisor; a pivot of 1
+    # (None) divides nothing.  A step whose pivot equals the previous one
+    # over a column zero below it maps each entry m to (pivot*m - 0)/pivot =
+    # m, so it is only recorded: the unit columns X^(p^i), p^i < n, are such
+    # steps
     matrix = [[columns[i][row] for i in range(n + 1)] for row in range(n)]
-    # each pivot divides every entry of the next step, and its own row's
-    # kernel entry, through one Divisor; the first step divides by 1
-    pivots: list[int] = []
-    divisors: list[intpoly.Divisor] = []
-    r = 0
+    divisors: list[intpoly.Divisor | None] = []
+    prev: intpoly.Divisor | None = None
     for c in range(n + 1):
-        pivot = next((i for i in range(r, n) if matrix[i][c]), None)
+        pivot = next((i for i in range(c, n) if matrix[i][c]), None)
         if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        top, w = matrix[r], n - c
-        step = [
-            intpoly.sub(intpoly.mul(top[c], matrix[i][j], p), intpoly.mul(matrix[i][c], top[j], p), p)
-            for i in range(r + 1, n) for j in range(c + 1, n + 1)
-        ]
-        if divisors:
-            step = divisors[-1].divexact_all(step)
-        for k, i in enumerate(range(r + 1, n)):
-            matrix[i][c:] = [[]] + step[k * w:(k + 1) * w]
-        pivots.append(c)
-        divisors.append(intpoly.Divisor(top[c], p))
-        r += 1
+            break
+        matrix[c], matrix[pivot] = matrix[pivot], matrix[c]
+        top = matrix[c]
+        if top[c] != (prev.b if prev else [1]) or any(matrix[i][c] for i in range(c + 1, n)):
+            w = n - c
+            step = [
+                intpoly.sub(intpoly.mul(top[c], matrix[i][j], p), intpoly.mul(matrix[i][c], top[j], p), p)
+                for i in range(c + 1, n) for j in range(c + 1, n + 1)
+            ]
+            if prev:
+                step = prev.divexact_all(step)
+            for k, i in enumerate(range(c + 1, n)):
+                matrix[i][c:] = [[]] + step[k * w:(k + 1) * w]
+            prev = intpoly.Divisor(top[c], p) if top[c] != [1] else None
+        divisors.append(prev)
 
-    # kernel vector for the earliest free column, by exact back-substitution
-    free = next(c for c in range(n + 1) if c not in pivots)
-    scale = [1]
-    for row, col in enumerate(pivots):
-        scale = intpoly.mul(scale, matrix[row][col], p)
+    # kernel vector for the free column c, by exact back-substitution.  Row
+    # i's pivot is the leading (i+1)-minor (Bareiss), so by Cramer the last
+    # pivot, in row c-1, is a kernel entry at c that makes every other entry
+    # a polynomial
+    free = c
     kernel: list[list[int]] = [[] for _ in range(n + 1)]
-    kernel[free] = scale
-    for row in range(len(pivots) - 1, -1, -1):
-        col = pivots[row]
-        acc = intpoly.mul(matrix[row][free], kernel[free], p) if free > col else []
-        for later in range(row + 1, len(pivots)):
-            c2 = pivots[later]
-            if matrix[row][c2] and kernel[c2]:
-                acc = intpoly.add(acc, intpoly.mul(matrix[row][c2], kernel[c2], p), p)
-        kernel[col] = divisors[row].divexact_all([intpoly.neg(acc, p)])[0]
+    kernel[free] = prev.b if prev else [1]
+    for row in range(free - 1, -1, -1):
+        acc: list[int] = []
+        for col in range(row + 1, free + 1):
+            if matrix[row][col] and kernel[col]:
+                acc = intpoly.add(acc, intpoly.mul(matrix[row][col], kernel[col], p), p)
+        acc = intpoly.neg(acc, p)
+        kernel[row] = divisors[row].divexact_all([acc])[0] if divisors[row] else acc
 
     # the ray is all that matters
     kernel = _strip_content(kernel, p)

@@ -15,6 +15,9 @@ method became a function that takes the object first):
 - ``from_ratfun``, ``laurent_terms`` and ``t_power`` convert between
   series, rational functions and monomials, and ``leading_term`` reads a
   rational function's initial term;
+- ``frobenius_residue`` reduces the p-th power of a residue mod g one
+  row at a time, from the top, where ``ore`` sums stretched entries times
+  one table of X^(jp) mod g;
 - ``ramifies_at`` is the paper's ramification predicate on a support;
 - ``reference_parse`` is the parser that built a ``RatFun`` per monomial
   and summed them in ``RatFun`` arithmetic, where ``cli`` sums int dicts.
@@ -28,12 +31,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from hahnroot import intpoly
 from hahnroot.cli import _X_DEGREE_LIMIT, ParseError
 from hahnroot.expand import ExpansionTree, _tied_roots
 from hahnroot.ffield import FF, FieldCtx, field_ctx
 from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
-from hahnroot.ore import AdditivePolynomial
+from hahnroot.ore import AdditivePolynomial, _stretch
 from hahnroot.ratfun import RatFun
 
 
@@ -199,6 +203,24 @@ def to_poly(P: AdditivePolynomial) -> Poly:
     for i, a in P.coeffs.items():
         out[P.p**i] = a
     return Poly.make(out)
+
+
+def frobenius_residue(vec: list[list[int]], g: list[list[int]], p: int) -> list[list[int]]:
+    # map sum_j vec_j X^j to its p-th power and reduce mod the monic g
+    n = len(g) - 1
+    top = (len(vec) - 1) * p
+    out: list[list[int]] = [[] for _ in range(top + 1)]
+    for j, entry in enumerate(vec):
+        if entry:
+            out[j * p] = _stretch(entry, p)
+    for m in range(top, n - 1, -1):
+        c = out[m]
+        if c:
+            out[m] = []
+            for j in range(n):
+                if g[j]:
+                    out[m - n + j] = intpoly.sub(out[m - n + j], intpoly.mul(c, g[j], p), p)
+    return out[:n] + [[] for _ in range(n - len(out))]
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,16 @@ def test_main_entry(capsys):
     assert doc["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("text, companion", [("-X^2+t", "X^3 - t*X"), ("-X", "X")])
+def test_poly_may_start_with_a_minus(capsys, text, companion):
+    # argparse reads a token that starts with "-" and holds no space as an
+    # option; main takes the token after --poly as the polynomial
+    assert main(["addpol", "--p", "3", "--poly", text]) == 0
+    assert capsys.readouterr().out == companion + "\n"
+    assert main(["addpol", "--p", "3", "--poly", text, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["additive"]["text"] == companion
+
+
 def _src_env() -> dict[str, str]:
     """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")

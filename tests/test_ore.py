@@ -8,10 +8,10 @@ from hahnroot.cli import Command, additive_text, parse_polynomial, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import evaluate
-from hahnroot.ore import addpol, is_additive
-from hahnroot.intpoly import deg, gcd
-from hahnroot.ratfun import _REDUCE_SPAN, RatFun
-from oracles import from_int_coeffs, poly_divmod, t_power, to_poly
+from hahnroot.ore import _frobenius_step, _frobenius_table, addpol, is_additive
+from hahnroot.intpoly import deg, gcd, trim
+from hahnroot.ratfun import _REDUCE_SPAN, RatFun, to_text
+from oracles import frobenius_residue, from_int_coeffs, poly_divmod, t_power, to_poly
 
 
 F2 = field_ctx(2)
@@ -132,6 +132,58 @@ def test_companion_digest_pinned(p, n, digest):
     code, text = run(Command("addpol", p, f"X^{n} + t*X^{n - 1} + X + 1/t", fmt="json"))
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_frobenius_table_matches_row_reduction(p, n, data):
+    # the residue of (sum_j v_j X^j)^p mod a monic g, summed from one table
+    # of X^(jp) mod g, equals the reduction one row at a time from the top;
+    # entries of g and v may be zero
+    tpoly = st.lists(st.integers(0, p - 1), max_size=5).map(trim)
+    g = [data.draw(tpoly) for _ in range(n)] + [[1]]
+    vec = [data.draw(tpoly) for _ in range(n)]
+    assert _frobenius_step(vec, _frobenius_table(g, p), p) == frobenius_residue(vec, g, p)
+
+
+def _companion_digest(fs) -> str:
+    # support, valuations and reduced coefficients of each addpol(f)
+    h = hashlib.sha256()
+    for f in fs:
+        P = addpol(f)
+        for i in P.support:
+            h.update(f"{i} {P.valuation(i)} {to_text(P.coeffs[i])}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def test_companion_digest_pinned_over_p5_p7():
+    # the corpus sweep over p = 5, 7 stops at degree 2 (its checker's
+    # division by f does not finish above); these companions, up to degree
+    # 4 and p^n = 2401, are pinned instead, f taken from the corpus as built
+    fs = corpus(seed=20260810, count=30, ps=(5, 7), max_deg=4)
+    assert _companion_digest(fs) == "3179eba3a9548c9b"
+
+
+@pytest.mark.parametrize("p, text, digest", [
+    # additive inputs: the earliest free column lies below n, so the kernel
+    # is scaled by a pivot of a rank-deficient matrix
+    (2, "X^2 + X", "fdd4722a63297ba6"),
+    (2, "X^4 + t*X^2 + 1/t*X", "24293074ade549b8"),
+    (3, "X^9 + X^3 + t*X", "64bf7886d8dcc7eb"),
+    (5, "X^5 - t*X", "14e82aa4a463b023"),
+    # X(X+1)(X+t) and X(X^3+tX+1) divide additive polynomials of degree
+    # p^2: the free column 2 lies below n = 3 and 4
+    (2, "X^3 + (t+1)*X^2 + t*X", "db9b94bd15fbec4f"),
+    (3, "X^4 + t*X^2 + X", "bea0a13558c42bdb"),
+    # a pivot equal to the one before it over a column nonzero below it:
+    # that step is not the identity
+    (3, "X^3 + t*X^2 + X - 1", "e773360bfa1d9b5a"),
+    (5, "X^4 + t*X^3 - X", "78f7c382c54ee280"),
+    (5, "X^4 + X^3 + t*X^2 + t*X + 1", "daef9d428fa4fb59"),
+])
+def test_companion_digest_pinned_at_special_ranks_and_pivots(p, text, digest):
+    assert _companion_digest([parse_polynomial(text, p)]) == digest
 
 
 def test_companion_degree_limit():
