@@ -1,41 +1,30 @@
 """Acceptance suite: one test per criterion, printing a PASS/FAIL line each.
 
 Corpus-wide data (expansions to depth 25 and additive companions for fifty
-seeded random polynomials) is computed once per session and shared.
+seeded random polynomials) is computed once per module and shared.  Criteria
+4, 6, 7a, 7b and 8 are stated in ``invariants``, which the corpus sweep
+``scripts/run_corpus.py`` checks too; the tests here keep their PASS lines
+and the corpus-wide assertions.
 """
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import invariants
 from hahnroot.cli import Command, parse_polynomial, run
 from hahnroot.corpus import corpus, random_poly, random_ratfun
-from hahnroot.envelope import (
-    companion_points,
-    intersection_points,
-    maxexp_base,
-    maxram,
-    order_type_bound,
-)
+from hahnroot.envelope import companion_points, intersection_points, maxram, order_type_bound
 from hahnroot.expand import expand_roots
 from hahnroot.ffield import field_ctx
-from hahnroot.hahn import expands_at
-from hahnroot.hasse import INF, Poly
-from hahnroot.ore import addpol, is_additive
+from hahnroot.hasse import Poly
+from hahnroot.ore import addpol
 from hahnroot.ratfun import RatFun
-from oracles import (
-    approximation_terms,
-    edges,
-    gamma_J,
-    poly_add,
-    poly_divmod,
-    poly_mul,
-    poly_scale,
-    ramifies_at,
-    to_poly,
-)
+from invariants import strip_p
+from oracles import approximation_terms, poly_add, poly_mul, poly_scale
 
 SEED = 20260810
 CORPUS_SIZE = 50
@@ -43,42 +32,14 @@ CORPUS_DEPTH = 25
 
 
 @pytest.fixture(scope="module")
-def corpus_polys():
-    return corpus(seed=SEED, count=CORPUS_SIZE, ps=(2, 3), max_deg=4)
+def corpus_cases():
+    polys = corpus(seed=SEED, count=CORPUS_SIZE, ps=(2, 3), max_deg=4)
+    return [invariants.Case.build(g, CORPUS_DEPTH) for g in polys]
 
 
-@pytest.fixture(scope="module")
-def corpus_trees(corpus_polys):
-    return [expand_roots(g, CORPUS_DEPTH) for g in corpus_polys]
-
-
-@pytest.fixture(scope="module")
-def corpus_addpols(corpus_polys):
-    return [addpol(g) for g in corpus_polys]
-
-
-def _chain_steps(leaf):
-    return [n for n in leaf.chain() if n.step_zeta is not None]
-
-
-def _strip_p(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+def _failures(criterion, cases, counts=None):
+    counts = Counter() if counts is None else counts
+    return [(i, problem) for i, case in enumerate(cases) for problem in criterion(case, counts)]
 
 
 def test_criterion_1_golden_cubic_run():
@@ -102,7 +63,7 @@ def test_criterion_1_golden_cubic_run():
     residuals = [n.residual_valuation for n in leaf.chain()]
     assert all(b > a for a, b in zip(residuals, residuals[1:]))
     for e, _ in leaf.w.terms:
-        assert _strip_p(e.denominator, 3) == 1
+        assert strip_p(e.denominator, 3) == 1
 
     acc = leaf.accumulation
     assert acc is not None
@@ -181,19 +142,10 @@ def test_criterion_3_end_to_end_square_root():
     print("\nACCEPTANCE 3: PASS (X^2 - t end to end)")
 
 
-def test_criterion_4_addpol_corpus(corpus_polys, corpus_addpols):
-    failures = []
-    for i, (g, P) in enumerate(zip(corpus_polys, corpus_addpols)):
-        dense = to_poly(P)
-        _, rem = poly_divmod(dense, g)
-        if not rem.is_zero():
-            failures.append((i, "division"))
-        if not is_additive(dense):
-            failures.append((i, "shape"))
-        if dense.degree > g.ctx.p**g.degree:
-            failures.append((i, "degree"))
+def test_criterion_4_addpol_corpus(corpus_cases):
+    failures = _failures(invariants.companion, corpus_cases)
     assert failures == []
-    print(f"\nACCEPTANCE 4: PASS (addpol contract on {len(corpus_polys)} random f)")
+    print(f"\nACCEPTANCE 4: PASS (addpol contract on {len(corpus_cases)} random f)")
 
 
 def test_criterion_5_taylor_identity():
@@ -217,90 +169,34 @@ def test_criterion_5_taylor_identity():
     print("\nACCEPTANCE 5: PASS (Taylor identity on 100 random (f, lambda))")
 
 
-def test_criterion_6_ramification_and_expansion_at_intersections(
-    corpus_polys, corpus_trees, corpus_addpols
-):
-    ram_checked = exp_checked = 0
-    for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
-        p = g.ctx.p
-        finite = {b.r for b in intersection_points(P) if b.is_finite}
-        for leaf in tree.leaves():
-            support = [e for e, _ in leaf.w.terms]
-            for idx, r in enumerate(support):
-                for q in _prime_factors(r.denominator):
-                    if q == p:
-                        continue
-                    if ramifies_at(support[:idx], r, q):
-                        ram_checked += 1
-                        assert r in finite, (
-                            f"{q} ramifies at {r} but {r} is not an intersection point"
-                        )
-            for node in _chain_steps(leaf):
-                prefix = [c for _, c in node.parent.w.terms]
-                if expands_at(prefix, node.step_zeta):
-                    exp_checked += 1
-                    assert node.last_r in finite, (
-                        f"expanding coefficient at {node.last_r} off the intersection set"
-                    )
+def test_criterion_6_ramification_and_expansion_at_intersections(corpus_cases):
+    counts = Counter()
+    failures = _failures(invariants.sites, corpus_cases, counts)
+    assert failures == []
     print(
-        f"\nACCEPTANCE 6: PASS (ramification x{ram_checked}, expansion x{exp_checked},"
-        " all at finite intersection points)"
+        f"\nACCEPTANCE 6: PASS (ramification x{counts['ramification']},"
+        f" expansion x{counts['expansion']}, all at finite intersection points)"
     )
 
 
-def test_criterion_7_structural_bounds(corpus_polys, corpus_trees, corpus_addpols):
-    for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
-        finite = [b for b in intersection_points(P) if b.is_finite]
-        lines = len(P.coeffs)
-        assert len(finite) <= max(lines - 1, 0)
-        n = max(P.support)
-        assert len(intersection_points(P)) <= n * (n + 1) // 2 + 1
-
-        level = [tree.root]
-        for _ in range(CORPUS_DEPTH + 1):
-            assert sum(node.multiplicity for node in level) == g.degree
-            nxt = []
-            for node in level:
-                nxt.extend(node.children if node.children else [node])
-            level = nxt
+def test_criterion_7_structural_bounds(corpus_cases):
+    failures = _failures(invariants.census, corpus_cases)
+    assert failures == []
     print("\nACCEPTANCE 7a: PASS (intersection counts and multiplicity conservation)")
 
 
-def test_criterion_7_residual_ascent_as_stated(corpus_polys, corpus_trees):
-    # Every step edge w -> w + zeta*t^r comes from a hull edge of level
-    # L = min(lines at r, v(f(w))), and cancellation on that edge gives
-    # v(f(child)) > L.  Where the hull edge passes through index 0, L is
-    # v(f(w)) and the stated clause holds word for word: strict ascent over
-    # the parent.  Tie edges avoid index 0, so (0, v(f(w))) lies strictly
-    # above them and L < v(f(w)); they split off roots that diverge from w
-    # at r, and the multiplicity census of 7a needs them.  On those edges
-    # v(f(child)) > v(f(parent)) is not promised, and the counts below keep
-    # the tie edges without it visible.
-    approx_edges = tie_edges = tie_without_ascent = 0
-    violations = []
-    for i, tree in enumerate(corpus_trees):
-        for node, kid in edges(tree):
-            if kid.step_zeta is None:
-                continue
-            level, _ = gamma_J(node.lines, kid.last_r)
-            edge_level = min(level, node.residual_valuation)
-            if edge_level == node.residual_valuation:
-                approx_edges += 1
-            else:
-                tie_edges += 1
-                if node.residual_valuation != INF and not (
-                    kid.residual_valuation > node.residual_valuation
-                ):
-                    tie_without_ascent += 1
-            if not kid.residual_valuation > edge_level:
-                violations.append((i, edge_level, node.residual_valuation, kid.residual_valuation))
+def test_criterion_7_residual_ascent_as_stated(corpus_cases):
+    # the clause and its tie edges are stated in invariants.ascent
+    counts = Counter()
+    violations = _failures(invariants.ascent, corpus_cases, counts)
+    approx_edges, tie_edges = counts["index0_edges"], counts["tie_edges"]
     if violations:
         print(f"\nACCEPTANCE 7b: FAIL (residual ascent; {len(violations)} edges)")
     else:
         print(
             f"\nACCEPTANCE 7b: PASS (strict ascent on {approx_edges} index-0 edges;"
             f" edge-level ascent on {tie_edges} tie edges,"
-            f" {tie_without_ascent} of them without ascent over the parent)"
+            f" {counts['tie_without_ascent']} of them without ascent over the parent)"
         )
     assert approx_edges > 0 and tie_edges > 0, (
         f"corpus exercises {approx_edges} index-0 and {tie_edges} tie edges; both must occur"
@@ -313,23 +209,11 @@ def test_criterion_7_residual_ascent_as_stated(corpus_polys, corpus_trees):
     )
 
 
-def test_criterion_8_bound_soundness(corpus_polys, corpus_trees, corpus_addpols):
-    exps_checked = coeffs_checked = 0
-    for g, tree, P in zip(corpus_polys, corpus_trees, corpus_addpols):
-        p = g.ctx.p
-        points = intersection_points(P)
-        m = maxram(P, points)
-        d_sharp = maxexp_base(P, points)
-        for leaf in tree.leaves():
-            for e, _ in leaf.w.terms:
-                exps_checked += 1
-                assert m % _strip_p(e.denominator, p) == 0, (
-                    f"exponent {e} escapes (1/({m} p^inf))Z"
-                )
-            for node in _chain_steps(leaf):
-                coeffs_checked += 1
-                assert node.step_zeta.degree() <= d_sharp
+def test_criterion_8_bound_soundness(corpus_cases):
+    counts = Counter()
+    failures = _failures(invariants.bounds, corpus_cases, counts)
+    assert failures == []
     print(
-        f"\nACCEPTANCE 8: PASS (exponent groups x{exps_checked},"
-        f" coefficient degrees x{coeffs_checked})"
+        f"\nACCEPTANCE 8: PASS (exponent groups x{counts['exponents']},"
+        f" coefficient degrees x{counts['coefficients']})"
     )

@@ -12,5 +12,7 @@ def load_run_corpus():
 
 
 def test_corpus_sweep_smoke(capsys):
-    assert load_run_corpus().main(["--count", "5", "--depth", "6"]) == 0
-    assert "5 polynomials, 0 invariant failures" in capsys.readouterr().out
+    # p = 5, 7 at the default --max-deg 4 builds companions up to degree 7^4
+    for ps in (["2", "3"], ["5", "7"]):
+        assert load_run_corpus().main(["--ps", *ps, "--count", "5", "--depth", "6"]) == 0
+        assert "5 polynomials, 0 invariant failures" in capsys.readouterr().out
