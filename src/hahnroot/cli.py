@@ -12,14 +12,18 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import envelope, expand, ore
 from .ffield import FieldCtx, field_ctx
 from .hahn import series_text
-from .hasse import Poly
+from .hasse import INF, MAX_DIGITS, Poly
 from .ratfun import RatFun, to_text
+
+# ``expand``, ``ore`` and ``envelope`` are imported inside the verbs that run
+# them, so that a process loads only its verb's modules.  ``run`` reaches
+# ``expand.expand_roots``, ``ore.addpol`` and the envelope functions as
+# module attributes at call time, so a wrapper set on the module (as
+# perfbench/tracing.py sets them) sees every call.
 
 SCHEMA = "hahnroot-json/1"
 
@@ -105,9 +109,9 @@ class _Parser:
         # length int() converts
         pos = self.pos()
         tok = self.take()
-        if len(tok) > envelope.MAX_DIGITS:
+        if len(tok) > MAX_DIGITS:
             raise ParseError(f"integer literal of {len(tok)} digits is above the limit "
-                             f"of {envelope.MAX_DIGITS} digits", pos)
+                             f"of {MAX_DIGITS} digits", pos)
         return int(tok)
 
     def expect(self, tok: str) -> None:
@@ -317,21 +321,40 @@ def additive_text(P: ore.AdditivePolynomial) -> str:
 
 
 def _fraction_str(r) -> str:
-    return "inf" if r == envelope.INF else str(Fraction(r))
+    return "inf" if r == INF else str(Fraction(r))
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 
-@dataclass(frozen=True)
 class Command:
-    verb: str
-    p: int
-    poly_text: str
-    depth: int = 10
-    fmt: str = "text"
-    mode: str = "sharp"
+    """One CLI request; equal and hashed by value."""
+
+    __slots__ = ("verb", "p", "poly_text", "depth", "fmt", "mode")
+
+    def __init__(self, verb: str, p: int, poly_text: str, depth: int = 10,
+                 fmt: str = "text", mode: str = "sharp"):
+        self.verb = verb
+        self.p = p
+        self.poly_text = poly_text
+        self.depth = depth
+        self.fmt = fmt
+        self.mode = mode
+
+    def _key(self) -> tuple:
+        return (self.verb, self.p, self.poly_text, self.depth, self.fmt, self.mode)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Command:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Command({})".format(", ".join(map(repr, self._key())))
 
 
 def _branch_json(node: expand.BranchNode) -> dict:
@@ -343,11 +366,13 @@ def _branch_json(node: expand.BranchNode) -> dict:
         "residual_valuation": _fraction_str(node.residual_valuation),
     }
     if node.accumulation is not None:
+        from .expand import equation_text
+
         acc = node.accumulation
         out["accumulation"] = {
             "r": str(acc.r_star),
             "J": sorted(acc.J_star),
-            "equation": expand.equation_text(acc.equation),
+            "equation": equation_text(acc.equation),
             "field": acc.ctx.label,
             "heuristic": acc.heuristic,
             "solutions": [
@@ -362,12 +387,14 @@ def _branch_text(node: expand.BranchNode) -> str:
     line = f"  [{node.status} x{node.multiplicity}] {series}"
     line += f"  (field {node.w.ctx.label}, v(f(w)) = {_fraction_str(node.residual_valuation)})"
     if node.accumulation is not None:
+        from .expand import equation_text
+
         acc = node.accumulation
         sols = ", ".join(
             f"{z}{' (expands)' if flag else ''}" for z, flag in acc.solutions
         )
         line += (
-            f"\n    accumulation at r = {acc.r_star}: equation {expand.equation_text(acc.equation)}"
+            f"\n    accumulation at r = {acc.r_star}: equation {equation_text(acc.equation)}"
             f" over {acc.ctx.label}; solutions {sols}"
             + ("; heuristic" if acc.heuristic else "")
         )
@@ -384,6 +411,8 @@ def run(cmd: Command) -> tuple[int, str]:
                          "poly": poly_text(f)}
         lines: list[str] = []
         if cmd.verb == "roots":
+            from . import expand
+
             if cmd.depth > _DEPTH_LIMIT:
                 raise ValueError(f"depth {cmd.depth} is above the limit {_DEPTH_LIMIT}")
             tree = expand.expand_roots(f, cmd.depth)
@@ -398,6 +427,8 @@ def run(cmd: Command) -> tuple[int, str]:
                 lines.append(f"roots of {payload['poly']} over F_{cmd.p} (depth {cmd.depth}):")
                 lines.extend(_branch_text(n) for n in leaves)
         elif cmd.verb == "addpol":
+            from . import ore
+
             P = ore.addpol(f)
             # only a sign-folded coefficient is rendered again, unfolded,
             # for "coeffs"
@@ -409,6 +440,8 @@ def run(cmd: Command) -> tuple[int, str]:
             }
             lines.append(text)
         elif cmd.verb == "intersections":
+            from . import envelope
+
             P, pts = envelope.companion_points(f)
             text = additive_text(P)
             payload["additive"] = text
@@ -421,6 +454,8 @@ def run(cmd: Command) -> tuple[int, str]:
             if not pts:
                 lines.append("  (no intersection points)")
         elif cmd.verb == "bounds":
+            from . import envelope
+
             companion = envelope.companion_points(f)
             m_ram = envelope.maxram(*companion)
             base_sharp = envelope.maxexp_base(*companion)
@@ -439,6 +474,8 @@ def run(cmd: Command) -> tuple[int, str]:
             lines.append(f"maxexp (paper): {base_paper}!")
             lines.append(f"order bound: {label}")
         elif cmd.verb == "order-bound":
+            from . import envelope
+
             m_order, label = envelope.order_type_bound(*envelope.companion_points(f))
             payload["order_m"] = m_order
             payload["order_bound"] = label

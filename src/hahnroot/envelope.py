@@ -11,27 +11,30 @@ be; the bound algorithms here just read those breakpoints off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hahn import prime_exponent
-from .hasse import Poly, newton_edges
+from .hasse import INF, MAX_DIGITS, Poly, newton_edges
 from .ore import AdditivePolynomial, addpol
 
-INF = math.inf
 
-# the most decimal digits an integer may have as text, a maxexp bound here
-# and a literal in the parser's input: CPython's default limit on
-# conversion between int and text (sys.get_int_max_str_digits)
-MAX_DIGITS = 4300
-
-
-@dataclass(frozen=True)
 class Breakpoint:
-    """A value of r (rational, or +infinity) where the argmin has >= 2 lines."""
+    """A value of r (rational, or +infinity) where the argmin has >= 2 lines;
+    equal and hashed by value."""
 
-    r: Fraction | float
-    J: frozenset[int]
+    __slots__ = ("r", "J")
+
+    def __init__(self, r: Fraction | float, J: frozenset[int]):
+        self.r = r
+        self.J = J
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Breakpoint:
+            return NotImplemented
+        return self.r == other.r and self.J == other.J
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.J))
 
     @property
     def is_finite(self) -> bool:

@@ -47,57 +47,66 @@ from-scratch oracle that computes Taylor data with ``hasse.taylor_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import ffield
 from .ffield import FF, FieldCtx, sparse_addmul, sparse_mul
 from .hahn import HahnSeries, expands_at
-from .hasse import INF, NewtonLine, Poly, TaylorData, newton_edges, taylor_shift
+from .hasse import (INF, NewtonLine, Poly, TaylorData, is_additive, newton_edges,
+                    taylor_shift)
 # not called here; perfbench/tracing.py wraps expand.taylor_at and
 # expand.evaluate by name until ROADMAP item 3
 from .hasse import evaluate, taylor_at  # noqa: F401
-from .ore import is_additive
 
 # chain steps over which the (term line, valuation line) pair must repeat
 _STABLE_STEPS = 4
 
 
-@dataclass(frozen=True)
 class AccumulationReport:
     """Limit data for a chain whose exponents pile up below r_star."""
 
-    r_star: Fraction
-    J_star: frozenset[int]
-    equation: tuple[FF, ...]
-    solutions: tuple[tuple[FF, bool], ...]
-    ctx: FieldCtx
-    heuristic: bool
+    __slots__ = ("r_star", "J_star", "equation", "solutions", "ctx", "heuristic")
+
+    def __init__(self, r_star: Fraction, J_star: frozenset[int], equation: tuple[FF, ...],
+                 solutions: tuple[tuple[FF, bool], ...], ctx: FieldCtx, heuristic: bool):
+        self.r_star = r_star
+        self.J_star = J_star
+        self.equation = equation
+        self.solutions = solutions
+        self.ctx = ctx
+        self.heuristic = heuristic
 
 
-@dataclass(eq=False)
 class BranchNode:
     """One node of the expansion tree: a truncation w plus its bookkeeping.
 
     ``minima`` holds (i, min(c_i)) for each nonzero Taylor coefficient c_i
     of f at w, over the exponent denominator ``M``, and ``leads`` the
     leading coefficient c_i[min(c_i)] by i; ``residual_valuation``,
-    ``residual_lead`` and ``lines`` are read off them.
+    ``residual_lead`` and ``lines`` are read off them.  Nodes hash by
+    identity: ``_edge_children`` keys its live children by node.
     """
 
-    w: HahnSeries
-    last_r: Fraction | None
-    multiplicity: int
-    M: int = 1
-    minima: list[tuple[int, int]] = field(default_factory=list)
-    leads: dict[int, FF] = field(default_factory=dict)
-    status: str = "live"
-    step_zeta: FF | None = None
-    term_lines: frozenset[int] = frozenset()
-    parent: "BranchNode | None" = None
-    children: list["BranchNode"] = field(default_factory=list)
-    accumulation: AccumulationReport | None = None
+    __slots__ = ("w", "last_r", "multiplicity", "M", "minima", "leads", "status",
+                 "step_zeta", "term_lines", "parent", "children", "accumulation", "_lines")
+
+    def __init__(self, w: HahnSeries, last_r: Fraction | None, multiplicity: int, M: int = 1,
+                 minima: list[tuple[int, int]] | None = None, leads: dict[int, FF] | None = None,
+                 status: str = "live", step_zeta: FF | None = None,
+                 term_lines: frozenset[int] = frozenset(), parent: "BranchNode | None" = None):
+        self.w = w
+        self.last_r = last_r
+        self.multiplicity = multiplicity
+        self.M = M
+        self.minima = [] if minima is None else minima
+        self.leads = {} if leads is None else leads
+        self.status = status
+        self.step_zeta = step_zeta
+        self.term_lines = term_lines
+        self.parent = parent
+        self.children: list[BranchNode] = []
+        self.accumulation: AccumulationReport | None = None
+        self._lines: tuple[NewtonLine, ...] | None = None
 
     @property
     def residual_valuation(self) -> Fraction | float:
@@ -111,11 +120,15 @@ class BranchNode:
         """The leading coefficient of f(w); None when f(w) = 0."""
         return self.leads.get(0)
 
-    @cached_property
+    @property
     def lines(self) -> tuple[NewtonLine, ...]:
-        """The Newton lines v(c_i) + i*r of the nonzero c_i with i >= 1."""
-        M, leads = self.M, self.leads
-        return tuple(NewtonLine(i, Fraction(e, M), leads[i]) for i, e in self.minima if i)
+        """The Newton lines v(c_i) + i*r of the nonzero c_i with i >= 1,
+        built on first read."""
+        if self._lines is None:
+            M, leads = self.M, self.leads
+            self._lines = tuple(NewtonLine(i, Fraction(e, M), leads[i])
+                                for i, e in self.minima if i)
+        return self._lines
 
     def chain(self) -> list["BranchNode"]:
         out: list[BranchNode] = []
@@ -251,11 +264,13 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
     return [(kid, live[kid]) for kid in kids if kid in live]
 
 
-@dataclass
 class ExpansionTree:
-    f: Poly
-    depth: int
-    root: BranchNode
+    __slots__ = ("f", "depth", "root")
+
+    def __init__(self, f: Poly, depth: int, root: BranchNode):
+        self.f = f
+        self.depth = depth
+        self.root = root
 
     def leaves(self) -> list[BranchNode]:
         out = []

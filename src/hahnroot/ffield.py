@@ -6,9 +6,9 @@ coefficient vectors with respect to that modulus.  Contexts are canonical:
 ``field_ctx(p, k)`` always picks the same modulus (the first irreducible in
 lex order on coefficient vectors), so independently computed towers agree.
 
-Fields of order at most ``_TABLE_ORDER`` compute by table lookup: on first
-use a context builds one interned :class:`FF` per element and log/exp (Zech)
-tables over a primitive element, so every operation indexes a list;
+Fields of order at most ``_TABLE_ORDER`` compute by table lookup: when it
+is made, a context builds one interned :class:`FF` per element and log/exp
+(Zech) tables over a primitive element, so every operation indexes a list;
 ``sparse_addmul``, the one multiply-add on sparse Laurent polynomials (the
 engine's Taylor data and ``RatFun``'s sides, whose products are
 ``sparse_mul``), indexes the same tables without an operator call per term.
@@ -24,8 +24,7 @@ roots live in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from . import intpoly
@@ -35,6 +34,11 @@ _BRUTE_FORCE_ORDER = 512
 
 # Fields of at most this order get interned elements and log/exp tables.
 _TABLE_ORDER = 1024
+
+# The largest tower degree k that ``poly_roots`` builds.  Above the tables
+# an element op costs O(k^2) Python steps: X^17+t over F_3 (k = 16) answers
+# in about 1.5 s, X^300+t over F_3 (k = 20) did not answer in 20 s.
+_TOWER_DEGREE_LIMIT = 16
 
 # Miller-Rabin with these bases (the first 12 primes) is exact for every
 # n < _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -70,27 +74,53 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldCtx:
-    """F_{p^k} presented as F_p[s]/(modulus), modulus monic irreducible."""
+    """F_{p^k} presented as F_p[s]/(modulus), modulus monic irreducible.
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    Immutable, and equal and hashed by (p, k, modulus).  A context builds
+    its lookup tables ``_tables`` (None above the cap) when it is made:
+    every context the kernel makes computes in its field, and a plain slot
+    keeps the hot ``_tables`` read on the interpreter's fast path, which a
+    ``__getattr__`` hook would leave.  ``identity`` is built on first read.
+    """
+
+    __slots__ = ("p", "k", "modulus", "_hash", "_tables", "_identity")
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "k", k)
+        init(self, "modulus", modulus)
+        init(self, "_hash", hash((p, k, modulus)))
+        init(self, "_tables", _Tables(self) if p**k <= _TABLE_ORDER else None)
+        init(self, "_identity", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("field contexts are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("field contexts are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FieldCtx:
+            return NotImplemented
+        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
         return self.p**self.k
 
-    @cached_property
-    def _tables(self) -> "_Tables | None":
-        """The field's lookup tables, built on first use; None above the cap."""
-        return _Tables(self) if self.order <= _TABLE_ORDER else None
-
-    @cached_property
+    @property
     def identity(self) -> "Embedding":
-        """The identity embedding of this field, built on first use."""
-        return Embedding(self, self, self.gen)
+        """The identity embedding of this field, built on first read."""
+        if self._identity is None:
+            object.__setattr__(self, "_identity", Embedding(self, self, self.gen))
+        return self._identity
 
     @property
     def zero(self) -> "FF":
@@ -755,13 +785,15 @@ def _distinct_degrees(rad: list[FF], ctx: FieldCtx) -> list[int]:
     return degrees
 
 
-@dataclass(frozen=True)
 class RootsResult:
     """Roots of a polynomial, all expressed in one (possibly enlarged) context."""
 
-    ctx: FieldCtx
-    embed: Embedding
-    roots: tuple[tuple[FF, int], ...]
+    __slots__ = ("ctx", "embed", "roots")
+
+    def __init__(self, ctx: FieldCtx, embed: Embedding, roots: tuple[tuple[FF, int], ...]):
+        self.ctx = ctx
+        self.embed = embed
+        self.roots = roots
 
 
 def poly_roots(g: list[FF]) -> RootsResult:
@@ -797,7 +829,11 @@ def poly_roots(g: list[FF]) -> RootsResult:
     else:
         rad = _radical(h, ctx)
         factor_degrees = _distinct_degrees(rad, ctx)
-        big, emb = enlarge(ctx, ctx.k * math.lcm(*factor_degrees))
+        k = ctx.k * math.lcm(*factor_degrees)
+        if k > _TOWER_DEGREE_LIMIT:
+            raise FieldError(f"the roots lie in F_{{{ctx.p}^{k}}}, of order {ctx.p**k}: "
+                             f"towers of degree above {_TOWER_DEGREE_LIMIT} are not built")
+        big, emb = enlarge(ctx, k)
         # No smaller tower holds the roots: a root of a degree-d factor over
         # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
         # generate F_{p^(k*lcm(d_i))}, which is ``big``.

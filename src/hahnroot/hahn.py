@@ -8,7 +8,6 @@ moves them into larger coefficient fields with ``embed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import FF, FieldCtx, Embedding
@@ -26,19 +25,27 @@ def prime_exponent(n: int, q: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
 class HahnSeries:
-    """Finite sorted term list over F_{p^k}."""
+    """Finite sorted term list over F_{p^k}; equal and hashed by value."""
 
-    ctx: FieldCtx
-    terms: tuple[tuple[Fraction, FF], ...]
+    __slots__ = ("ctx", "terms")
 
-    def __post_init__(self):
-        exps = [e for e, _ in self.terms]
+    def __init__(self, ctx: FieldCtx, terms: tuple[tuple[Fraction, FF], ...]):
+        exps = [e for e, _ in terms]
         if any(b <= a for a, b in zip(exps, exps[1:])):
             raise ValueError("term exponents must be strictly increasing")
-        if any(not c for _, c in self.terms):
+        if any(not c for _, c in terms):
             raise ValueError("zero coefficients must not be stored")
+        self.ctx = ctx
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HahnSeries:
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.terms))
 
     # -- construction --------------------------------------------------------
 
@@ -85,8 +92,8 @@ class HahnSeries:
         if not c:
             return self
         out = object.__new__(HahnSeries)
-        object.__setattr__(out, "ctx", self.ctx)
-        object.__setattr__(out, "terms", self.terms + ((e, c),))
+        out.ctx = self.ctx
+        out.terms = self.terms + ((e, c),)
         return out
 
     def embed(self, embedding: Embedding) -> "HahnSeries":

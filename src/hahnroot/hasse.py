@@ -2,8 +2,10 @@
 
 ``Poly`` is the kernel's polynomial in X; the parser builds it and the
 engine and the companion read its coefficients, so it carries no
-arithmetic of its own.  The Taylor coefficients c_k of f at w are the
-divided-power (Hasse) derivatives that replace d/dX in characteristic p.
+arithmetic of its own.  ``is_additive`` lives beside it, so that the engine
+reads it without loading ``ore``.  The Taylor coefficients c_k of f at w
+are the divided-power (Hasse) derivatives that replace d/dX in
+characteristic p.
 The expansion engine carries them as ``TaylorData``: one exponent
 denominator M and, per c_k, a sparse dict {u-exponent: coefficient} in
 u = t^(1/M), with no ``RatFun`` and no denominator.  ``taylor_shift`` moves
@@ -20,7 +22,6 @@ and the benchmark call them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,6 +30,11 @@ from .hahn import HahnSeries, to_ratfun
 from .ratfun import RatFun
 
 INF = math.inf
+
+# the most decimal digits an integer may have as text, a literal in the
+# parser's input and a maxexp bound in ``envelope``: CPython's default limit
+# on conversion between int and text (sys.get_int_max_str_digits)
+MAX_DIGITS = 4300
 
 
 @lru_cache(maxsize=None)
@@ -46,11 +52,19 @@ def _binomial_rows(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class Poly:
-    """A polynomial in X with RatFun coefficients (ascending, trimmed)."""
+    """A polynomial in X with RatFun coefficients (ascending, trimmed); equal
+    by value, not hashable."""
 
-    coeffs: tuple[RatFun, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[RatFun, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     @classmethod
     def make(cls, coeffs) -> "Poly":
@@ -74,6 +88,23 @@ class Poly:
 
     def __hash__(self):
         raise TypeError("polynomials are not hashable")
+
+
+def is_additive(f: Poly) -> bool:
+    """True iff f is nonzero and every monomial exponent is a power of p."""
+    if f.is_zero():
+        return False
+    p = f.ctx.p
+    for i, c in enumerate(f.coeffs):
+        if c.is_zero():
+            continue
+        if i == 0:
+            return False
+        while i % p == 0:
+            i //= p
+        if i != 1:
+            return False
+    return True
 
 
 # Taylor data of a denominator-cleared f: one exponent denominator M and the
@@ -119,13 +150,24 @@ def taylor_shift(data: TaylorData, zeta: FF, r: Fraction) -> TaylorData:
     return M, out
 
 
-@dataclass(frozen=True)
 class NewtonLine:
-    """gamma(r) = rho + i*r for the index-i term, with leading coefficient b."""
+    """gamma(r) = rho + i*r for the index-i term, with leading coefficient b;
+    equal and hashed by value."""
 
-    i: int
-    rho: Fraction
-    b: FF
+    __slots__ = ("i", "rho", "b")
+
+    def __init__(self, i: int, rho: Fraction, b: FF):
+        self.i = i
+        self.rho = rho
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NewtonLine:
+            return NotImplemented
+        return (self.i, self.rho, self.b) == (other.i, other.rho, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.rho, self.b))
 
     def gamma(self, r) -> Fraction | float:
         if r == INF:

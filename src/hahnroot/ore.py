@@ -48,12 +48,11 @@ of ``coeffs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import intpoly
 from .ffield import FieldCtx, field_ctx
-from .hasse import Poly
+from .hasse import Poly, is_additive  # noqa: F401  (ore.is_additive stays importable)
 from .ratfun import RatFun
 
 
@@ -73,17 +72,16 @@ _T_SPAN_LIMIT = 2**26
 Sides = tuple[dict[int, int], dict[int, int]]
 
 
-@dataclass(frozen=True)
 class AdditivePolynomial:
     """P(X) = sum_{i in support} a_i X^(p^i), coefficients in F_p(t), each
-    a_i kept as its unreduced sides."""
+    a_i kept as its unreduced sides.  No ``__slots__``: ``coeffs`` is cached
+    in the instance dict on first read."""
 
-    p: int
-    sides: dict[int, Sides]
-
-    def __post_init__(self):
-        if not self.sides:
+    def __init__(self, p: int, sides: dict[int, Sides]):
+        if not sides:
             raise ValueError("additive polynomial must have a nonzero coefficient")
+        self.p = p
+        self.sides = sides
 
     @property
     def support(self) -> list[int]:
@@ -106,23 +104,6 @@ class AdditivePolynomial:
         return {i: RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
                           {e: ctx.from_int(c) for e, c in den.items()})
                 for i, (num, den) in self.sides.items()}
-
-
-def is_additive(f: Poly) -> bool:
-    """True iff f is nonzero and every monomial exponent is a power of p."""
-    if f.is_zero():
-        return False
-    p = f.ctx.p
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        if i == 0:
-            return False
-        while i % p == 0:
-            i //= p
-        if i != 1:
-            return False
-    return True
 
 
 def _t_span(f: Poly) -> int:

@@ -432,6 +432,18 @@ def test_huge_x_exponent_fails_fast_under_a_memory_cap(verb):
     assert "X-exponent 100000000" in err["message"] and "4096" in err["message"]
 
 
+def test_tower_above_the_degree_limit_fails_fast_under_a_memory_cap():
+    # the roots of z^100 = -1 lie in F_{3^20}: poly_roots refuses that tower
+    # before enlarge builds it; splitting z^100 + 1 there takes over 20 s
+    proc = _run_capped(["roots", "--p", "3", "--poly", "X^300+t", "--format", "json"],
+                       timeout=5)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["kind"] == "FieldError"
+    assert "F_{3^20}" in err["message"] and "3486784401" in err["message"]
+    assert "above 16" in err["message"]
+
+
 @pytest.mark.parametrize("text", ["X^2+1/t^67108864", "X^2+t^67108864/(t+1)"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_running_out_of_memory_exits_2(text, fmt):

@@ -399,3 +399,13 @@ def test_large_prime_is_accepted_quickly():
     assert time.perf_counter() - start < 5
     with pytest.raises(FieldError, match="318665857834031151167461"):
         field_ctx(318665857834031151167461 + 2)
+
+
+def test_tower_degree_limit_admits_its_boundary():
+    # x^16+x^5+x^3+x^2+1 and x^17+x^3+1 are irreducible over F_2: the roots
+    # of the first lie in F_{2^16}, at the limit, those of the second above it
+    F2 = field_ctx(2)
+    solved = poly_roots(poly_from_ints(F2, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1]))
+    assert solved.ctx.k == 16 and len(solved.roots) == 16
+    with pytest.raises(FieldError, match=r"F_\{2\^17\}, of order 131072"):
+        poly_roots(poly_from_ints(F2, [1, 0, 0, 1] + [0] * 13 + [1]))
