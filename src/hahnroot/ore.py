@@ -20,22 +20,29 @@ The elimination is Bareiss's.  Each pivot divides the next step's entries
 and its own row of the back-substitution through one ``intpoly.Divisor``,
 so its series inverse is computed once.  A step whose pivot equals the one
 before it, over a column zero below it, changes no entry and is only
-recorded; the unit columns X^(p^i) with p^i < n are such steps.  The
-output is deterministic: the kernel vector attached to the earliest free
-column, scaled there by the last pivot before it (by Cramer, the minor that
-makes the vector polynomial), divided by its content and normalised so the
-highest nonzero a_i equals 1.  Any other scale of the vector gives the
-same a_i: the content is a monic gcd, so the sides can differ only by a
-unit of F_p, and the reduced a_i not at all.
+recorded; the unit columns X^(p^i) with p^i < n are such steps.
 
-The content is the gcd of the kernel's entries, taken in ascending length.
-The entries are thousands of terms long, but the content is about as long
-as the shortest of them, usually the top one, and often equal to it.  A gcd
-started from the shortest entry reduces each longer entry modulo a short
-polynomial, and when that polynomial divides it, the one division is the
-whole gcd step; started from two long entries, the first gcd alone is a
-half-gcd on thousands of terms.  The gcd, and so every printed coefficient,
-does not depend on the order.
+The kernel needs no content gcd.  Let c be the earliest free column.  The
+kernel vector with a_c = 1 is Q = X^(p^c) + sum_{i<c} a_i X^(p^i), the
+monic additive multiple of g of least degree, and its a_i lie in F_p[t].
+g is monic over F_p[t], so its roots are integral over F_p[t].  Every root
+of Q has one multiplicity p^e, and the integral ones form an F_p-space that
+holds g's roots and that the automorphisms over F_p(t) permute; the product
+of (X - x)^(p^e) over it is therefore an additive multiple of g over
+F_p(t), and by minimality it is Q.  So Q's coefficients are integral over
+F_p[t] and lie in F_p(t), hence in F_p[t].  In the residue columns, which
+carry t^shifts[i] less than X^(p^i) mod g, the kernel entries are
+a_i t^(shifts[i] - shifts[c]): Laurent polynomials.
+
+The back-substitution starts from 1 at c and keeps each entry as a
+polynomial and a t-offset, so each row's sum divided by its pivot's t-free
+part is exact (an inexact one raises).  Brought to one offset with the
+least t-power stripped, the entries form the primitive kernel vector over
+F_p[t], unique up to a unit of F_p; it is scaled by the last pivot's
+leading coefficient, which makes it the Cramer vector (the last pivot,
+Bareiss's leading minor, at c) divided by its monic content, the
+representative ``tests/oracles.cramer_addpol`` computes.  Normalised so the
+highest nonzero a_i equals 1, any scale gives the same reduced a_i.
 
 Each a_i is kept as the elimination leaves it: its numerator and
 denominator sides as dicts {t-exponent: int mod p}, not reduced.  The
@@ -58,7 +65,7 @@ from .ratfun import RatFun
 
 # largest p^n (n = deg f >= 2) whose companion is computed: the Frobenius
 # table takes (n-1)p + 1 powers of X and the companion's t-degrees grow like
-# p^n; (7, 6), at the limit, answers in about 8 s
+# p^n; (7, 6), at the limit, answers in about 3 s
 _DEGREE_LIMIT = 7**6
 
 # largest cleared t-span (``_t_span``) whose companion is computed: the
@@ -155,12 +162,12 @@ def _valuation_strip(vec: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def _strip_content(vec: list[list[int]], p: int) -> list[list[int]]:
-    # vec divided by the monic gcd of its nonzero entries, taken shortest
-    # first (see the module docstring): the shortest entry is the first
-    # candidate, and one division of every entry by it, through one shared
-    # inverse, both tests it and gives the quotients.  Each nonzero
-    # remainder r replaces the candidate c by gcd(c, r), which the content
-    # still divides, and the divisions run again.
+    # f's cleared coefficients divided by the monic gcd of their nonzero
+    # entries, a few terms each: the shortest entry is the first candidate,
+    # and one division of every entry by it, through one shared inverse,
+    # both tests it and gives the quotients.  Each nonzero remainder r
+    # replaces the candidate c by gcd(c, r), which the content still
+    # divides, and the divisions run again.
     content = intpoly.monic(min((entry for entry in vec if entry), key=len), p)
     while intpoly.deg(content) > 0:
         results = intpoly.Divisor(content, p).divmod_all(vec)
@@ -203,9 +210,13 @@ def _frobenius_step(vec: list[list[int]], table: list[list[list[int]]], p: int) 
     return out
 
 
-def addpol(f: Poly) -> AdditivePolynomial:
-    """The deterministic additive multiple of f; f divides the result and its
-    degree is at most p^(deg f)."""
+def _echelon(f: Poly) -> tuple[int, list[int], list[int], list[list[list[int]]],
+                               list[intpoly.Divisor | None], int]:
+    """f's residue matrix in Bareiss echelon form, with what ``addpol`` reads
+    off it: (p, lc, shifts, matrix, divisors, free), where g's roots are lc
+    times f's, column i is X^(p^i) mod g over t^shifts[i], divisors[row]
+    divides by row's pivot (None for a pivot of 1) and free is the earliest
+    column without a pivot."""
     if f.is_zero() or f.degree < 1:
         raise ValueError("additive companion requires degree >= 1")
     ctx = f.ctx
@@ -294,27 +305,49 @@ def addpol(f: Poly) -> AdditivePolynomial:
             prev = intpoly.Divisor(top[c], p) if top[c] != [1] else None
         divisors.append(prev)
 
-    # kernel vector for the free column c, by exact back-substitution.  Row
-    # i's pivot is the leading (i+1)-minor (Bareiss), so by Cramer the last
-    # pivot, in row c-1, is a kernel entry at c that makes every other entry
-    # a polynomial
-    free = c
-    kernel: list[list[int]] = [[] for _ in range(n + 1)]
-    kernel[free] = prev.b if prev else [1]
+    return p, lc, shifts, matrix, divisors, c
+
+
+def _kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None], free: int,
+            p: int) -> list[list[int]]:
+    # the kernel vector for the free column, by exact back-substitution from
+    # kernel[free] = 1, each entry t^offset * poly; the entries are Laurent
+    # polynomials in t (module docstring), so dividing a row's sum t^low * s
+    # by its pivot t^v * u leaves the t-free quotient s/u exact, taken by the
+    # row's Divisor as (t^v * s) / pivot
+    polys: list[list[int]] = [[] for _ in range(len(matrix) + 1)]
+    offsets = [0] * len(polys)
+    polys[free] = [1]
     for row in range(free - 1, -1, -1):
+        low = min(offsets[col] for col in range(row + 1, free + 1) if polys[col])
         acc: list[int] = []
         for col in range(row + 1, free + 1):
-            if matrix[row][col] and kernel[col]:
-                acc = intpoly.add(acc, intpoly.mul(matrix[row][col], kernel[col], p), p)
-        acc = intpoly.neg(acc, p)
-        kernel[row] = divisors[row].divexact_all([acc])[0] if divisors[row] else acc
+            if matrix[row][col] and polys[col]:
+                term = intpoly.mul(matrix[row][col], polys[col], p)
+                acc = intpoly.add(acc, [0] * (offsets[col] - low) + term, p)
+        divisor = divisors[row]
+        if acc and divisor:
+            v = next(i for i, c in enumerate(divisor.b) if c)
+            acc = divisor.divexact_all([[0] * v + acc])[0]
+            low -= v
+        polys[row], offsets[row] = intpoly.neg(acc, p), low
 
-    # the ray is all that matters
-    kernel = _strip_content(kernel, p)
+    # one offset for all, the least t-power stripped: the primitive vector,
+    # scaled to the ray's representative the content gcd once chose, whose
+    # free entry has the last pivot's leading coefficient
+    low = min(offsets[i] for i, entry in enumerate(polys) if entry)
+    kernel, _ = _valuation_strip([[0] * (offsets[i] - low) + entry if entry else []
+                                  for i, entry in enumerate(polys)])
+    last = divisors[free - 1] if free else None
+    if last and last.b[-1] != 1:
+        kernel = [intpoly.scal(entry, last.b[-1], p) for entry in kernel]
+    return kernel
 
+
+def _sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) -> dict[int, Sides]:
     # undo the monic model (a_i picks up lc^(p^i)) and the t-power strips,
     # then normalise the highest nonzero coefficient to 1
-    supported = [i for i in range(n + 1) if kernel[i]]
+    supported = [i for i in range(len(kernel)) if kernel[i]]
     top_i = max(supported)
     sides: dict[int, Sides] = {}
     for i in supported:
@@ -325,4 +358,11 @@ def addpol(f: Poly) -> AdditivePolynomial:
         lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
         den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
         sides[i] = num, {e: c for e, c in enumerate(den_poly) if c}
-    return AdditivePolynomial(p, sides)
+    return sides
+
+
+def addpol(f: Poly) -> AdditivePolynomial:
+    """The deterministic additive multiple of f; f divides the result and its
+    degree is at most p^(deg f)."""
+    p, lc, shifts, matrix, divisors, free = _echelon(f)
+    return AdditivePolynomial(p, _sides(_kernel(matrix, divisors, free, p), shifts, lc, p))

@@ -18,6 +18,9 @@ method became a function that takes the object first):
 - ``frobenius_residue`` reduces the p-th power of a residue mod g one
   row at a time, from the top, where ``ore`` sums stretched entries times
   one table of X^(jp) mod g;
+- ``cramer_kernel`` back-substitutes from the last pivot, a kernel entry
+  by Cramer's rule, and ``cramer_addpol`` divides that vector by its
+  content, where ``ore`` starts from 1 at the free column and needs no gcd;
 - ``ramifies_at`` is the paper's ramification predicate on a support;
 - ``reference_parse`` is the parser that built a ``RatFun`` per monomial
   and summed them in ``RatFun`` arithmetic, where ``cli`` sums int dicts.
@@ -37,7 +40,7 @@ from hahnroot.expand import ExpansionTree, _tied_roots
 from hahnroot.ffield import FF, FieldCtx, field_ctx
 from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
-from hahnroot.ore import AdditivePolynomial, _stretch
+from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
 from hahnroot.ratfun import RatFun
 
 
@@ -221,6 +224,34 @@ def frobenius_residue(vec: list[list[int]], g: list[list[int]], p: int) -> list[
                 if g[j]:
                     out[m - n + j] = intpoly.sub(out[m - n + j], intpoly.mul(c, g[j], p), p)
     return out[:n] + [[] for _ in range(n - len(out))]
+
+
+def cramer_kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None],
+                  free: int, p: int) -> list[list[int]]:
+    # kernel vector for the free column c, by exact back-substitution.  Row
+    # i's pivot is the leading (i+1)-minor (Bareiss), so by Cramer the last
+    # pivot, in row c-1, is a kernel entry at c that makes every other entry
+    # a polynomial
+    prev = divisors[free - 1] if free else None
+    kernel: list[list[int]] = [[] for _ in range(len(matrix) + 1)]
+    kernel[free] = prev.b if prev else [1]
+    for row in range(free - 1, -1, -1):
+        acc: list[int] = []
+        for col in range(row + 1, free + 1):
+            if matrix[row][col] and kernel[col]:
+                acc = intpoly.add(acc, intpoly.mul(matrix[row][col], kernel[col], p), p)
+        acc = intpoly.neg(acc, p)
+        kernel[row] = divisors[row].divexact_all([acc])[0] if divisors[row] else acc
+    return kernel
+
+
+def cramer_addpol(f: Poly) -> AdditivePolynomial:
+    """``ore.addpol`` with its kernel taken by Cramer's scale and divided by
+    its content, a gcd over entries thousands of terms long."""
+    p, lc, shifts, matrix, divisors, free = _echelon(f)
+    # the ray is all that matters
+    kernel = _strip_content(cramer_kernel(matrix, divisors, free, p), p)
+    return AdditivePolynomial(p, _sides(kernel, shifts, lc, p))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from hahnroot.cli import Command, additive_text, parse_polynomial, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import evaluate
-from hahnroot.ore import _frobenius_step, _frobenius_table, addpol, is_additive
-from hahnroot.intpoly import deg, gcd, trim
+from hahnroot.ore import _echelon, _frobenius_step, _frobenius_table, addpol, is_additive
+from hahnroot.intpoly import deg, divmod_, gcd, trim
+from hahnroot.hasse import Poly
 from hahnroot.ratfun import _REDUCE_SPAN, RatFun, to_text
 from invariants import divides
-from oracles import frobenius_residue, from_int_coeffs, t_power, to_poly
+from oracles import (cramer_addpol, cramer_kernel, frobenius_residue, from_int_coeffs, poly_mul,
+                     t_power, to_poly)
 
 
 F2 = field_ctx(2)
@@ -194,3 +196,114 @@ def test_companion_degree_limit():
         addpol(parse_polynomial("X^17 + t", 2))
     big = 10**18 + 3
     assert addpol(parse_polynomial("X - t", big)).support == [0, 1]
+
+
+@pytest.mark.parametrize("p, text, companion", [
+    (3, 'X^9 - t', 'X^27 - t^2*X^9'),
+    (2, 'X^2 + t^2', 'X^4 + t^2*X^2'),
+    (3, 'X^2 + 2*t*X + t^2', 'X^9 - t^6*X^3'),
+    (2, 'X', 'X'),
+    (3, 'X', 'X'),
+    (2, 'X^4', 'X^4'),
+    (3, 'X^4', 'X^9'),
+    (5, 'X^3', 'X^5'),
+    (3, 't*X', 'X'),
+    (2, 't*X', 'X'),
+    (2, 'X^3 + X^2 + X', 'X^4 + X'),
+    (3, 'X^3 + X^2 + X', 'X^9 - X^3'),
+    (5, 'X^5 - t', 'X^25 - t^4*X^5'),
+    (2, 'X^4 + t', 'X^8 + t*X^4'),
+    (3, 't^2*X^2 + t*X + 1', 'X^9 - 1/t^6*X^3'),
+    (3, 'X^2 - 1/t^3', 'X^3 - 1/t^3*X'),
+    (5, '(t + 1)*X^2 + 1/(t + 1)', 'X^5 - 1/(t^4 + 4*t^3 + t^2 + 4*t + 1)*X'),
+    (7, 'X - 1/t', 'X^7 - 1/t^6*X'),
+    (3, 't*X^3 + X', 'X^3 + 1/t*X'),
+    (2, '(t + 1)*X^3 + t*X + 1/t', 'X^4 + t/(t + 1)*X^2 + 1/(t^2 + t)*X'),
+    (2, 't^3*X^2 + (t^2 + t)*X + 1/(t + 1)', 'X^4 + (t^3 + t^2 + 1)/(t^5 + t^4)*X^2 + 1/t^5*X'),
+])
+def test_companion_text_pinned_on_edge_inputs(p, text, companion):
+    # inseparable inputs, squares, powers of X, t-scaled inputs and leading
+    # coefficients in t: free columns below n, pivots divisible by t and
+    # kernels whose free entry is a unit or a power of t
+    assert additive_text(addpol(parse_polynomial(text, p))) == companion
+
+
+# the differential test keeps p^n at most 5^5, where the oracle's content
+# gcd on entries hundreds of terms long still takes well under a second
+_ORACLE_PN = 5**5
+
+# denominators of the drawn coefficients: 1, t, t + 1 and t^2 + t
+_DENS = ({0: 1}, {1: 1}, {0: 1, 1: 1}, {1: 1, 2: 1})
+
+
+@st.composite
+def _oracle_inputs(draw):
+    # f of one of five shapes, deg f <= 5 and p^(deg f) <= _ORACLE_PN:
+    # generic; inseparable, h(X^p); a repeated factor, h^2 k; X h, whose
+    # free column lies below deg f; and a leading coefficient t^a (t + 1)^b
+    # that shares factors with t and with the other coefficients'
+    # denominators
+    shape = draw(st.sampled_from(["generic", "inseparable", "square", "x_times", "lc_shares"]))
+    p = draw(st.sampled_from([2, 3, 5] if shape == "inseparable" else [2, 3, 5, 7, 11]))
+    top = max(n for n in range(1, 6) if p**n <= _ORACLE_PN)
+    ctx = field_ctx(p)
+
+    def coeff(nonzero: bool = False) -> RatFun:
+        num = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+        if nonzero and not any(num):
+            num[0] = 1
+        return RatFun.from_t_coeffs(ctx, dict(enumerate(num)), draw(st.sampled_from(_DENS)))
+
+    def poly(n: int) -> Poly:
+        return Poly.make([coeff() for _ in range(n)] + [coeff(nonzero=True)])
+
+    if shape == "inseparable":
+        h = poly(draw(st.integers(1, top // p)))
+        zero = RatFun.zero(ctx)
+        return Poly.make([h.coeffs[j // p] if j % p == 0 else zero for j in range(p * h.degree + 1)])
+    if shape == "square":
+        h = poly(draw(st.integers(1, top // 2)))
+        return poly_mul(poly_mul(h, h), poly(draw(st.integers(0, top - 2 * h.degree))))
+    if shape == "x_times":
+        return poly_mul(from_int_coeffs(ctx, [0, 1]), poly(draw(st.integers(0, top - 1))))
+    f = poly(draw(st.integers(1, top)))
+    if shape == "lc_shares":
+        a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        lc = t_power(ctx, a) * RatFun.from_t_coeffs(ctx, {0: 1, 1: 1}) ** b
+        f = Poly.make([*f.coeffs[:-1], lc])
+    return f
+
+
+@given(_oracle_inputs())
+@settings(max_examples=150, deadline=None)
+def test_companion_sides_equal_the_cramer_oracle(f):
+    # the back-substitution from 1 at the free column, with no content gcd,
+    # gives the very sides of the Cramer-scaled kernel divided by its
+    # content, not only the same reduced a_i
+    assert addpol(f).sides == cramer_addpol(f).sides
+
+
+@pytest.mark.parametrize("fs", [
+    corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4),
+    corpus(seed=20260810, count=30, ps=(5, 7), max_deg=4),
+    [parse_polynomial(f"X^{n} + t*X^{n - 1} + X + 1/t", p) for p, n in ((2, 9), (3, 6), (5, 4), (11, 3))],
+], ids=["acceptance", "p5_p7", "ladder"])
+def test_monic_models_minimal_additive_multiple_is_integral(fs):
+    # the theorem ore's back-substitution rests on, checked on the Cramer
+    # kernel K alone.  Let c be the earliest free column and
+    # Q = sum_{i<=c} (K_i/K_c) X^(p^i), in the unstripped residues, the
+    # monic additive multiple of the monic model g of least degree.  g is
+    # monic over F_p[t], so its roots are integral over F_p[t].  Q's roots
+    # all have one multiplicity p^e; the integral ones form an F_p-space that
+    # holds g's roots and that the automorphisms over F_p(t) permute, so
+    # the product of (X - x)^(p^e) over it is an additive multiple of g over
+    # F_p(t), and by minimality it is Q.  Q's coefficients are then
+    # integral over F_p[t] and lie in F_p(t), so they lie in F_p[t]: column
+    # i carries t^shifts[i] less, so K_c divides K_i t^(shifts[c] - shifts[i])
+    for f in fs:
+        p, _, shifts, matrix, divisors, free = _echelon(f)
+        K = cramer_kernel(matrix, divisors, free, p)
+        assert K[free]
+        for i in range(free):
+            _, r = divmod_([0] * (shifts[free] - shifts[i]) + K[i], K[free], p)
+            assert not r, (f, i)
