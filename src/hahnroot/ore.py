@@ -333,8 +333,8 @@ def _kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None
         polys[row], offsets[row] = intpoly.neg(acc, p), low
 
     # one offset for all, the least t-power stripped: the primitive vector,
-    # scaled to the ray's representative the content gcd once chose, whose
-    # free entry has the last pivot's leading coefficient
+    # scaled so its free entry has the last pivot's leading coefficient, as
+    # the Cramer vector divided by its monic content has (module docstring)
     low = min(offsets[i] for i, entry in enumerate(polys) if entry)
     kernel, _ = _valuation_strip([[0] * (offsets[i] - low) + entry if entry else []
                                   for i, entry in enumerate(polys)])

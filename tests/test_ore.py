@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hahnroot.cli import Command, additive_text, parse_polynomial, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
-from hahnroot.hasse import evaluate
+from hahnroot.hasse import Poly, evaluate
 from hahnroot.ore import _echelon, _frobenius_step, _frobenius_table, addpol, is_additive
 from hahnroot.intpoly import deg, divmod_, gcd, trim
-from hahnroot.hasse import Poly
 from hahnroot.ratfun import _REDUCE_SPAN, RatFun, to_text
 from invariants import divides
 from oracles import (cramer_addpol, cramer_kernel, frobenius_residue, from_int_coeffs, poly_mul,
