@@ -17,7 +17,7 @@ from fractions import Fraction
 from .ffield import FieldCtx, field_ctx
 from .hahn import series_text
 from .hasse import INF, MAX_DIGITS, Poly
-from .ratfun import RatFun, to_text
+from .ratfun import RatFun, fraction_text
 
 # ``expand``, ``ore`` and ``envelope`` are imported inside the verbs that run
 # them, so that a process loads only its verb's modules.  ``run`` reaches
@@ -263,21 +263,13 @@ def parse_polynomial(text: str, p: int) -> Poly:
 # Printing.
 
 
-def _fold_sign(c: RatFun) -> tuple[bool, RatFun]:
-    # render prime-field coefficients in the symmetric range: 2 mod 3 prints as -1
-    p = c.ctx.p
-    if p == 2 or c.is_zero() or c.ctx.k != 1:
-        return False, c
-    lead = c.num[max(c.num)]
-    if lead.coeffs[0] > p // 2:
-        return True, -c
-    return False, c
-
-
-def _signed_text(c: RatFun) -> tuple[bool, str]:
-    """(False, text of c), or (True, text of -c) when c prints as -(-c)."""
-    neg, cc = _fold_sign(c)
-    return neg, to_text(cc)
+def _signed_text(num: dict[int, int], den: dict[int, int], p: int) -> tuple[bool, str]:
+    """(False, text of num/den), or (True, text of -(num/den)) when the
+    fraction prints as its negation: its sides, {t-exponent: int mod p}, are
+    shown in the symmetric range, so 2 mod 3 prints as -1."""
+    if p != 2 and num[max(num)] > p // 2:
+        return True, fraction_text({e: p - c for e, c in num.items()}, den)
+    return False, fraction_text(num, den)
 
 
 def _terms_text(terms) -> str:
@@ -304,15 +296,18 @@ def _terms_text(terms) -> str:
 def poly_text(f: Poly) -> str:
     """Canonical text of f, round-trippable through parse_polynomial."""
     coeffs = ((i, f.coeffs[i]) for i in range(f.degree, -1, -1))
-    return _terms_text((i, _signed_text(c)) for i, c in coeffs if not c.is_zero())
+    return _terms_text((i, _signed_text({e: x.coeffs[0] for e, x in c.num.items()},
+                                        {e: x.coeffs[0] for e, x in c.den.items()}, c.ctx.p))
+                       for i, c in coeffs if not c.is_zero())
 
 
 def _additive_rendering(P: ore.AdditivePolynomial) -> tuple[str, dict[int, tuple[bool, str]]]:
     """The text poly_text gives for P written densely in X, read off P's
     sparse support, and the _signed_text(a_i) it was built from, keyed by i;
-    each nonzero coefficient a_i is rendered once."""
-    signed = {i: _signed_text(a) for i, a in P.coeffs.items() if not a.is_zero()}
-    return _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True)), signed
+    each nonzero coefficient a_i is rendered once, from its reduced sides."""
+    p = P.p
+    signed = {i: _signed_text(num, den, p) for i, (num, den) in P.reduced.items() if num}
+    return _terms_text((p**i, signed[i]) for i in sorted(signed, reverse=True)), signed
 
 
 def additive_text(P: ore.AdditivePolynomial) -> str:
@@ -435,7 +430,7 @@ def run(cmd: Command) -> tuple[int, str]:
             text, signed = _additive_rendering(P)
             payload["additive"] = {
                 "text": text,
-                "coeffs": {str(i): to_text(P.coeffs[i]) if neg else body
+                "coeffs": {str(i): fraction_text(*P.reduced[i]) if neg else body
                            for i, (neg, body) in sorted(signed.items())},
             }
             lines.append(text)

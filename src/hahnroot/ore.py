@@ -11,16 +11,18 @@ dependency is found by fraction-free elimination on the residue matrix.
 Each residue is the last one raised to the p-th power: with v = sum_j v_j
 X^j, v^p = sum_j v_j(t)^p X^(jp), and v_j(t)^p only spreads v_j's
 exponents.  One table T[j] = X^(jp) mod g, j < n, built per request, turns
-the reduction into n^2 products of a stretched entry by a short table
-entry.  Residue columns shed powers of t as they grow (an integer of
-bookkeeping each), which keeps the polynomial degrees near their intrinsic
-size.
+the reduction into n dot products (``intpoly.dot``), one per residue entry,
+of the stretched entries by a column of short table entries.  Residue
+columns shed powers of t as they grow (an integer of bookkeeping each),
+which keeps the polynomial degrees near their intrinsic size.
 
-The elimination is Bareiss's.  Each pivot divides the next step's entries
-and its own row of the back-substitution through one ``intpoly.Divisor``,
-so its series inverse is computed once.  A step whose pivot equals the one
-before it, over a column zero below it, changes no entry and is only
-recorded; the unit columns X^(p^i) with p^i < n are such steps.
+The elimination is Bareiss's, each new entry top[c] m[i][j] - m[i][c]
+top[j] one dot product with top[j] negated.  Each pivot divides the next
+step's entries and its own row of the back-substitution through one
+``intpoly.Divisor``, so its series inverse is computed once.  A step whose
+pivot equals the one before it, over a column zero below it, changes no
+entry and is only recorded; the unit columns X^(p^i) with p^i < n are such
+steps.
 
 The kernel needs no content gcd.  Let c be the earliest free column.  The
 kernel vector with a_c = 1 is Q = X^(p^c) + sum_{i<c} a_i X^(p^i), the
@@ -35,8 +37,9 @@ carry t^shifts[i] less than X^(p^i) mod g, the kernel entries are
 a_i t^(shifts[i] - shifts[c]): Laurent polynomials.
 
 The back-substitution starts from 1 at c and keeps each entry as a
-polynomial and a t-offset, so each row's sum divided by its pivot's t-free
-part is exact (an inexact one raises).  Brought to one offset with the
+polynomial and a t-offset, so each row's sum, one dot product with the
+offsets as zero prefixes, divided by its pivot's t-free part is exact (an
+inexact one raises).  Brought to one offset with the
 least t-power stripped, the entries form the primitive kernel vector over
 F_p[t], unique up to a unit of F_p; it is scaled by the last pivot's
 leading coefficient, which makes it the Cramer vector (the last pivot,
@@ -47,9 +50,10 @@ highest nonzero a_i equals 1, any scale gives the same reduced a_i.
 Each a_i is kept as the elimination leaves it: its numerator and
 denominator sides as dicts {t-exponent: int mod p}, not reduced.  The
 bounds read only the valuations v(a_i) = min(num) - min(den), which a
-common factor does not change.  The reduced ``RatFun`` coefficients, which
-only the verbs that print them need, are built from the sides on first read
-of ``coeffs``.
+common factor does not change.  The verbs that print the a_i read
+``reduced``, each a_i's sides put by ``ratfun.reduced_t_sides`` into the
+form its ``RatFun`` would take, built on first read and printed as ints;
+``coeffs`` builds the ``RatFun``s from those sides, with no second gcd.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from functools import cached_property
 from . import intpoly
 from .ffield import FieldCtx, field_ctx
 from .hasse import Poly, is_additive  # noqa: F401  (ore.is_additive stays importable)
-from .ratfun import RatFun
+from .ratfun import RatFun, reduced_t_sides
 
 
 # largest p^n (n = deg f >= 2) whose companion is computed: the Frobenius
@@ -81,8 +85,8 @@ Sides = tuple[dict[int, int], dict[int, int]]
 
 class AdditivePolynomial:
     """P(X) = sum_{i in support} a_i X^(p^i), coefficients in F_p(t), each
-    a_i kept as its unreduced sides.  No ``__slots__``: ``coeffs`` is cached
-    in the instance dict on first read."""
+    a_i kept as its unreduced sides.  No ``__slots__``: ``reduced`` and
+    ``coeffs`` are cached in the instance dict on first read."""
 
     def __init__(self, p: int, sides: dict[int, Sides]):
         if not sides:
@@ -104,13 +108,18 @@ class AdditivePolynomial:
         return min(num) - min(den) if num else math.inf
 
     @cached_property
+    def reduced(self) -> dict[int, Sides]:
+        """Each a_i's sides as ``ratfun.reduced_t_sides`` leaves them, the
+        form the verbs print; built on first read."""
+        p = self.p
+        return {i: reduced_t_sides(num, den, p) for i, (num, den) in self.sides.items()}
+
+    @cached_property
     def coeffs(self) -> dict[int, RatFun]:
-        """Each a_i as a ``RatFun``, reduced by its constructor; built on
-        first read."""
+        """Each a_i as a ``RatFun``, built from ``reduced``; built on first
+        read."""
         ctx = self.ctx
-        return {i: RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
-                          {e: ctx.from_int(c) for e, c in den.items()})
-                for i, (num, den) in self.sides.items()}
+        return {i: RatFun.from_reduced_t_sides(ctx, num, den) for i, (num, den) in self.reduced.items()}
 
 
 def _t_span(f: Poly) -> int:
@@ -138,12 +147,8 @@ def _ratfun_as_intpoly_pair(a: RatFun) -> tuple[list[int], list[int]]:
 def _stretch(a: list[int], factor: int) -> list[int]:
     # a(t) ** factor when factor is a power of p: coefficients are fixed by
     # Frobenius, so only the exponents spread
-    if not a:
-        return []
-    out = [0] * ((len(a) - 1) * factor + 1)
-    for e, c in enumerate(a):
-        if c:
-            out[e * factor] = c
+    out = [0] * ((len(a) - 1) * factor + 1) if a else []
+    out[::factor] = a
     return out
 
 
@@ -200,14 +205,8 @@ def _frobenius_table(g: list[list[int]], p: int) -> list[list[list[int]]]:
 def _frobenius_step(vec: list[list[int]], table: list[list[list[int]]], p: int) -> list[list[int]]:
     # (sum_j vec_j X^j)^p = sum_j vec_j(t)^p X^(jp), and vec_j(t)^p is
     # vec_j stretched, so the residue mod g is sum_j stretch(vec_j) T[j]
-    out: list[list[int]] = [[] for _ in table]
-    for entry, row in zip(vec, table):
-        if entry:
-            long = _stretch(entry, p)
-            for k, short in enumerate(row):
-                if short:
-                    out[k] = intpoly.add(out[k], intpoly.mul(long, short, p), p)
-    return out
+    rows = [(_stretch(entry, p), row) for entry, row in zip(vec, table) if entry]
+    return [intpoly.dot([(long, row[k]) for long, row in rows], p) for k in range(len(table))]
 
 
 def _echelon(f: Poly) -> tuple[int, list[int], list[int], list[list[list[int]]],
@@ -294,10 +293,9 @@ def _echelon(f: Poly) -> tuple[int, list[int], list[int], list[list[list[int]]],
         top = matrix[c]
         if top[c] != (prev.b if prev else [1]) or any(matrix[i][c] for i in range(c + 1, n)):
             w = n - c
-            step = [
-                intpoly.sub(intpoly.mul(top[c], matrix[i][j], p), intpoly.mul(matrix[i][c], top[j], p), p)
-                for i in range(c + 1, n) for j in range(c + 1, n + 1)
-            ]
+            negated = [intpoly.neg(entry, p) for entry in top[c + 1:]]
+            step = [intpoly.dot(((top[c], row[j]), (row[c], negated[j - c - 1])), p)
+                    for row in matrix[c + 1:] for j in range(c + 1, n + 1)]
             if prev:
                 step = prev.divexact_all(step)
             for k, i in enumerate(range(c + 1, n)):
@@ -320,11 +318,8 @@ def _kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None
     polys[free] = [1]
     for row in range(free - 1, -1, -1):
         low = min(offsets[col] for col in range(row + 1, free + 1) if polys[col])
-        acc: list[int] = []
-        for col in range(row + 1, free + 1):
-            if matrix[row][col] and polys[col]:
-                term = intpoly.mul(matrix[row][col], polys[col], p)
-                acc = intpoly.add(acc, [0] * (offsets[col] - low) + term, p)
+        acc = intpoly.dot([(matrix[row][col], [0] * (offsets[col] - low) + polys[col])
+                           for col in range(row + 1, free + 1) if polys[col]], p)
         divisor = divisors[row]
         if acc and divisor:
             v = next(i for i, c in enumerate(divisor.b) if c)
@@ -346,18 +341,24 @@ def _kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None
 
 def _sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) -> dict[int, Sides]:
     # undo the monic model (a_i picks up lc^(p^i)) and the t-power strips,
-    # then normalise the highest nonzero coefficient to 1
-    supported = [i for i in range(len(kernel)) if kernel[i]]
-    top_i = max(supported)
+    # then normalise the highest nonzero coefficient to 1: a_i is kernel[i]
+    # t^(shifts[top] - shifts[i]) over kernel[top] lc^(p^top - p^i).  With
+    # lc = t^v u, u(0) != 0, the power of t only shifts the denominator, and
+    # u^(p^top - p^i) = (u^(p^m - 1))^(p^i), m = top - i, where u^(p^m - 1)
+    # is the product of (u^(p-1))^(p^j) over j < m: one chain of products
+    supported = [i for i, entry in enumerate(kernel) if entry]
+    top = supported[-1]
+    v = next(e for e, c in enumerate(lc) if c)
+    u = lc[v:]
+    step = intpoly.divexact(_stretch(u, p), u, p)
+    chain = [[1]]
+    for m in range(top - supported[0]):
+        chain.append(intpoly.mul(chain[-1], _stretch(step, p**m), p))
     sides: dict[int, Sides] = {}
     for i in supported:
-        delta = shifts[top_i] - shifts[i]
-        num = {e + delta: c for e, c in enumerate(kernel[i]) if c}
-        # lc^(p^top) / lc^(p^i) = (lc^(p^(top-i) - 1))^(p^i), folded into the
-        # denominator; the division is by lc itself, not by its p^i-th power
-        lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
-        den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
-        sides[i] = num, {e: c for e, c in enumerate(den_poly) if c}
+        den = intpoly.mul(kernel[top], _stretch(chain[top - i], p**i), p)
+        sides[i] = ({e: c for e, c in enumerate(kernel[i], shifts[top] - shifts[i]) if c},
+                    {e: c for e, c in enumerate(den, v * (p**top - p**i)) if c})
     return sides
 
 

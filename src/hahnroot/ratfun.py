@@ -7,12 +7,15 @@ term is exactly 1*u^0; valuations read off the numerator in O(1).  Sums
 and products of the sides run in ``ffield.sparse_addmul`` and
 ``ffield.sparse_mul``.
 
-Fractions are reduced in one place, the constructor: a plain fraction of t
-over F_p (M = 1, k = 1) is gcd-reduced through a dense ``intpoly`` gcd
-whenever both sides span at most ``_REDUCE_SPAN`` powers of t, which keeps
-that gcd bounded.  The parser builds such fractions once per X-power and
-once per term whose denominator has two or more terms, and the companion
-builds one per a_i when its coefficients are first read.
+Fractions of t over F_p (M = 1, k = 1) are reduced by one rule,
+``reduced_t_sides``, on int sides: the denominator's lowest term made 1*t^0,
+then a dense ``intpoly`` gcd whenever both sides span at most
+``_REDUCE_SPAN`` powers of t, which keeps that gcd bounded.  The constructor
+applies it to every such fraction with a denominator of two or more terms;
+the parser builds those once per X-power and once per term whose
+denominator has two or more terms.  The companion applies it to each a_i's
+int sides when its coefficients are first read, with no ``RatFun`` on the
+way, and ``fraction_text`` prints int sides and ``RatFun`` sides alike.
 Negation and scaling by a nonzero constant map a normalised fraction to a
 normalised one, so they skip the constructor's work.  ``RatFun``s with
 M > 1 or k > 1 come only from ``hasse.taylor_at``, the tests and the
@@ -101,6 +104,17 @@ class RatFun:
         return cls.from_ff(ctx.from_int(n), M)
 
     @classmethod
+    def from_reduced_t_sides(cls, ctx: FieldCtx, num: dict[int, int], den: dict[int, int]) -> "RatFun":
+        """The fraction of t (M = 1) whose sides, {t-exponent: int mod p},
+        ``reduced_t_sides`` returned, with no second normalisation or gcd."""
+        out = object.__new__(cls)
+        from_int = ctx.from_int
+        out.ctx, out.M = ctx, 1
+        out.num = {e: from_int(c) for e, c in num.items()}
+        out.den = {e: from_int(c) for e, c in den.items()}
+        return out
+
+    @classmethod
     def from_t_coeffs(cls, ctx: FieldCtx, num: dict[int, int], den: dict[int, int] | None = None) -> "RatFun":
         """Build from integer t-coefficients (M = 1)."""
         n = {e: ctx.from_int(c) for e, c in num.items() if c % ctx.p}
@@ -123,31 +137,16 @@ class RatFun:
             self._maybe_reduce()
 
     def _maybe_reduce(self) -> None:
-        # only the parser's and the companion's fractions (M = 1 over F_p)
-        # are reduced, and only while the dense gcd stays within _REDUCE_SPAN
+        # fractions of t over F_p (M = 1, k = 1) are reduced by the rule of
+        # reduced_t_sides, on their int sides
         if self.ctx.k != 1 or self.M != 1:
             return
-        nlo, nhi = min(self.num), max(self.num)
-        dhi = max(self.den)
-        if nhi - nlo > _REDUCE_SPAN or dhi > _REDUCE_SPAN:
-            return
-        from . import intpoly
-
-        p = self.ctx.p
-        dn = [0] * (nhi - nlo + 1)
-        for e, c in self.num.items():
-            dn[e - nlo] = c.coeffs[0]
-        dd = [0] * (dhi + 1)
-        for e, c in self.den.items():
-            dd[e] = c.coeffs[0]
-        g = intpoly.gcd(dn, dd, p)
-        if intpoly.deg(g) > 0:
-            dn = intpoly.divexact(dn, g, p)
-            dd = intpoly.divexact(dd, g, p)
-            inv = pow(dd[0], p - 2, p)
-            ctx = self.ctx
-            self.num = {e + nlo: ctx.from_int(c * inv) for e, c in enumerate(dn) if c}
-            self.den = {e: ctx.from_int(c * inv) for e, c in enumerate(dd) if c}
+        den = {e: c.coeffs[0] for e, c in self.den.items()}
+        num, reduced = reduced_t_sides({e: c.coeffs[0] for e, c in self.num.items()}, den, self.ctx.p)
+        if reduced is not den:
+            from_int = self.ctx.from_int
+            self.num = {e: from_int(c) for e, c in num.items()}
+            self.den = {e: from_int(c) for e, c in reduced.items()}
 
     # -- alignment ----------------------------------------------------------
 
@@ -247,12 +246,50 @@ class RatFun:
         return f"RatFun(num={num}, den={den}, M={self.M}, {self.ctx.label})"
 
 
-def _side_text(side: dict[int, FF], shift: int, var: str = "t") -> str:
+def reduced_t_sides(num: dict[int, int], den: dict[int, int], p: int) -> tuple[dict[int, int], dict[int, int]]:
+    """num/den over F_p, sides {t-exponent: int mod p} with den nonzero, in
+    the form a fraction of t takes: den's lowest term 1*t^0 and, while both
+    sides span at most _REDUCE_SPAN powers of t, no common factor.  Sides
+    already in that form are returned as they are, the same dicts."""
+    if not num:
+        return {}, {0: 1}
+    e0 = min(den)
+    c0 = den[e0]
+    if e0 or c0 != 1:
+        inv = pow(c0, p - 2, p)
+        num = {e - e0: c * inv % p for e, c in num.items()}
+        den = {e - e0: c * inv % p for e, c in den.items()}
+    if len(den) == 1:
+        return num, den
+    nlo, nhi = min(num), max(num)
+    dhi = max(den)
+    if nhi - nlo > _REDUCE_SPAN or dhi > _REDUCE_SPAN:
+        return num, den
+    from . import intpoly
+
+    dn = [0] * (nhi - nlo + 1)
+    for e, c in num.items():
+        dn[e - nlo] = c
+    dd = [0] * (dhi + 1)
+    for e, c in den.items():
+        dd[e] = c
+    g = intpoly.gcd(dn, dd, p)
+    if intpoly.deg(g) == 0:
+        return num, den
+    dn = intpoly.divexact(dn, g, p)
+    dd = intpoly.divexact(dd, g, p)
+    inv = pow(dd[0], p - 2, p)
+    return ({e + nlo: c * inv % p for e, c in enumerate(dn) if c},
+            {e: c * inv % p for e, c in enumerate(dd) if c})
+
+
+def _side_text(side: dict, shift: int, var: str = "t") -> str:
+    # coefficients are ints mod p or field elements, printed in s
     parts = []
     for e in sorted(side, reverse=True):
         c = side[e]
         ee = e + shift
-        cs = str(c.coeffs[0]) if c.ctx.k == 1 else str(c)
+        cs = str(c)
         if "+" in cs:
             cs = f"({cs})"
         if ee == 0:
@@ -264,19 +301,26 @@ def _side_text(side: dict[int, FF], shift: int, var: str = "t") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def to_text(a: RatFun) -> str:
-    """Grammar-compatible text (plain t-polynomials, M = 1 only)."""
-    if a.M != 1:
-        raise ValueError("text form is defined for exponent denominator 1")
-    if not a.num:
+def fraction_text(num: dict, den: dict) -> str:
+    """Grammar-compatible text of num/den, plain t-polynomial sides whose
+    coefficients are ints mod p or field elements; den is normalised, so a
+    one-term den is 1."""
+    if not num:
         return "0"
-    shift = -min(min(a.num), 0)
-    num_text = _side_text(a.num, shift)
-    if a.den == {0: a.ctx.one} and shift == 0:
+    shift = -min(min(num), 0)
+    num_text = _side_text(num, shift)
+    if len(den) == 1 and shift == 0:
         return num_text
-    den_text = _side_text(a.den, shift)
+    den_text = _side_text(den, shift)
     if " + " in num_text:
         num_text = f"({num_text})"
     if " + " in den_text:
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"
+
+
+def to_text(a: RatFun) -> str:
+    """Grammar-compatible text (plain t-polynomials, M = 1 only)."""
+    if a.M != 1:
+        raise ValueError("text form is defined for exponent denominator 1")
+    return fraction_text(a.num, a.den)

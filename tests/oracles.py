@@ -21,6 +21,11 @@ method became a function that takes the object first):
 - ``cramer_kernel`` back-substitutes from the last pivot, a kernel entry
   by Cramer's rule, and ``cramer_addpol`` divides that vector by its
   content, where ``ore`` starts from 1 at the free column and needs no gcd;
+- ``divided_sides`` divides a stretched lc by lc for every a_i, where
+  ``ore`` builds one chain of lc powers;
+- ``ratfun_coeffs`` builds each a_i as a ``RatFun``, which reduces it, and
+  ``ratfun_rendering`` prints those, sign-folded by ``RatFun`` negation,
+  where ``ore`` and ``cli`` reduce and print the int sides;
 - ``ramifies_at`` is the paper's ramification predicate on a support;
 - ``reference_parse`` is the parser that built a ``RatFun`` per monomial
   and summed them in ``RatFun`` arithmetic, where ``cli`` sums int dicts.
@@ -35,13 +40,13 @@ import re
 from fractions import Fraction
 
 from hahnroot import intpoly
-from hahnroot.cli import _X_DEGREE_LIMIT, ParseError
+from hahnroot.cli import _X_DEGREE_LIMIT, ParseError, _terms_text
 from hahnroot.expand import ExpansionTree, _tied_roots
 from hahnroot.ffield import FF, FieldCtx, field_ctx
 from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
 from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
-from hahnroot.ratfun import RatFun
+from hahnroot.ratfun import RatFun, to_text
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,58 @@ def cramer_addpol(f: Poly) -> AdditivePolynomial:
     # the ray is all that matters
     kernel = _strip_content(cramer_kernel(matrix, divisors, free, p), p)
     return AdditivePolynomial(p, _sides(kernel, shifts, lc, p))
+
+
+def divided_sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) -> dict:
+    # undo the monic model (a_i picks up lc^(p^i)) and the t-power strips,
+    # then normalise the highest nonzero coefficient to 1
+    supported = [i for i in range(len(kernel)) if kernel[i]]
+    top_i = max(supported)
+    sides = {}
+    for i in supported:
+        delta = shifts[top_i] - shifts[i]
+        num = {e + delta: c for e, c in enumerate(kernel[i]) if c}
+        # lc^(p^top) / lc^(p^i) = (lc^(p^(top-i) - 1))^(p^i), folded into the
+        # denominator; the division is by lc itself, not by its p^i-th power
+        lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
+        den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
+        sides[i] = num, {e: c for e, c in enumerate(den_poly) if c}
+    return sides
+
+
+def ratfun_coeffs(P: AdditivePolynomial) -> dict[int, RatFun]:
+    """Each a_i as a ``RatFun``, reduced by its constructor."""
+    ctx = P.ctx
+    return {i: RatFun(ctx, 1, {e: ctx.from_int(c) for e, c in num.items()},
+                      {e: ctx.from_int(c) for e, c in den.items()})
+            for i, (num, den) in P.sides.items()}
+
+
+def _fold_sign(c: RatFun) -> tuple[bool, RatFun]:
+    # render prime-field coefficients in the symmetric range: 2 mod 3 prints as -1
+    p = c.ctx.p
+    if p == 2 or c.is_zero() or c.ctx.k != 1:
+        return False, c
+    lead = c.num[max(c.num)]
+    if lead.coeffs[0] > p // 2:
+        return True, -c
+    return False, c
+
+
+def _signed_text(c: RatFun) -> tuple[bool, str]:
+    """(False, text of c), or (True, text of -c) when c prints as -(-c)."""
+    neg, cc = _fold_sign(c)
+    return neg, to_text(cc)
+
+
+def ratfun_rendering(P: AdditivePolynomial) -> tuple[str, dict[str, str]]:
+    """The "text" and "coeffs" of ``addpol``'s JSON, printed from
+    ``ratfun_coeffs(P)``."""
+    coeffs = ratfun_coeffs(P)
+    signed = {i: _signed_text(a) for i, a in coeffs.items() if not a.is_zero()}
+    text = _terms_text((P.p**i, signed[i]) for i in sorted(signed, reverse=True))
+    return text, {str(i): to_text(coeffs[i]) if neg else body
+                  for i, (neg, body) in sorted(signed.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,80 @@ def test_byte_lanes_reduce_slots_of_every_width():
             assert full == intpoly.trim([(256**w - 1) % p] * n)
 
 
+# -- dot products against sums of products --
+
+# byte lanes throughout at p <= 13; at 61 and 83 until w*(p-1) reaches 256
+# (at 83, from 2496 terms under the lane bound); struct items at 131 and 251
+DOT_PRIMES = [2, 3, 5, 7, 11, 13, 61, 83, 131, 251]
+
+
+def _sum_of_muls(pairs, p):
+    acc = []
+    for a, b in pairs:
+        acc = intpoly.add(acc, intpoly.mul(a, b, p), p)
+    return acc
+
+
+@given(st.sampled_from(DOT_PRIMES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dot_is_the_sum_of_products(p, data):
+    # operands drawn into a pool and pairs drawn from it, so one list may
+    # stand in several pairs and on both sides of one; lengths from empty
+    # through the threshold's 40 schoolbook steps to a few hundred,
+    # coefficients from a seed, so an operand may end in zeros
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    length = st.one_of(st.integers(0, 2), st.integers(3, 12), st.integers(13, 300))
+    pool = [[rng.randrange(p) for _ in range(n)]
+            for n in data.draw(st.lists(length, min_size=1, max_size=6))]
+    index = st.integers(0, len(pool) - 1)
+    pairs = [(pool[i], pool[j]) for i, j in data.draw(st.lists(st.tuples(index, index), max_size=12))]
+    assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p)
+
+
+def _dot_slots(m, p):
+    # (bytes per slot, byte lanes), as _packed_dot chooses them for a sum
+    # of pairs whose shorter operands total m terms
+    w = ((m * (p - 1) ** 2).bit_length() + 7) // 8
+    return w, w * (p - 1) < 256
+
+
+@pytest.mark.parametrize("p", DOT_PRIMES)
+def test_dot_across_its_threshold_slot_widths_and_lanes(p, monkeypatch):
+    packed = _spy(monkeypatch, "_packed_dot")
+    rng = random.Random(p)
+    t = intpoly._DOT_THRESHOLD
+    # operands with no zero terms, whose schoolbook steps average just below
+    # and at the threshold of 40 per pair, and a stretched one, whose zeros
+    # the schoolbook loop skips
+    for shape in ([(6, 6)], [(5, 8)], [(6, 6), (6, 7)], [(6, 6), (5, 9)], [(1, 300), (2, 3)]):
+        pairs = [([rng.randrange(1, p) for _ in range(na)], [rng.randrange(1, p) for _ in range(nb)])
+                 for na, nb in shape]
+        before = len(packed)
+        assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p)
+        assert len(packed) - before == (sum(na * nb for na, nb in shape) >= t * len(shape))
+    stretched = [0] * 10
+    stretched[::3] = [rng.randrange(1, p) for _ in range(4)]
+    before = len(packed)
+    pairs = [(stretched, _rand(rng, 8, p))]
+    assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p) and len(packed) == before
+    # up to five pairs whose shorter operands total m terms, on both sides
+    # of each m where the slot grows a byte or the lanes give way to struct
+    # items, through dot and, where dot would not pack them, packed
+    limits = {m for m in range(1, 3000) if _dot_slots(m, p) != _dot_slots(m + 1, p)}
+    assert limits
+    seen = set()
+    for m in sorted(limits | {lim + 1 for lim in limits}):
+        k = min(m, 5)
+        pairs = [(_rand(rng, n, p), _rand(rng, n + 7, p)) for n in (m // k + (i < m % k) for i in range(k))]
+        pairs[0] = pairs[0][::-1]
+        oracle = _sum_of_muls(pairs, p)
+        assert intpoly.dot(pairs, p) == intpoly._packed_dot(pairs, p) == oracle, m
+        seen.add(_dot_slots(m, p))
+    assert len({w for w, _ in seen}) >= 2
+    if p == 83:
+        assert {lanes for _, lanes in seen} == {True, False}
+
+
 @pytest.mark.parametrize("p", BYTE_PRIMES)
 def test_add_sub_neg_scal_across_the_byte_threshold(p):
     rng = random.Random(p)

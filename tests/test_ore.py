@@ -1,19 +1,21 @@
 import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnroot.cli import Command, additive_text, parse_polynomial, run
+from hahnroot import intpoly
+from hahnroot.cli import Command, additive_text, parse_polynomial, poly_text, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import Poly, evaluate
-from hahnroot.ore import _echelon, _frobenius_step, _frobenius_table, addpol, is_additive
+from hahnroot.ore import _echelon, _frobenius_step, _frobenius_table, _kernel, addpol, is_additive
 from hahnroot.intpoly import deg, divmod_, gcd, trim
 from hahnroot.ratfun import _REDUCE_SPAN, RatFun, to_text
 from invariants import divides
-from oracles import (cramer_addpol, cramer_kernel, frobenius_residue, from_int_coeffs, poly_mul,
-                     t_power, to_poly)
+from oracles import (cramer_addpol, cramer_kernel, divided_sides, frobenius_residue, from_int_coeffs,
+                     poly_mul, ratfun_coeffs, ratfun_rendering, t_power, to_poly)
 
 
 F2 = field_ctx(2)
@@ -197,7 +199,7 @@ def test_companion_degree_limit():
     assert addpol(parse_polynomial("X - t", big)).support == [0, 1]
 
 
-@pytest.mark.parametrize("p, text, companion", [
+_EDGE_INPUTS = [
     (3, 'X^9 - t', 'X^27 - t^2*X^9'),
     (2, 'X^2 + t^2', 'X^4 + t^2*X^2'),
     (3, 'X^2 + 2*t*X + t^2', 'X^9 - t^6*X^3'),
@@ -219,12 +221,70 @@ def test_companion_degree_limit():
     (3, 't*X^3 + X', 'X^3 + 1/t*X'),
     (2, '(t + 1)*X^3 + t*X + 1/t', 'X^4 + t/(t + 1)*X^2 + 1/(t^2 + t)*X'),
     (2, 't^3*X^2 + (t^2 + t)*X + 1/(t + 1)', 'X^4 + (t^3 + t^2 + 1)/(t^5 + t^4)*X^2 + 1/t^5*X'),
-])
+]
+
+
+@pytest.mark.parametrize("p, text, companion", _EDGE_INPUTS)
 def test_companion_text_pinned_on_edge_inputs(p, text, companion):
     # inseparable inputs, squares, powers of X, t-scaled inputs and leading
     # coefficients in t: free columns below n, pivots divisible by t and
     # kernels whose free entry is a unit or a power of t
     assert additive_text(addpol(parse_polynomial(text, p))) == companion
+
+
+# the low a_i of these companions span more than _REDUCE_SPAN = 1024 powers
+# of t and stay as built, their high a_i less, and those are gcd-reduced; in
+# the second, a_9's denominator spans exactly 1024
+_SPAN_INPUTS = [(3, "(t^2+1)*X^6 + t*X^5 + X + 1/t"), (2, "(t^2+t+1)*X^10 + t*X^9 + X + 1/t")]
+
+
+@pytest.mark.parametrize("fs", [
+    corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4),
+    corpus(seed=20260810, count=30, ps=(5, 7), max_deg=4),
+    [parse_polynomial(f"X^{n} + t*X^{n - 1} + X + 1/t", p) for p, n in ((2, 9), (3, 6), (5, 4), (11, 3))],
+    [parse_polynomial(text, p) for p, text, _ in _EDGE_INPUTS] + [parse_polynomial(text, p) for p, text in _SPAN_INPUTS],
+], ids=["acceptance", "p5_p7", "ladder", "edge_and_span"])
+def test_int_coefficients_and_text_equal_the_ratfun_route(fs):
+    # P's reduced int sides, its coeffs and addpol's "text" and "coeffs",
+    # printed from those sides, against RatFun's constructor, negation and
+    # to_text; P's sides against one lc division per a_i.  f is the
+    # polynomial the request's text parses to
+    for f in fs:
+        text = poly_text(f)
+        f = parse_polynomial(text, f.ctx.p)
+        P = addpol(f)
+        p, lc, shifts, matrix, divisors, free = _echelon(f)
+        assert P.sides == divided_sides(_kernel(matrix, divisors, free, p), shifts, lc, p)
+        ref = ratfun_coeffs(P)
+        assert P.reduced == {i: ({e: c.coeffs[0] for e, c in a.num.items()},
+                                 {e: c.coeffs[0] for e, c in a.den.items()}) for i, a in ref.items()}
+        assert {i: (a.num, a.den) for i, a in P.coeffs.items()} == {i: (a.num, a.den) for i, a in ref.items()}
+        code, out = run(Command("addpol", p, text, fmt="json"))
+        assert code == 0
+        additive, coeffs = ratfun_rendering(P)
+        assert json.loads(out)["additive"] == {"text": additive, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize("p, text", _SPAN_INPUTS)
+def test_reduction_runs_on_one_side_of_the_span_limit(p, text, monkeypatch):
+    # one gcd per a_i whose two sides span at most _REDUCE_SPAN powers of t,
+    # none for the rest, which are only normalised
+    P = addpol(parse_polynomial(text, p))
+    within = [i for i, (num, den) in P.sides.items() if len(den) > 1
+              and max(num) - min(num) <= _REDUCE_SPAN and max(den) - min(den) <= _REDUCE_SPAN]
+    beyond = [i for i, (num, den) in P.sides.items()
+              if max(num) - min(num) > _REDUCE_SPAN or max(den) - min(den) > _REDUCE_SPAN]
+    assert within and beyond
+    calls = []
+    gcd_ = intpoly.gcd
+    monkeypatch.setattr(intpoly, "gcd", lambda *args: calls.append(args) or gcd_(*args))
+    reduced = P.reduced
+    assert len(calls) == len(within)
+    for i in beyond:
+        num, den = P.sides[i]
+        e0, inv = min(den), pow(den[min(den)], p - 2, p)
+        assert reduced[i] == ({e - e0: c * inv % p for e, c in num.items()},
+                              {e - e0: c * inv % p for e, c in den.items()})
 
 
 # the differential test keeps p^n at most 5^5, where the oracle's content
