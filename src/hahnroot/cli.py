@@ -17,7 +17,7 @@ from fractions import Fraction
 from .ffield import FieldCtx, field_ctx
 from .hahn import series_text
 from .hasse import INF, MAX_DIGITS, Poly
-from .ratfun import RatFun, fraction_text
+from .ratfun import RatFun, fraction_text, to_text
 
 # ``expand``, ``ore`` and ``envelope`` are imported inside the verbs that run
 # them, so that a process loads only its verb's modules.  ``run`` reaches
@@ -263,11 +263,17 @@ def parse_polynomial(text: str, p: int) -> Poly:
 # Printing.
 
 
+def _folds(lead: int, p: int) -> bool:
+    # coefficients print in the symmetric range: a fraction whose leading
+    # numerator coefficient is lead, an int mod p, prints negated when lead
+    # exceeds p // 2, so 2 mod 3 prints as -1
+    return p != 2 and lead > p // 2
+
+
 def _signed_text(num: dict[int, int], den: dict[int, int], p: int) -> tuple[bool, str]:
     """(False, text of num/den), or (True, text of -(num/den)) when the
-    fraction prints as its negation: its sides, {t-exponent: int mod p}, are
-    shown in the symmetric range, so 2 mod 3 prints as -1."""
-    if p != 2 and num[max(num)] > p // 2:
+    fraction, sides {t-exponent: int mod p}, prints as its negation."""
+    if _folds(num[max(num)], p):
         return True, fraction_text({e: p - c for e, c in num.items()}, den)
     return False, fraction_text(num, den)
 
@@ -295,10 +301,13 @@ def _terms_text(terms) -> str:
 
 def poly_text(f: Poly) -> str:
     """Canonical text of f, round-trippable through parse_polynomial."""
-    coeffs = ((i, f.coeffs[i]) for i in range(f.degree, -1, -1))
-    return _terms_text((i, _signed_text({e: x.coeffs[0] for e, x in c.num.items()},
-                                        {e: x.coeffs[0] for e, x in c.den.items()}, c.ctx.p))
-                       for i, c in coeffs if not c.is_zero())
+    terms = []
+    for i in range(f.degree, -1, -1):
+        c = f.coeffs[i]
+        if c.num:
+            neg = c.ctx.k == 1 and _folds(c.num[max(c.num)].coeffs[0], c.ctx.p)
+            terms.append((i, (neg, to_text(-c if neg else c))))
+    return _terms_text(terms)
 
 
 def _additive_rendering(P: ore.AdditivePolynomial) -> tuple[str, dict[int, tuple[bool, str]]]:

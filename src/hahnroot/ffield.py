@@ -174,6 +174,8 @@ class FieldCtx:
 def _coeffs_text(coeffs: tuple[int, ...]) -> str:
     """The polynomial in s with these ascending coefficients, highest power
     first: an element's text and a modulus's."""
+    if len(coeffs) == 1:
+        return str(coeffs[0])
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]

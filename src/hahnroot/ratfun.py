@@ -284,7 +284,7 @@ def reduced_t_sides(num: dict[int, int], den: dict[int, int], p: int) -> tuple[d
 
 
 def _side_text(side: dict, shift: int, var: str = "t") -> str:
-    # coefficients are ints mod p or field elements, printed in s
+    # coefficients are ints mod p or field elements, printed with str
     parts = []
     for e in sorted(side, reverse=True):
         c = side[e]

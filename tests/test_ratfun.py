@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hahnroot import intpoly
 from hahnroot.ffield import field_ctx
-from hahnroot.ratfun import _REDUCE_SPAN, RatFun, _side_text, to_text
+from hahnroot.ratfun import _REDUCE_SPAN, RatFun, _side_text, fraction_text, to_text
 from oracles import laurent_terms, leading_term, t_power
 
 
@@ -149,6 +149,18 @@ def test_side_text_prints_prime_and_extension_coefficients():
         side = {e: c for e, c in enumerate(elems)}
         for shift in (0, 1, 3):
             assert _side_text(side, shift) == _side_text_via_str(side, shift)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fraction_text_prints_int_sides_as_their_field_elements(p, data):
+    # the companion prints int sides, and the parser's RatFuns field
+    # elements; a fraction and its negation print alike either way
+    a = data.draw(ratfuns(p, max_exp=6))
+    for b in (a, -a):
+        num = {e: c.coeffs[0] for e, c in b.num.items()}
+        den = {e: c.coeffs[0] for e, c in b.den.items()}
+        assert fraction_text(num, den) == to_text(b)
 
 
 def test_repr_renders_fractional_exponent_groups():
