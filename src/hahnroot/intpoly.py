@@ -11,27 +11,29 @@ gcd by the half-gcd reduction. Below them the schoolbook loops run. A
 ``Divisor`` divides many polynomials by one, computing that series inverse
 once.
 
-``dot`` sums products a*b over many pairs by one Kronecker substitution:
-each distinct operand is packed once, the big-int products are summed, and
-the sum is unpacked and reduced once, so a sum of k products costs one
-unpacking, not k, and no polynomial additions.  Below a size threshold it
-sums schoolbook products as ints and reduces once.
+``dot`` is the one product kernel: it sums a*b over any number of pairs.
+``mul`` is ``dot`` of one pair once a constant factor has been ruled out,
+and each entry of a half-gcd matrix product is ``dot`` of two pairs.  One
+rule, in schoolbook steps per pair plus one, decides for one pair and for
+many whether to pack.  Packed, each distinct operand is evaluated at a
+power of two once, the big-int products are summed, and the sum is
+unpacked and reduced once, so a sum of k products costs one unpacking, not
+k, and no polynomial additions.
 
 Over small primes the long paths run on byte strings, one byte per
 coefficient, with no per-coefficient Python loop. A Kronecker slot is
 exactly as many bytes wide as its bound needs. Where w-byte slots have
 w*(p-1) < 256 (p <= 61 up to 4-byte slots, p <= 83 up to 3 bytes, every
-p <= 31 up to 8), the product or dot product is read back one byte lane at
-a time through ``bytes.translate`` tables, the lanes summed as big ints
-with no carry; every other one packs struct items and reduces each slot in
-Python.
-``neg`` and ``scal`` (p < 256) are one translate; ``add`` and ``sub``, for
-p <= 128, one big-int sum of byte strings and one translate.
+p <= 31 up to 8), the sum of products is read back one byte lane at a time
+through ``bytes.translate`` tables, the lanes summed as big ints with no
+carry; every other one packs struct items and reduces each slot in Python.
+``neg`` and ``scal`` (p < 256) are one translate; ``sub``, for p <= 128,
+one big-int sum of byte strings and one translate.
 
 The fast paths reach ``mul`` and ``divmod_`` through the module globals, so
-a wrapper installed on those names sees every product that ``dot`` does
-not sum and every division that does not go through a ``Divisor``'s own
-inverse.
+a wrapper installed on those names sees every product but the sums passed
+to ``dot`` directly, and every division that does not go through a
+``Divisor``'s own inverse.
 """
 
 from __future__ import annotations
@@ -57,19 +59,6 @@ def _strip(out: list[int]) -> list[int]:
 
 def deg(a: list[int]) -> int:
     return len(a) - 1
-
-
-def add(a: list[int], b: list[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    n = len(b)
-    if n >= _BYTE_THRESHOLD and p <= 128:
-        out = _byte_sum(a[:n], bytearray(b), p) + a[n:]
-    else:
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-    return _strip(out)
 
 
 def neg(a: list[int], p: int) -> list[int]:
@@ -102,18 +91,19 @@ def scal(a: list[int], c: int, p: int) -> list[int]:
 
 
 # From this length on, and when every coefficient fits in a byte (p < 256),
-# neg and scal map bytes through one translate table.  add and sub also need
-# a sum of two coefficients to fit, p <= 128: they add byte strings as big
-# ints, no byte carrying, and reduce the sum by one more table.
+# neg and scal map bytes through one translate table.  sub also needs a sum
+# of two coefficients to fit, p <= 128: it adds byte strings as big ints, no
+# byte carrying, and reduces the sum by one more table.
 _BYTE_THRESHOLD = 64
-# below this combined length, schoolbook multiplication beats packing
-_PACK_THRESHOLD = 48
-# a dot product packs its operands once the schoolbook products would take
-# this many steps per pair, nonzero terms of a times terms of b (a stretched
-# a skips its zeros): measured over 1 to 5 pairs at p = 2, 3, 7 and 13,
-# dense and stretched, the two cost the same between 36 and 48 steps, and
-# packing is 40% faster at 64 and twice as fast at 100
-_DOT_THRESHOLD = 40
+# every product, one pair or many, packs its operands once the schoolbook
+# steps (nonzero terms of a times terms of b; a stretched a skips its zeros)
+# reach this many per pair and one more: the per-call term is the packing's
+# fixed cost.  On dense and stretched operands at p = 2 to 131 the two paths
+# cost the same at about 45, 65, 90, 125 and 180 steps for 1, 2, 3, 5 and 8
+# pairs; on the product calls of companion-ladder, verbs-mix and three
+# towers without tables, whose operands are often sparse, the total time is
+# least from 28 to 32
+_DOT_THRESHOLD = 30
 # from this divisor degree on, a schoolbook step updates one slice at a time
 _SLICE_THRESHOLD = 24
 # Newton division from this many quotient terms, once the schoolbook work is
@@ -167,14 +157,13 @@ def _pack(a: list[int], w: int, code: str | None) -> int:
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
 
 
-def _packed_dot(pairs, p: int) -> list[int]:
-    # Kronecker substitution of a whole sum: each distinct operand list
-    # evaluated at 2^(8w) once, the big-int products summed, and the sum's
-    # coefficients read back out of its bytes once.  A coefficient of the
-    # integer sum is at most sum(min(len a, len b)) (p-1)^2, which w bytes
-    # hold, so no slot carries into the next
-    n = max(len(a) + len(b) for a, b in pairs) - 1
-    w = ((sum(min(len(a), len(b)) for a, b in pairs) * (p - 1) * (p - 1)).bit_length() + 7) // 8
+def _packed_dot(pairs, n: int, bound: int, p: int) -> list[int]:
+    # Kronecker substitution of a whole sum of nonempty pairs: each distinct
+    # operand list evaluated at 2^(8w) once, the big-int products summed,
+    # and the sum's n coefficients read back out of its bytes once.  No
+    # coefficient of the integer sum exceeds bound, which w bytes hold, so
+    # no slot carries into the next
+    w = (bound.bit_length() + 7) // 8
     code = None
     if w * (p - 1) >= 256:
         # where a lane sum could carry, the slots are read in Python: as
@@ -192,53 +181,48 @@ def _packed_dot(pairs, p: int) -> list[int]:
     return _strip([v % p for v in vals])
 
 
-def _packed_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    return _packed_dot(((a, b),), p)
-
-
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) + len(b) >= _PACK_THRESHOLD:
-        # a constant factor only scales the other
-        if len(b) == 1:
-            return scal(a, b[0], p)
-        if len(a) == 1:
-            return scal(b, a[0], p)
-        return _packed_mul(a, b, p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _strip(out)
+    # a constant factor only scales the other
+    if len(b) == 1:
+        return scal(a, b[0], p)
+    if len(a) == 1:
+        return scal(b, a[0], p)
+    return dot(((a, b),), p)
 
 
 def dot(pairs, p: int) -> list[int]:
-    """The sum of a*b over the sequence of pairs (a, b), reduced once: by
-    Kronecker substitution, each distinct operand packed once, from
-    _DOT_THRESHOLD schoolbook steps per pair on, and by schoolbook products
-    summed as ints below it."""
-    work = count = n = 0
-    for a, b in pairs:
-        if a and b:
-            count += 1
-            work += (len(a) - a.count(0)) * len(b)
-            if len(a) + len(b) > n:
-                n = len(a) + len(b)
-    if not count:
+    """The sum of a*b over the sequence of pairs (a, b), reduced mod p.
+
+    One pass over the pairs keeps those whose product is not plainly zero
+    and counts their schoolbook steps, nonzero terms of a times terms of b.
+    From _DOT_THRESHOLD * (pairs + 1) steps on, the sum is one Kronecker
+    substitution, each distinct operand packed once; below that, the
+    schoolbook loop skips zero terms and reduces each step."""
+    live = []
+    work = m = n = 0
+    for pair in pairs:
+        a, b = pair
+        na, nb = len(a), len(b)
+        steps = (na - a.count(0)) * nb
+        if steps:
+            live.append(pair)
+            work += steps
+            m += na if na < nb else nb
+            if na + nb > n:
+                n = na + nb
+    if not live:
         return []
-    if work >= _DOT_THRESHOLD * count:
-        return _packed_dot([(a, b) for a, b in pairs if a and b], p)
+    if work >= _DOT_THRESHOLD * (len(live) + 1):
+        # a coefficient of the integer sum is at most m (p-1)^2
+        return _packed_dot(live, n - 1, m * (p - 1) * (p - 1), p)
     out = [0] * (n - 1)
-    for a, b in pairs:
-        if b:
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-    return _strip([c % p for c in out])
+    for a, b in live:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] = (out[j] + x * y) % p
+    return _strip(out)
 
 
 def _series_inverse(h: list[int], m: int, p: int, g: list[int] | None = None) -> list[int]:
@@ -391,17 +375,14 @@ _IDENTITY = ([1], [], [], [1])
 
 def _mat_apply(M, a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     m00, m01, m10, m11 = M
-    return (add(mul(m00, a, p), mul(m01, b, p), p),
-            add(mul(m10, a, p), mul(m11, b, p), p))
+    return dot(((m00, a), (m01, b)), p), dot(((m10, a), (m11, b)), p)
 
 
 def _mat_mul(M, N, p: int):
     m00, m01, m10, m11 = M
     n00, n01, n10, n11 = N
-    return (add(mul(m00, n00, p), mul(m01, n10, p), p),
-            add(mul(m00, n01, p), mul(m01, n11, p), p),
-            add(mul(m10, n00, p), mul(m11, n10, p), p),
-            add(mul(m10, n01, p), mul(m11, n11, p), p))
+    return (dot(((m00, n00), (m01, n10)), p), dot(((m00, n01), (m01, n11)), p),
+            dot(((m10, n00), (m11, n10)), p), dot(((m10, n01), (m11, n11)), p))
 
 
 def _euclid_step(M, a: list[int], b: list[int], p: int):

@@ -167,23 +167,15 @@ def _valuation_strip(vec: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def _strip_content(vec: list[list[int]], p: int) -> list[list[int]]:
-    # f's cleared coefficients divided by the monic gcd of their nonzero
-    # entries, a few terms each: the shortest entry is the first candidate,
-    # and one division of every entry by it, through one shared inverse,
-    # both tests it and gives the quotients.  Each nonzero remainder r
-    # replaces the candidate c by gcd(c, r), which the content still
-    # divides, and the divisions run again.
-    content = intpoly.monic(min((entry for entry in vec if entry), key=len), p)
-    while intpoly.deg(content) > 0:
-        results = intpoly.Divisor(content, p).divmod_all(vec)
-        rems = sorted((r for _, r in results if r), key=len)
-        if not rems:
-            return [q for q, _ in results]
-        for r in rems:
-            content = intpoly.gcd(content, r, p)
-            if intpoly.deg(content) == 0:
-                break
-    return vec
+    # f's cleared coefficients, a few terms each, divided by the monic gcd
+    # of their nonzero entries: the gcd folds in from the shortest entry
+    # on, and a constant gcd leaves the entries as they are
+    content: list[int] = []
+    for entry in sorted(filter(None, vec), key=len):
+        content = intpoly.gcd(content, entry, p)
+        if intpoly.deg(content) == 0:
+            return vec
+    return intpoly.Divisor(content, p).divexact_all(vec)
 
 
 def _frobenius_table(g: list[list[int]], p: int) -> list[list[list[int]]]:

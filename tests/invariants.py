@@ -35,7 +35,7 @@ from hahnroot.envelope import Breakpoint, companion_points, maxexp_base, maxram
 from hahnroot.expand import ExpansionTree, expand_roots
 from hahnroot.hasse import INF, Poly
 from hahnroot.ore import AdditivePolynomial
-from oracles import edges, ramifies_at
+from oracles import add, edges, ramifies_at
 
 
 def strip_p(n: int, p: int) -> int:
@@ -121,7 +121,7 @@ def divides(f: Poly, P: AdditivePolynomial) -> bool:
         prod = [[] for _ in range(len(u) + len(v) - 1)]
         for i, a in enumerate(u):
             for j, b in enumerate(v):
-                prod[i + j] = intpoly.add(prod[i + j], tmul(a, b), p)
+                prod[i + j] = add(prod[i + j], tmul(a, b), p)
         return reduce(prod)
 
     # residues[i] = Y^(p^i) mod g, each the p-th power of the one before
@@ -133,7 +133,7 @@ def divides(f: Poly, P: AdditivePolynomial) -> bool:
     for i, a in zip(support, _cleared([P.sides[i] for i in support], p)):
         a = tmul(a, _power(c, p**top - p**i, tmul, [1]))
         for k, entry in enumerate(residues[i]):
-            total[k] = intpoly.add(total[k], tmul(a, entry), p)
+            total[k] = add(total[k], tmul(a, entry), p)
     return not any(total)
 
 

@@ -4,6 +4,9 @@ None of this runs in a request.  Each function was a method or function of
 the module named in its section, moved here with its body unchanged (a
 method became a function that takes the object first):
 
+- ``add`` sums two coefficient lists in the plain loop that was the short
+  path of ``intpoly.add``, where the kernel adds only inside ``dot``'s
+  sums of products;
 - ``approximation_terms`` finds a node's valuation-raising steps from
   scratch (``taylor_at``), where the engine shifts Taylor data;
 - ``hasse_derivative``, ``newton_data`` and ``gamma_J`` give Taylor data,
@@ -47,6 +50,19 @@ from hahnroot.hahn import HahnSeries, prime_exponent
 from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
 from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
 from hahnroot.ratfun import RatFun, to_text
+
+
+# ---------------------------------------------------------------------------
+# intpoly
+
+
+def add(a: list[int], b: list[int], p: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return intpoly.trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +260,7 @@ def cramer_kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor 
         acc: list[int] = []
         for col in range(row + 1, free + 1):
             if matrix[row][col] and kernel[col]:
-                acc = intpoly.add(acc, intpoly.mul(matrix[row][col], kernel[col], p), p)
+                acc = add(acc, intpoly.mul(matrix[row][col], kernel[col], p), p)
         acc = intpoly.neg(acc, p)
         kernel[row] = divisors[row].divexact_all([acc])[0] if divisors[row] else acc
     return kernel

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot import intpoly
+from oracles import add
 
 
 def _schoolbook(a, b, p):
@@ -41,7 +42,7 @@ def test_divmod_inverts_mul(p, data):
     if not b:
         return
     q, r = intpoly.divmod_(a, b, p)
-    assert intpoly.add(intpoly.mul(q, b, p), r, p) == a
+    assert add(intpoly.mul(q, b, p), r, p) == a
     assert intpoly.deg(r) < intpoly.deg(b)
 
 
@@ -101,16 +102,40 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _dense(rng, n, p):
+    # n terms, none of them zero, so a product's schoolbook steps are na * nb
+    return [rng.randrange(1, p) for _ in range(n)]
+
+
+def _rule_shapes(t):
+    # (na, nb) just below and at the one-pair rule, 2 * _DOT_THRESHOLD steps
+    return [(na, nb) for na in (2, 3, 7) for nb in (-(-2 * t // na) - 1, -(-2 * t // na))]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_mul_matches_schoolbook_across_the_packing_threshold(p, monkeypatch):
     rng = random.Random(p)
-    packed = _spy(monkeypatch, "_packed_mul")
-    t = intpoly._PACK_THRESHOLD
-    for na, nb in ((1, t - 2), (1, t - 1), (t // 2 - 1, t // 2), (t // 2, t // 2),
-                   (3, 200), (150, 170)):
-        a, b = _rand(rng, na, p), _rand(rng, nb, p)
+    packed = _spy(monkeypatch, "_packed_dot")
+    t = intpoly._DOT_THRESHOLD
+    for na, nb in _rule_shapes(t) + [(3, 200), (150, 170)]:
+        a, b = _dense(rng, na, p), _dense(rng, nb, p)
+        before = len(packed)
         assert intpoly.mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
-    assert packed
+        assert len(packed) - before == 2 * (na * nb >= 2 * t), (na, nb)
+    # a constant, [0] and empty operands never pack; untrimmed operands
+    # give the trimmed product, on both sides of the rule
+    long = _dense(rng, 4 * t, p)
+    before = len(packed)
+    for c in ([1], [p - 1], [rng.randrange(1, p)]):
+        assert intpoly.mul(c, long, p) == _schoolbook(c, long, p) == intpoly.mul(long, c, p)
+    for z in ([0], []):
+        assert intpoly.mul(z, long, p) == [] == intpoly.mul(long, z, p)
+    assert intpoly.mul([], [], p) == [] == intpoly.mul([0], [0], p)
+    assert len(packed) == before
+    for na, nb in ((2, 3), (20, 30)):
+        a, b = _dense(rng, na, p), _dense(rng, nb, p)
+        assert intpoly.mul(a + [0, 0], b + [0], p) == _schoolbook(a, b, p) == intpoly.mul(b + [0], a + [0, 0], p)
+    assert len(packed) == before + 2
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -147,7 +172,7 @@ def test_divexact_raises_on_the_newton_path(p, monkeypatch):
     exact = intpoly.mul(_rand(rng, n + 3, p), b, p)
     for off in ([1], [0] * (n - 1) + [1]):
         with pytest.raises(ArithmeticError):
-            intpoly.divexact(intpoly.add(exact, off, p), b, p)
+            intpoly.divexact(add(exact, off, p), b, p)
     assert newton
 
 
@@ -169,7 +194,7 @@ def test_shared_inverse_divides_like_divexact(p, data):
         nums = [intpoly.mul(q, b, p) for q in quotients]
         assert d.divexact_all(nums) == [intpoly.divexact(a, b, p) for a in nums] == quotients
         assert d.divmod_all(nums) == [intpoly.divmod_(a, b, p) for a in nums]
-    off = intpoly.add(nums[-1], [1], p)
+    off = add(nums[-1], [1], p)
     assert d.divmod_all([off]) == [intpoly.divmod_(off, b, p)]
     if len(b) > 1:
         with pytest.raises(ArithmeticError):
@@ -231,9 +256,9 @@ def test_add_and_sub_of_unequal_lengths(p):
     rng = random.Random(p)
     for na, nb in ((0, 3), (3, 0), (2, 7), (7, 2), (5, 5)):
         a, b = _rand(rng, na, p), _rand(rng, nb, p)
-        s = intpoly.add(a, b, p)
+        s = add(a, b, p)
         assert intpoly.sub(s, b, p) == intpoly.trim(a)
-        assert intpoly.sub(a, a, p) == [] and intpoly.add(a, intpoly.neg(a, p), p) == []
+        assert intpoly.sub(a, a, p) == [] and add(a, intpoly.neg(a, p), p) == []
 
 
 # -- the byte-string kernels against plain loops --
@@ -241,21 +266,31 @@ def test_add_and_sub_of_unequal_lengths(p):
 BYTE_PRIMES = [2, 3, 7, 11, 31, 127, 131, 251, 257, 65537, 2**61 - 1]
 
 
-def _slot_width(na, nb, p):
-    # bytes per Kronecker slot, as _packed_mul chooses them
-    return ((min(na, nb) * (p - 1) ** 2).bit_length() + 7) // 8
+def _slot_path(m, p):
+    # (bytes per slot, path) as _packed_dot chooses them for a sum whose
+    # shorter operands total m terms: byte lanes, struct items up to 8
+    # bytes, one int.to_bytes per slot above
+    w = ((m * (p - 1) ** 2).bit_length() + 7) // 8
+    return w, "lanes" if w * (p - 1) < 256 else "struct" if w <= 8 else "to_bytes"
 
 
-def test_packed_mul_matches_schoolbook_at_every_slot_width():
-    # 2^24 + 43 and 2^28 + 3 give the 7- and 8-byte slots
-    widths = set()
+def test_packed_mul_matches_schoolbook_at_every_slot_width(monkeypatch):
+    # 2^24 + 43 and 2^28 + 3 give the 7- and 8-byte slots; every shape but
+    # the one below the rule packs through mul
+    packed = _spy(monkeypatch, "_packed_dot")
+    t = intpoly._DOT_THRESHOLD
+    seen = set()
     for p in BYTE_PRIMES + [16777259, 268435459]:
         rng = random.Random(p)
-        for na, nb in ((1, 60), (3, 400), (8, 300), (40, 2000), (300, 400)):
-            a, b = _rand(rng, na, p), _rand(rng, nb, p)
-            assert intpoly._packed_mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
-            widths.add(_slot_width(na, nb, p))
-    assert widths >= set(range(1, 9))
+        for na, nb in ((2, t - 1), (2, t), (3, 400), (8, 300), (40, 2000), (300, 400)):
+            a, b = _dense(rng, na, p), _dense(rng, nb, p)
+            before = len(packed)
+            assert intpoly.mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
+            assert len(packed) - before == 2 * (na * nb >= 2 * t), (p, na, nb)
+            if na * nb >= 2 * t:
+                seen.add(_slot_path(min(na, nb), p))
+    assert {w for w, _ in seen} >= set(range(1, 9))
+    assert {path for _, path in seen} == {"lanes", "struct", "to_bytes"}
 
 
 def test_byte_lanes_reduce_slots_of_every_width():
@@ -281,10 +316,11 @@ def test_byte_lanes_reduce_slots_of_every_width():
 DOT_PRIMES = [2, 3, 5, 7, 11, 13, 61, 83, 131, 251]
 
 
-def _sum_of_muls(pairs, p):
+def _sum_of_schoolbook(pairs, p):
     acc = []
     for a, b in pairs:
-        acc = intpoly.add(acc, intpoly.mul(a, b, p), p)
+        if a and b:
+            acc = add(acc, _schoolbook(a, b, p), p)
     return acc
 
 
@@ -301,7 +337,7 @@ def test_dot_is_the_sum_of_products(p, data):
             for n in data.draw(st.lists(length, min_size=1, max_size=6))]
     index = st.integers(0, len(pool) - 1)
     pairs = [(pool[i], pool[j]) for i, j in data.draw(st.lists(st.tuples(index, index), max_size=12))]
-    assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p)
+    assert intpoly.dot(pairs, p) == _sum_of_schoolbook(pairs, p)
 
 
 def _dot_slots(m, p):
@@ -316,20 +352,27 @@ def test_dot_across_its_threshold_slot_widths_and_lanes(p, monkeypatch):
     packed = _spy(monkeypatch, "_packed_dot")
     rng = random.Random(p)
     t = intpoly._DOT_THRESHOLD
-    # operands with no zero terms, whose schoolbook steps average just below
-    # and at the threshold of 40 per pair, and a stretched one, whose zeros
-    # the schoolbook loop skips
-    for shape in ([(6, 6)], [(5, 8)], [(6, 6), (6, 7)], [(6, 6), (5, 9)], [(1, 300), (2, 3)]):
-        pairs = [([rng.randrange(1, p) for _ in range(na)], [rng.randrange(1, p) for _ in range(nb)])
-                 for na, nb in shape]
-        before = len(packed)
-        assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p)
-        assert len(packed) - before == (sum(na * nb for na, nb in shape) >= t * len(shape))
+    # k pairs of operands with no zero terms whose schoolbook steps total
+    # just below and at the rule, t * (k + 1); pairs with an empty or a zero
+    # operand do not count
+    for k in (1, 2, 3, 5):
+        for steps in ((k + 1) * t - 1, (k + 1) * t):
+            q = steps // (2 * k)
+            shape = [(2, q)] * (k - 1) + [(1, steps - 2 * q * (k - 1))]
+            pairs = [(_dense(rng, na, p), _dense(rng, nb, p)) for na, nb in shape]
+            pairs += [([], _dense(rng, 5, p)), ([0, 0], _dense(rng, 9, p))]
+            before = len(packed)
+            assert intpoly.dot(pairs, p) == _sum_of_schoolbook(pairs, p), shape
+            assert len(packed) - before == (steps >= (k + 1) * t), shape
+    # a stretched operand, whose zeros the schoolbook loop skips: its
+    # nonzero terms stay below the rule, its length reaches it
+    nb = -(-2 * t // 10)
+    assert 4 * nb < 2 * t <= 10 * nb
     stretched = [0] * 10
     stretched[::3] = [rng.randrange(1, p) for _ in range(4)]
     before = len(packed)
-    pairs = [(stretched, _rand(rng, 8, p))]
-    assert intpoly.dot(pairs, p) == _sum_of_muls(pairs, p) and len(packed) == before
+    pairs = [(stretched, _rand(rng, nb, p))]
+    assert intpoly.dot(pairs, p) == _sum_of_schoolbook(pairs, p) and len(packed) == before
     # up to five pairs whose shorter operands total m terms, on both sides
     # of each m where the slot grows a byte or the lanes give way to struct
     # items, through dot and, where dot would not pack them, packed
@@ -340,8 +383,9 @@ def test_dot_across_its_threshold_slot_widths_and_lanes(p, monkeypatch):
         k = min(m, 5)
         pairs = [(_rand(rng, n, p), _rand(rng, n + 7, p)) for n in (m // k + (i < m % k) for i in range(k))]
         pairs[0] = pairs[0][::-1]
-        oracle = _sum_of_muls(pairs, p)
-        assert intpoly.dot(pairs, p) == intpoly._packed_dot(pairs, p) == oracle, m
+        oracle = _sum_of_schoolbook(pairs, p)
+        n = max(len(a) + len(b) for a, b in pairs) - 1
+        assert intpoly.dot(pairs, p) == intpoly._packed_dot(pairs, n, m * (p - 1) ** 2, p) == oracle, m
         seen.add(_dot_slots(m, p))
     assert len({w for w, _ in seen}) >= 2
     if p == 83:
@@ -357,14 +401,11 @@ def test_add_sub_neg_scal_across_the_byte_threshold(p):
         a, b = _rand(rng, na, p), _rand(rng, nb, p)
         n = max(na, nb)
         pa, pb = a + [0] * (n - na), b + [0] * (n - nb)
-        assert intpoly.add(a, b, p) == intpoly.trim([(x + y) % p for x, y in zip(pa, pb)])
         assert intpoly.sub(a, b, p) == intpoly.trim([(x - y) % p for x, y in zip(pa, pb)])
         assert intpoly.neg(a, p) == [(-x) % p for x in a]
         assert intpoly.scal(a, p - 2, p) == intpoly.trim([(p - 2) * x % p for x in a])
         # sums that cancel at the top, and operands that end in zeros
-        assert intpoly.sub(a, a, p) == [] == intpoly.add(a, intpoly.neg(a, p), p)
-        top = [(-x) % p for x in a[:-1]] + [rng.randrange(1, p)]
-        assert intpoly.add(a, top, p) == intpoly.trim([(x + y) % p for x, y in zip(a, top)])
+        assert intpoly.sub(a, a, p) == [] == add(a, intpoly.neg(a, p), p)
         assert intpoly.neg(a + [0, 0], p) == intpoly.neg(a, p) + [0, 0]
         assert intpoly.scal(a + [0], 1, p) == a
 

@@ -237,6 +237,14 @@ def test_companion_text_pinned_on_edge_inputs(p, text, companion):
 # the second, a_9's denominator spans exactly 1024
 _SPAN_INPUTS = [(3, "(t^2+1)*X^6 + t*X^5 + X + 1/t"), (2, "(t^2+t+1)*X^10 + t*X^9 + X + 1/t")]
 
+# sha256 of each span input's addpol JSON response; their reductions run
+# the half-gcd (88 and 92 calls), which no workload and no other pinned
+# companion reaches
+_SPAN_DIGESTS = {
+    "(t^2+1)*X^6 + t*X^5 + X + 1/t": "919b2d522ccad39412dedda1e8de8176ba7c73c3af3f7a5b39d73015a6202e16",
+    "(t^2+t+1)*X^10 + t*X^9 + X + 1/t": "84cae4232334f4011a0e6725a7f2aea0516cb5b6d662fe69275bdf0c6653fe06",
+}
+
 
 @pytest.mark.parametrize("fs", [
     corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4),
@@ -285,6 +293,9 @@ def test_reduction_runs_on_one_side_of_the_span_limit(p, text, monkeypatch):
         e0, inv = min(den), pow(den[min(den)], p - 2, p)
         assert reduced[i] == ({e - e0: c * inv % p for e, c in num.items()},
                               {e - e0: c * inv % p for e, c in den.items()})
+    code, out = run(Command("addpol", p, text, fmt="json"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SPAN_DIGESTS[text]
 
 
 # the differential test keeps p^n at most 5^5, where the oracle's content
