@@ -270,8 +270,9 @@ class FF:
         ctx = self.ctx
         if ctx.k == 1:
             return _plain(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = intpoly.mul(list(self.coeffs), list(other.coeffs), ctx.p)
-        prod = intpoly.mod(prod, list(ctx.modulus), ctx.p)
+        # intpoly only reads its operands, so the tuples go in uncopied
+        prod = intpoly.mul(self.coeffs, other.coeffs, ctx.p)
+        prod = intpoly.mod(prod, ctx.modulus, ctx.p)
         prod += [0] * (ctx.k - len(prod))
         return _plain(ctx, tuple(prod))
 

@@ -107,17 +107,14 @@ def _dense(rng, n, p):
     return [rng.randrange(1, p) for _ in range(n)]
 
 
-def _rule_shapes(t):
-    # (na, nb) just below and at the one-pair rule, 2 * _DOT_THRESHOLD steps
-    return [(na, nb) for na in (2, 3, 7) for nb in (-(-2 * t // na) - 1, -(-2 * t // na))]
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_mul_matches_schoolbook_across_the_packing_threshold(p, monkeypatch):
     rng = random.Random(p)
     packed = _spy(monkeypatch, "_packed_dot")
     t = intpoly._DOT_THRESHOLD
-    for na, nb in _rule_shapes(t) + [(3, 200), (150, 170)]:
+    # shapes just below and at the one-pair rule, 2t steps, and far above it
+    at_rule = [(na, -(-2 * t // na) + d) for na in (2, 3, 7) for d in (-1, 0)]
+    for na, nb in at_rule + [(3, 200), (150, 170)]:
         a, b = _dense(rng, na, p), _dense(rng, nb, p)
         before = len(packed)
         assert intpoly.mul(a, b, p) == _schoolbook(a, b, p) == intpoly.mul(b, a, p)
@@ -329,7 +326,7 @@ def _sum_of_schoolbook(pairs, p):
 def test_dot_is_the_sum_of_products(p, data):
     # operands drawn into a pool and pairs drawn from it, so one list may
     # stand in several pairs and on both sides of one; lengths from empty
-    # through the threshold's 40 schoolbook steps to a few hundred,
+    # through the packing rule's schoolbook steps to a few hundred,
     # coefficients from a seed, so an operand may end in zeros
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     length = st.one_of(st.integers(0, 2), st.integers(3, 12), st.integers(13, 300))
@@ -338,13 +335,6 @@ def test_dot_is_the_sum_of_products(p, data):
     index = st.integers(0, len(pool) - 1)
     pairs = [(pool[i], pool[j]) for i, j in data.draw(st.lists(st.tuples(index, index), max_size=12))]
     assert intpoly.dot(pairs, p) == _sum_of_schoolbook(pairs, p)
-
-
-def _dot_slots(m, p):
-    # (bytes per slot, byte lanes), as _packed_dot chooses them for a sum
-    # of pairs whose shorter operands total m terms
-    w = ((m * (p - 1) ** 2).bit_length() + 7) // 8
-    return w, w * (p - 1) < 256
 
 
 @pytest.mark.parametrize("p", DOT_PRIMES)
@@ -376,7 +366,7 @@ def test_dot_across_its_threshold_slot_widths_and_lanes(p, monkeypatch):
     # up to five pairs whose shorter operands total m terms, on both sides
     # of each m where the slot grows a byte or the lanes give way to struct
     # items, through dot and, where dot would not pack them, packed
-    limits = {m for m in range(1, 3000) if _dot_slots(m, p) != _dot_slots(m + 1, p)}
+    limits = {m for m in range(1, 3000) if _slot_path(m, p) != _slot_path(m + 1, p)}
     assert limits
     seen = set()
     for m in sorted(limits | {lim + 1 for lim in limits}):
@@ -386,10 +376,10 @@ def test_dot_across_its_threshold_slot_widths_and_lanes(p, monkeypatch):
         oracle = _sum_of_schoolbook(pairs, p)
         n = max(len(a) + len(b) for a, b in pairs) - 1
         assert intpoly.dot(pairs, p) == intpoly._packed_dot(pairs, n, m * (p - 1) ** 2, p) == oracle, m
-        seen.add(_dot_slots(m, p))
+        seen.add(_slot_path(m, p))
     assert len({w for w, _ in seen}) >= 2
     if p == 83:
-        assert {lanes for _, lanes in seen} == {True, False}
+        assert {path for _, path in seen} == {"lanes", "struct"}
 
 
 @pytest.mark.parametrize("p", BYTE_PRIMES)
