@@ -2,8 +2,8 @@
 """Paired benchmark runs of two commits.
 
     python3 scripts/bench_pairs.py [--base HEAD~1] [--head HEAD] [--pairs 10]
-        [--seconds 8] [--seed 20260810] [--workload W ...] [--workdir DIR]
-        [--out bench_pairs.json]
+        [--seconds 8] [--seed 20260810] [--workload W ...] [--cli ARGS ...]
+        [--workdir DIR] [--out bench_pairs.json]
 
 Run from inside the repository.  Both commits are exported with ``git
 archive`` into two sibling directories of one work directory, ``base`` and
@@ -19,21 +19,34 @@ side's gate result (every run ``correct``, the ``failed`` counts), the
 median ``machine.calib_ms`` and, per end-to-end metric of BENCHMARK.json,
 each side's median and quartiles, the share of pairs in which head was
 better, and whether the medians differ, in head's favour, by more than
-base's interquartile range.  The exit status is 1 when a run is not
-``correct`` or does not finish.
+base's interquartile range.
+
+Each ``--cli ARGS`` (repeatable) times one request in both checkouts:
+``python -m hahnroot.cli ARGS`` runs once per side in each pair, the side
+that goes first alternating as above.  Its summary lists each side's
+seconds in run order, their median and exit statuses, and whether every
+output of both sides has one sha256.  With ``--cli``, the workloads run
+only when ``--workload`` names them.
+
+The exit status is 1 when a run is not ``correct``, does not finish or, for
+``--cli``, exits nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("base", "head")
@@ -71,6 +84,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "calib_ms": record.get("machine.calib_ms") if record else None,
             "record": record_path if record else None}
+
+
+def run_cli(checkout: Path, args: str) -> dict:
+    """One ``python -m hahnroot.cli ARGS`` run on the checkout's sources: its
+    seconds, exit status and the sha256 of its standard output."""
+    argv = [sys.executable, "-m", "hahnroot.cli", *shlex.split(args)]
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "exit": proc.returncode,
+            "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+
+
+def summarize_cli(pairs: list[dict]) -> dict:
+    """The summary of one CLI request's pairs, each mapping "base" and
+    "head" to a run {"seconds", "exit", "sha256"}, in run order."""
+    out: dict = {"pairs": len(pairs)}
+    for side in SIDES:
+        runs = [pair[side] for pair in pairs]
+        seconds = [r["seconds"] for r in runs]
+        out[side] = {"seconds": seconds, "median": statistics.median(seconds),
+                     "exits": [r["exit"] for r in runs]}
+    digests = {pair[side]["sha256"] for pair in pairs for side in SIDES}
+    out["one_sha256"] = len(digests) == 1
+    out["sha256"] = sorted(digests)
+    out["ok"] = all(code == 0 for side in SIDES for code in out[side]["exits"])
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,7 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8, help="--seconds of each run")
     ap.add_argument("--seed", type=int, default=20260810)
-    ap.add_argument("--workload", action="append", help="a workload (default: all)")
+    ap.add_argument("--workload", action="append",
+                    help="a workload (default: all, or none when --cli is given)")
+    ap.add_argument("--cli", action="append", default=[], metavar="ARGS",
+                    help="the arguments of one hahnroot.cli request to time")
     ap.add_argument("--workdir", type=Path, help="where the checkouts go (default: a new "
                     "temporary directory); it must not exist yet")
     ap.add_argument("--out", type=Path, default=Path("bench_pairs.json"))
@@ -134,9 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     for side in SIDES:
         export(commits[side], checkouts[side])
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or ([] if args.cli else [w["name"] for w in spec["workloads"]])
 
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    cli_runs: dict[str, list[dict]] = {a: [] for a in args.cli}
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for workload in workloads:
@@ -152,16 +197,24 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair {k} {workload} {side}: correct={result['correct']} "
                       f"wall_s={result['metrics'].get('wall_s')}", flush=True)
             runs[workload].append(pair)
+        for cli_args in args.cli:
+            pair = {side: run_cli(checkouts[side], cli_args) for side in order}
+            for side in order:
+                print(f"pair {k} cli {cli_args!r} {side}: exit={pair[side]['exit']} "
+                      f"seconds={pair[side]['seconds']:.3f}", flush=True)
+            cli_runs[cli_args].append(pair)
 
     summary = {
         "base": {"rev": args.base, "commit": commits["base"]},
         "head": {"rev": args.head, "commit": commits["head"]},
         "seed": args.seed, "seconds": args.seconds, "python": sys.version.split()[0],
         "workloads": {w: summarize(runs[w], spec["end_to_end"]) for w in workloads},
+        "cli": {a: summarize_cli(cli_runs[a]) for a in args.cli},
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"summary written to {args.out}; checkouts and records in {workdir}")
     ok = all(s["gate"][side]["correct"] for s in summary["workloads"].values() for side in SIDES)
+    ok = ok and all(c["ok"] for c in summary["cli"].values())
     return 0 if ok else 1
 
 

@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .ffield import FieldCtx, field_ctx
+from .ffield import FieldCtx, coeffs_text, field_ctx
 from .hahn import series_text
 from .hasse import INF, MAX_DIGITS, Poly
 from .ratfun import RatFun, fraction_text, to_text
@@ -370,13 +370,11 @@ def _branch_json(node: expand.BranchNode) -> dict:
         "residual_valuation": _fraction_str(node.residual_valuation),
     }
     if node.accumulation is not None:
-        from .expand import equation_text
-
         acc = node.accumulation
         out["accumulation"] = {
             "r": str(acc.r_star),
             "J": sorted(acc.J_star),
-            "equation": equation_text(acc.equation),
+            "equation": coeffs_text(acc.equation, "z"),
             "field": acc.ctx.label,
             "heuristic": acc.heuristic,
             "solutions": [
@@ -387,18 +385,15 @@ def _branch_json(node: expand.BranchNode) -> dict:
 
 
 def _branch_text(node: expand.BranchNode) -> str:
-    series = series_text(node.w) if node.w.terms else "0"
-    line = f"  [{node.status} x{node.multiplicity}] {series}"
+    line = f"  [{node.status} x{node.multiplicity}] {series_text(node.w)}"
     line += f"  (field {node.w.ctx.label}, v(f(w)) = {_fraction_str(node.residual_valuation)})"
     if node.accumulation is not None:
-        from .expand import equation_text
-
         acc = node.accumulation
         sols = ", ".join(
             f"{z}{' (expands)' if flag else ''}" for z, flag in acc.solutions
         )
         line += (
-            f"\n    accumulation at r = {acc.r_star}: equation {equation_text(acc.equation)}"
+            f"\n    accumulation at r = {acc.r_star}: equation {coeffs_text(acc.equation, 'z')}"
             f" over {acc.ctx.label}; solutions {sols}"
             + ("; heuristic" if acc.heuristic else "")
         )

@@ -386,21 +386,3 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
         ctx=solved.ctx,
         heuristic=not is_additive(f),
     )
-
-
-def equation_text(coeffs: tuple[FF, ...]) -> str:
-    """Render a branch equation in the unknown z, highest power first."""
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        cs = str(c)
-        if "+" in cs:
-            cs = f"({cs})"
-        if i == 0:
-            parts.append(cs)
-        else:
-            z = "z" if i == 1 else f"z^{i}"
-            parts.append(z if cs == "1" else f"{cs}*{z}")
-    return "+".join(parts) if parts else "0"

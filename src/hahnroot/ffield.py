@@ -160,7 +160,7 @@ class FieldCtx:
     def label(self) -> str:
         if self.k == 1:
             return f"F_{self.p}"
-        return f"F_{self.p}[s]/({_coeffs_text(self.modulus)})"
+        return f"F_{self.p}[s]/({coeffs_text(self.modulus)})"
 
     def describe(self) -> str:
         if self.k == 1:
@@ -171,22 +171,26 @@ class FieldCtx:
         return f"FieldCtx({self.describe()})"
 
 
-def _coeffs_text(coeffs: tuple[int, ...]) -> str:
-    """The polynomial in s with these ascending coefficients, highest power
-    first: an element's text and a modulus's."""
-    if len(coeffs) == 1:
-        return str(coeffs[0])
+def coeffs_text(coeffs, var: str = "s") -> str:
+    """The polynomial in var with these ascending coefficients, ints or
+    field elements, highest power first, a coefficient whose text holds '+'
+    in parentheses: a modulus's text, a tower element's and a branch
+    equation's."""
     parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            s = "s" if i == 1 else f"s^{i}"
-            parts.append(s if c == 1 else f"{c}*{s}")
-    return "+".join(parts) if parts else "0"
+    i = len(coeffs)
+    for c in reversed(coeffs):
+        i -= 1
+        if c:
+            cs = str(c)
+            if "+" in cs:
+                cs = f"({cs})"
+            if not i:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(var if i == 1 else f"{var}^{i}")
+            else:
+                parts.append(f"{cs}*{var}" if i == 1 else f"{cs}*{var}^{i}")
+    return "+".join(parts) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +353,8 @@ class FF:
         return self.coeffs
 
     def __str__(self) -> str:
-        return _coeffs_text(self.coeffs)
+        c = self.coeffs
+        return str(c[0]) if len(c) == 1 else coeffs_text(c)
 
     def __repr__(self) -> str:
         return f"FF({self}, {self.ctx.label})"

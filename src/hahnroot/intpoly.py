@@ -3,17 +3,18 @@
 The zero polynomial is []. All functions return freshly allocated lists and
 keep coefficients reduced into [0, p).
 
-Above size thresholds, chosen by measurement, the arithmetic is subquadratic
-(von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8, 9, 11):
-products by Kronecker substitution into one big-int product, division by a
-Newton-iteration power-series inverse, applied in blocks of the quotient,
-gcd by the half-gcd reduction. Below them the schoolbook loops run. A
-``Divisor`` divides many polynomials by one, computing that series inverse
-once.
+Above size thresholds, chosen by measurement, products and divisions are
+subquadratic (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8,
+9): products by Kronecker substitution into one big-int product, division
+by a Newton-iteration power-series inverse, applied in blocks of the
+quotient. Below them the schoolbook loops run. A ``Divisor`` divides many
+polynomials by one, computing that series inverse once. ``gcd`` is
+Euclid's loop of remainders: no request asks for a gcd of operands longer
+than ``ratfun._REDUCE_SPAN`` + 1 terms.
 
 ``dot`` is the one product kernel: it sums a*b over any number of pairs.
-``mul`` is ``dot`` of one pair once a constant factor has been ruled out,
-and each entry of a half-gcd matrix product is ``dot`` of two pairs.  One
+``mul`` is ``dot`` of one pair once a constant factor has been ruled out;
+the companion's residue and elimination entries are ``dot``s of many.  One
 rule, in schoolbook steps per pair plus one, decides for one pair and for
 many whether to pack.  Packed, each distinct operand is evaluated at a
 power of two once, the big-int products are summed, and the sum is
@@ -47,8 +48,9 @@ def trim(a: list[int]) -> list[int]:
 
 
 def _strip(out: list[int]) -> list[int]:
-    # trim in place, for a list the caller has just built; sums that cancel
-    # (half-gcd matrix products) leave long zero tails, dropped in blocks
+    # trim in place, for a list the caller has just built; remainders (of
+    # Newton divisions above all) and products of untrimmed slices leave
+    # long zero tails, dropped in blocks
     if out and not out[-1]:
         while len(out) > 32 and not any(out[-32:]):
             del out[-32:]
@@ -111,10 +113,6 @@ _SLICE_THRESHOLD = 24
 # blocks of this many quotient terms, or of deg b if that is more
 _NEWTON_THRESHOLD = 48
 _NEWTON_BLOCK = 256
-# half-gcd once the smaller operand has more than this many terms
-_HGCD_THRESHOLD = 256
-# half-gcd recursion runs plain Euclid steps from this size down
-_HGCD_BASE = 48
 
 
 # little-endian struct items (size, code) for slots the byte lanes do not take
@@ -369,60 +367,8 @@ def monic(a: list[int], p: int) -> list[int]:
     return scal(a, pow(a[-1], p - 2, p), p)
 
 
-# 2x2 polynomial matrices are tuples (m00, m01, m10, m11)
-_IDENTITY = ([1], [], [], [1])
-
-
-def _mat_apply(M, a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    m00, m01, m10, m11 = M
-    return dot(((m00, a), (m01, b)), p), dot(((m10, a), (m11, b)), p)
-
-
-def _mat_mul(M, N, p: int):
-    m00, m01, m10, m11 = M
-    n00, n01, n10, n11 = N
-    return (dot(((m00, n00), (m01, n10)), p), dot(((m00, n01), (m01, n11)), p),
-            dot(((m10, n00), (m11, n10)), p), dot(((m10, n01), (m11, n11)), p))
-
-
-def _euclid_step(M, a: list[int], b: list[int], p: int):
-    # (a, b) -> (b, a mod b), with M -> [[0, 1], [1, -q]] M
-    q, r = divmod_(a, b, p)
-    m00, m01, m10, m11 = M
-    return (m10, m11, sub(m00, mul(q, m10, p), p), sub(m01, mul(q, m11, p), p)), b, r
-
-
-def _half_gcd(a: list[int], b: list[int], p: int):
-    """A product M of Euclid steps with M (a, b) = (a', b') and
-    deg b' < ceil(deg a / 2) <= deg a' (MCA 11.1); needs deg a > deg b."""
-    m = len(a) // 2
-    if len(b) <= m:
-        return _IDENTITY
-    if len(a) <= _HGCD_BASE:
-        M = _IDENTITY
-        while len(b) > m:
-            M, a, b = _euclid_step(M, a, b, p)
-        return M
-    # the quotients of the top halves are the first quotients of (a, b)
-    R = _half_gcd(a[m:], b[m:], p)
-    a, b = _mat_apply(R, a, b, p)
-    if len(b) <= m:
-        return R
-    R, a, b = _euclid_step(R, a, b, p)
-    if len(b) <= m:
-        return R
-    k = 2 * m - deg(a)
-    return _mat_mul(_half_gcd(a[k:], b[k:], p), R, p)
-
-
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd; half-gcd reductions above the threshold, Euclid below."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > _HGCD_THRESHOLD:
-        a, b = b, mod(a, b, p)
-        if len(b) > len(a) // 2:
-            a, b = _mat_apply(_half_gcd(a, b, p), a, b, p)
+    """The monic gcd, by Euclid's loop of remainders."""
     while b:
         a, b = b, mod(a, b, p)
     return monic(a, p)

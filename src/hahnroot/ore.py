@@ -39,21 +39,23 @@ a_i t^(shifts[i] - shifts[c]): Laurent polynomials.
 The back-substitution starts from 1 at c and keeps each entry as a
 polynomial and a t-offset, so each row's sum, one dot product with the
 offsets as zero prefixes, divided by its pivot's t-free part is exact (an
-inexact one raises).  Brought to one offset with the
-least t-power stripped, the entries form the primitive kernel vector over
-F_p[t], unique up to a unit of F_p; it is scaled by the last pivot's
-leading coefficient, which makes it the Cramer vector (the last pivot,
-Bareiss's leading minor, at c) divided by its monic content, the
-representative ``tests/oracles.cramer_addpol`` computes.  Normalised so the
-highest nonzero a_i equals 1, any scale gives the same reduced a_i.
+inexact one raises).  Brought to one offset with the least t-power
+stripped, the entries form the primitive kernel vector over F_p[t], its
+free entry 1 times a power of t; nothing scales it.  Each a_i's
+sides, with the highest nonzero a_i made 1, are divided by the lowest term
+of the denominator, which makes that term 1*t^0.  So any scale of the
+kernel gives the very same sides, the Cramer vector (the last pivot,
+Bareiss's leading minor, at c) divided by its monic content, which
+``tests/oracles.cramer_addpol`` computes, among them.
 
-Each a_i is kept as the elimination leaves it: its numerator and
-denominator sides as dicts {t-exponent: int mod p}, not reduced.  The
-bounds read only the valuations v(a_i) = min(num) - min(den), which a
-common factor does not change.  The verbs that print the a_i read
-``reduced``, each a_i's sides put by ``ratfun.reduced_t_sides`` into the
-form its ``RatFun`` would take, built on first read and printed as ints;
-``coeffs`` builds the ``RatFun``s from those sides, with no second gcd.
+Each a_i is kept normalised, not reduced: its numerator and denominator
+sides as dicts {t-exponent: int mod p}.  The bounds read only the
+valuations v(a_i) = min(num) - min(den), which a common factor does not
+change.  The verbs that print the a_i read ``reduced``, each a_i's sides
+put by ``ratfun.reduced_t_sides`` into the form its ``RatFun`` would take,
+built on first read and printed as ints: an a_i with a one-term
+denominator is handed back as its very dicts, and only the others run a
+gcd; ``coeffs`` builds the ``RatFun``s from those sides, with no second gcd.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ Sides = tuple[dict[int, int], dict[int, int]]
 
 class AdditivePolynomial:
     """P(X) = sum_{i in support} a_i X^(p^i), coefficients in F_p(t), each
-    a_i kept as its unreduced sides.  No ``__slots__``: ``reduced`` and
-    ``coeffs`` are cached in the instance dict on first read."""
+    a_i kept as its normalised, unreduced sides.  No ``__slots__``:
+    ``reduced`` and ``coeffs`` are cached in the instance dict on first
+    read."""
 
     def __init__(self, p: int, sides: dict[int, Sides]):
         if not sides:
@@ -320,14 +323,10 @@ def _kernel(matrix: list[list[list[int]]], divisors: list[intpoly.Divisor | None
         polys[row], offsets[row] = intpoly.neg(acc, p), low
 
     # one offset for all, the least t-power stripped: the primitive vector,
-    # scaled so its free entry has the last pivot's leading coefficient, as
-    # the Cramer vector divided by its monic content has (module docstring)
+    # its free entry 1 times a power of t
     low = min(offsets[i] for i, entry in enumerate(polys) if entry)
     kernel, _ = _valuation_strip([[0] * (offsets[i] - low) + entry if entry else []
                                   for i, entry in enumerate(polys)])
-    last = divisors[free - 1] if free else None
-    if last and last.b[-1] != 1:
-        kernel = [intpoly.scal(entry, last.b[-1], p) for entry in kernel]
     return kernel
 
 
@@ -337,7 +336,10 @@ def _sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) ->
     # t^(shifts[top] - shifts[i]) over kernel[top] lc^(p^top - p^i).  With
     # lc = t^v u, u(0) != 0, the power of t only shifts the denominator, and
     # u^(p^top - p^i) = (u^(p^m - 1))^(p^i), m = top - i, where u^(p^m - 1)
-    # is the product of (u^(p-1))^(p^j) over j < m: one chain of products
+    # is the product of (u^(p-1))^(p^j) over j < m: one chain of products.
+    # Each factor of the chain has constant term u(0)^(p-1) = 1, so every
+    # denominator's lowest term is that of kernel[top], t^lo c; both sides
+    # are divided by it
     supported = [i for i, entry in enumerate(kernel) if entry]
     top = supported[-1]
     v = next(e for e, c in enumerate(lc) if c)
@@ -346,11 +348,15 @@ def _sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) ->
     chain = [[1]]
     for m in range(top - supported[0]):
         chain.append(intpoly.mul(chain[-1], _stretch(step, p**m), p))
+    lo = next(e for e, c in enumerate(kernel[top]) if c)
+    head = kernel[top][lo:]
+    inv = pow(head[0], p - 2, p)
     sides: dict[int, Sides] = {}
     for i in supported:
-        den = intpoly.mul(kernel[top], _stretch(chain[top - i], p**i), p)
-        sides[i] = ({e: c for e, c in enumerate(kernel[i], shifts[top] - shifts[i]) if c},
-                    {e: c for e, c in enumerate(den, v * (p**top - p**i)) if c})
+        den = intpoly.mul(head, _stretch(chain[top - i], p**i), p)
+        shift = shifts[top] - shifts[i] - lo - v * (p**top - p**i)
+        sides[i] = ({e: c * inv % p for e, c in enumerate(kernel[i], shift) if c},
+                    {e: c * inv % p for e, c in enumerate(den) if c})
     return sides
 
 

@@ -24,8 +24,9 @@ method became a function that takes the object first):
 - ``cramer_kernel`` back-substitutes from the last pivot, a kernel entry
   by Cramer's rule, and ``cramer_addpol`` divides that vector by its
   content, where ``ore`` starts from 1 at the free column and needs no gcd;
-- ``divided_sides`` divides a stretched lc by lc for every a_i, where
-  ``ore`` builds one chain of lc powers;
+- ``divided_sides`` divides a stretched lc by lc for every a_i and
+  normalises each a_i by its denominator's lowest term, where ``ore``
+  builds one chain of lc powers and reads that term off the kernel;
 - ``ratfun_coeffs`` builds each a_i as a ``RatFun``, which reduces it, and
   ``ratfun_rendering`` prints those, sign-folded by ``RatFun`` negation,
   where ``ore`` and ``cli`` reduce and print the int sides;
@@ -277,18 +278,21 @@ def cramer_addpol(f: Poly) -> AdditivePolynomial:
 
 def divided_sides(kernel: list[list[int]], shifts: list[int], lc: list[int], p: int) -> dict:
     # undo the monic model (a_i picks up lc^(p^i)) and the t-power strips,
-    # then normalise the highest nonzero coefficient to 1
+    # normalise the highest nonzero coefficient to 1, then divide both sides
+    # by the denominator's lowest term
     supported = [i for i in range(len(kernel)) if kernel[i]]
     top_i = max(supported)
     sides = {}
     for i in supported:
         delta = shifts[top_i] - shifts[i]
-        num = {e + delta: c for e, c in enumerate(kernel[i]) if c}
         # lc^(p^top) / lc^(p^i) = (lc^(p^(top-i) - 1))^(p^i), folded into the
         # denominator; the division is by lc itself, not by its p^i-th power
         lc_pow = _stretch(intpoly.divexact(_stretch(lc, p**(top_i - i)), lc, p), p**i)
         den_poly = intpoly.mul(kernel[top_i], lc_pow, p)
-        sides[i] = num, {e: c for e, c in enumerate(den_poly) if c}
+        e0 = next(e for e, c in enumerate(den_poly) if c)
+        inv = pow(den_poly[e0], p - 2, p)
+        sides[i] = ({e + delta - e0: c * inv % p for e, c in enumerate(kernel[i]) if c},
+                    {e - e0: c * inv % p for e, c in enumerate(den_poly) if c})
     return sides
 
 

@@ -61,3 +61,28 @@ def test_summary_of_one_pair_and_a_run_that_did_not_finish():
     assert summary["gate"]["head"] == {"correct": False, "failed": [None]}
     assert summary["calib_ms"]["head"] is None
     assert summary["metrics"] == {}
+
+
+def cli_run(seconds, code=0, digest="a" * 64):
+    return {"seconds": seconds, "exit": code, "sha256": digest}
+
+
+def test_cli_summary_of_synthetic_runs():
+    bench_pairs = load_bench_pairs()
+    pairs = [{"base": cli_run(1.0 + k / 10), "head": cli_run(0.5 + k / 10)} for k in range(3)]
+    summary = bench_pairs.summarize_cli(pairs)
+    assert summary["pairs"] == 3
+    # every run's seconds, per side, in run order, and their medians
+    assert summary["base"]["seconds"] == [1.0, 1.1, 1.2] and summary["base"]["median"] == 1.1
+    assert summary["head"]["seconds"] == [0.5, 0.6, 0.7] and summary["head"]["median"] == 0.6
+    assert summary["base"]["exits"] == summary["head"]["exits"] == [0, 0, 0]
+    assert summary["one_sha256"] is True and summary["sha256"] == ["a" * 64]
+    assert summary["ok"] is True
+
+    # one head output differs and one base run fails: the outputs no longer
+    # share a sha256, and the run that exited nonzero makes the summary fail
+    pairs[1]["head"] = cli_run(0.6, digest="b" * 64)
+    pairs[2]["base"] = cli_run(1.2, code=2)
+    summary = bench_pairs.summarize_cli(pairs)
+    assert summary["one_sha256"] is False and summary["sha256"] == ["a" * 64, "b" * 64]
+    assert summary["base"]["exits"] == [0, 0, 2] and summary["ok"] is False

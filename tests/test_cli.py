@@ -327,6 +327,31 @@ def test_roots_branches_of_f_and_a_scalar_multiple_agree():
         assert branches[0] == branches[1]
 
 
+
+# sha256 of each request's `--format text` report; every gate request and CI
+# pin asks for JSON, so these are what hold the text renderers: an
+# accumulation line with its equation over F_9 and "; heuristic",
+# parenthesised tower coefficients and t^(1), and the lines of the four other
+# verbs
+TEXT_SHA256 = {
+    ("roots", 3, "X^3-X^2-1/t", 12): "7f8aa0a2f62eb8dd880abe329fc69c2d00f4f69ad419255e1c7c8f378690b77d",
+    ("roots", 3, "X^4+t*X+1", 5): "386d19db4dd5f64fb41309015af6a79f35b3154ad8fd2bb905f8240c9f837c19",
+    ("roots", 2, "X^3+t*X+1", 5): "c37a0342a8c77531660e67f2df8134f0743486756bc9795f8948778d241396ed",
+    ("addpol", 3, "X^3-X-1/t", 10): "348171f5c67fa3cd18195af5a291ee83b9a170cc20e008fcfcef52c9e6ab5f67",
+    ("intersections", 3, "X^3-X-1/t", 10): "a8d5b74b8fd7f2e140194247b3baa277052a227392c26d6431554aa36cc232d3",
+    ("bounds", 3, "X^3-X-1/t", 10): "d6e51cc2dcd29ff05bf20d41a0bd50621565a1a857000afa0bb11aba6803cb21",
+    ("order-bound", 3, "X^3-X-1/t", 10): "02ee94904a52962aced959cc471981c70207f5df183c946dedd4829def735341",
+}
+
+
+@pytest.mark.parametrize("verb, p, text, depth", list(TEXT_SHA256))
+def test_text_format_is_pinned(verb, p, text, depth):
+    import hashlib
+
+    code, out = run(Command(verb, p, text, depth=depth))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[verb, p, text, depth]
+
 # the same digest over a p = 5, 7 corpus, which the benchmark (p = 2, 3) does
 # not reach: towers F_25 .. F_625, the last above the root scan's limit, so
 # there edge equations of degree 2 or more are solved by trace splitting

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnroot import intpoly
+from hahnroot.ratfun import _REDUCE_SPAN
 from oracles import add
 
 
@@ -217,14 +218,15 @@ def test_divisor_inverts_once_per_longer_precision(monkeypatch):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p, monkeypatch):
+def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p):
+    # gcd is Euclid's loop at every size; the shapes straddle 256 and 48,
+    # the thresholds of the half-gcd it once switched to, and reach
+    # _REDUCE_SPAN + 1 terms, the longest gcd a reduced fraction asks for
     rng = random.Random(p)
-    half = _spy(monkeypatch, "_half_gcd")
-    h = intpoly._HGCD_THRESHOLD
-    # (common factor, cofactor of a, cofactor of b) lengths; the largest
-    # recurses below the base case twice
+    h, n = 256, _REDUCE_SPAN + 1
+    # (common factor, cofactor of a, cofactor of b) lengths
     for lc, la, lb in ((1, h, h - 5), (40, h - 30, h - 39), (60, h, h - 1),
-                       (1, 2 * h + 7, 2 * h), (h // 2, 3, 2 * h)):
+                       (1, 2 * h + 7, 2 * h), (h // 2, 3, 2 * h), (31, n - 30, n - 35)):
         c = _rand(rng, lc, p)
         a = intpoly.mul(_rand(rng, la, p), c, p)
         b = intpoly.mul(_rand(rng, lb, p), c, p)
@@ -233,19 +235,8 @@ def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p, monkeypatch):
         assert intpoly.mod(a, g, p) == [] and intpoly.mod(b, g, p) == []
         monic_a = intpoly.monic(a, p)
         assert intpoly.gcd(a, [], p) == monic_a == intpoly.gcd([], a, p)
+    assert len(a) == n
     assert intpoly.gcd([], [], p) == []
-    assert half
-
-
-@pytest.mark.parametrize("p", [2, 5, 65537])
-def test_half_gcd_halves_the_degree(p):
-    rng = random.Random(p)
-    for n in (intpoly._HGCD_BASE - 1, 2 * intpoly._HGCD_BASE + 3, 300, 301):
-        for lb in (n // 2 + 1, n - 1):
-            a, b = _rand(rng, n, p), _rand(rng, lb, p)
-            a2, b2 = intpoly._mat_apply(intpoly._half_gcd(a, b, p), a, b, p)
-            # deg b' < ceil(deg a / 2) <= deg a'
-            assert len(b2) <= len(a) // 2 < len(a2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

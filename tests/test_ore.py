@@ -238,20 +238,24 @@ def test_companion_text_pinned_on_edge_inputs(p, text, companion):
 _SPAN_INPUTS = [(3, "(t^2+1)*X^6 + t*X^5 + X + 1/t"), (2, "(t^2+t+1)*X^10 + t*X^9 + X + 1/t")]
 
 # sha256 of each span input's addpol JSON response; their reductions run
-# the half-gcd (88 and 92 calls), which no workload and no other pinned
-# companion reaches
+# gcds of up to 856 and 933 terms, longer than any workload or other pinned
+# companion asks for
 _SPAN_DIGESTS = {
     "(t^2+1)*X^6 + t*X^5 + X + 1/t": "919b2d522ccad39412dedda1e8de8176ba7c73c3af3f7a5b39d73015a6202e16",
     "(t^2+t+1)*X^10 + t*X^9 + X + 1/t": "84cae4232334f4011a0e6725a7f2aea0516cb5b6d662fe69275bdf0c6653fe06",
 }
 
 
-@pytest.mark.parametrize("fs", [
+_ROUTE_SETS = [
     corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4),
     corpus(seed=20260810, count=30, ps=(5, 7), max_deg=4),
     [parse_polynomial(f"X^{n} + t*X^{n - 1} + X + 1/t", p) for p, n in ((2, 9), (3, 6), (5, 4), (11, 3))],
     [parse_polynomial(text, p) for p, text, _ in _EDGE_INPUTS] + [parse_polynomial(text, p) for p, text in _SPAN_INPUTS],
-], ids=["acceptance", "p5_p7", "ladder", "edge_and_span"])
+]
+_ROUTE_IDS = ["acceptance", "p5_p7", "ladder", "edge_and_span"]
+
+
+@pytest.mark.parametrize("fs", _ROUTE_SETS, ids=_ROUTE_IDS)
 def test_int_coefficients_and_text_equal_the_ratfun_route(fs):
     # P's reduced int sides, its coeffs and addpol's "text" and "coeffs",
     # printed from those sides, against RatFun's constructor, negation and
@@ -271,6 +275,20 @@ def test_int_coefficients_and_text_equal_the_ratfun_route(fs):
         assert code == 0
         additive, coeffs = ratfun_rendering(P)
         assert json.loads(out)["additive"] == {"text": additive, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize("fs", _ROUTE_SETS, ids=_ROUTE_IDS)
+def test_sides_are_built_normalised(fs):
+    # every denominator's lowest term is 1*t^0 as built, so reduction
+    # hands an a_i with a one-term denominator back as its very dicts and
+    # only runs the gcd for the rest
+    for f in fs:
+        P = addpol(f)
+        reduced = P.reduced
+        for i, (num, den) in P.sides.items():
+            assert min(den) == 0 and den[0] == 1, (f, i)
+            if len(den) == 1:
+                assert reduced[i][0] is num and reduced[i][1] is den, (f, i)
 
 
 @pytest.mark.parametrize("p, text", _SPAN_INPUTS)
@@ -348,8 +366,8 @@ def _oracle_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_companion_sides_equal_the_cramer_oracle(f):
     # the back-substitution from 1 at the free column, with no content gcd,
-    # gives the very sides of the Cramer-scaled kernel divided by its
-    # content, not only the same reduced a_i
+    # gives the very sides of the Cramer kernel divided by its content once
+    # both are normalised, not only the same reduced a_i
     assert addpol(f).sides == cramer_addpol(f).sides
 
 
