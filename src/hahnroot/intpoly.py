@@ -9,8 +9,10 @@ subquadratic (von zur Gathen & Gerhard, *Modern Computer Algebra*, chs. 8,
 by a Newton-iteration power-series inverse, applied in blocks of the
 quotient. Below them the schoolbook loops run. A ``Divisor`` divides many
 polynomials by one, computing that series inverse once. ``gcd`` is
-Euclid's loop of remainders: no request asks for a gcd of operands longer
-than ``ratfun._REDUCE_SPAN`` + 1 terms.
+Euclid's loop of remainders, quadratic in the operands' length: a reduced
+fraction asks for at most ``ratfun._REDUCE_SPAN`` + 1 terms, the content
+and lcm of the companion's input coefficients for as many as the input
+spells out.
 
 ``dot`` is the one product kernel: it sums a*b over any number of pairs.
 ``mul`` is ``dot`` of one pair once a constant factor has been ruled out;
@@ -369,6 +371,8 @@ def monic(a: list[int], p: int) -> list[int]:
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd, by Euclid's loop of remainders."""
+    if len(a) < len(b):
+        a, b = b, a
     while b:
         a, b = b, mod(a, b, p)
     return monic(a, p)

@@ -219,9 +219,9 @@ def test_divisor_inverts_once_per_longer_precision(monkeypatch):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p):
-    # gcd is Euclid's loop at every size; the shapes straddle 256 and 48,
-    # the thresholds of the half-gcd it once switched to, and reach
-    # _REDUCE_SPAN + 1 terms, the longest gcd a reduced fraction asks for
+    # shapes on both sides of 256 and 48 terms, where a subquadratic gcd
+    # would switch paths, and one of _REDUCE_SPAN + 1 terms, the longest
+    # gcd a reduced fraction asks for
     rng = random.Random(p)
     h, n = 256, _REDUCE_SPAN + 1
     # (common factor, cofactor of a, cofactor of b) lengths

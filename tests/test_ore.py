@@ -294,7 +294,7 @@ def test_sides_are_built_normalised(fs):
 @pytest.mark.parametrize("p, text", _SPAN_INPUTS)
 def test_reduction_runs_on_one_side_of_the_span_limit(p, text, monkeypatch):
     # one gcd per a_i whose two sides span at most _REDUCE_SPAN powers of t,
-    # none for the rest, which are only normalised
+    # none for the rest, which keep the normalised sides they were built with
     P = addpol(parse_polynomial(text, p))
     within = [i for i, (num, den) in P.sides.items() if len(den) > 1
               and max(num) - min(num) <= _REDUCE_SPAN and max(den) - min(den) <= _REDUCE_SPAN]
