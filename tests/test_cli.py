@@ -327,7 +327,6 @@ def test_roots_branches_of_f_and_a_scalar_multiple_agree():
         assert branches[0] == branches[1]
 
 
-
 # sha256 of each request's `--format text` report; every gate request and CI
 # pin asks for JSON, so these are what hold the text renderers: an
 # accumulation line with its equation over F_9 and "; heuristic",
@@ -351,6 +350,7 @@ def test_text_format_is_pinned(verb, p, text, depth):
     code, out = run(Command(verb, p, text, depth=depth))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256[verb, p, text, depth]
+
 
 # the same digest over a p = 5, 7 corpus, which the benchmark (p = 2, 3) does
 # not reach: towers F_25 .. F_625, the last above the root scan's limit, so
