@@ -20,8 +20,24 @@ the lower convex hull of the points (i, e_i/M), i = 0..n, that exceed
 ``last_r``: ``hasse.newton_edges`` walks the hull on the integers e_i over
 M and stops at the first edge with r <= last_r.  The coefficient candidates
 for an edge are the nonzero roots of the edge-restricted leading-coefficient
-equation; a two-point edge {j, j+1} has the one root -b_j/b_(j+1), in w's
-field, so only the other edges need a root solve.
+equation; a two-point edge {j, j+p^a} has the one root
+(-b_j/b_(j+p^a))^(1/p^a), of multiplicity p^a and in w's field, a Frobenius
+power of one quotient, so only the other edges need a root solve.
+
+f has coefficients in F_p(t), so Frobenius sigma (c -> c^p on every
+coefficient) maps roots of f to roots of f, and with d the degree of the
+field that w's coefficients generate, sigma^d fixes w and permutes the roots
+of each edge's equation (the rational Newton-Puiseux idea: Duval, Compositio
+Math. 70, 1989; Poteaux & Rybowicz, AAECC 22, 2011).  The subtree of the
+child w + sigma^s(zeta)*t^r is the sigma^s-image of the subtree of
+w + zeta*t^r.  In fields with tables, where sigma is one lookup, only the
+first root of each sigma^d-orbit gets Taylor data and is expanded; once the
+frontier is empty each other member is built as the image of its
+representative's finished subtree: conjugated coefficients, leading
+coefficients and accumulation data, the same exponents, minima,
+multiplicities and statuses, and children re-sorted as the engine sorts
+them.  Contexts are canonical and embeddings deterministic, and sigma
+commutes with both, so an image is the node that expanding it would give.
 Edges through index 0 are exactly the valuation-raising "approximation
 term" steps; edges avoiding index 0 are the tie branches that split off
 roots diverging from w at r.  The hull census is sound and complete: the
@@ -76,6 +92,15 @@ class AccumulationReport:
         self.ctx = ctx
         self.heuristic = heuristic
 
+    def conjugate(self, s: int) -> "AccumulationReport":
+        """The report of the sigma^s-image chain: the equation and solutions
+        conjugated, the solutions re-sorted as ``poly_roots`` orders them."""
+        solutions = sorted(((z.frobenius(s), flag) for z, flag in self.solutions),
+                           key=lambda sol: sol[0].sort_key())
+        return AccumulationReport(self.r_star, self.J_star,
+                                  tuple(c.frobenius(s) for c in self.equation),
+                                  tuple(solutions), self.ctx, self.heuristic)
+
 
 class BranchNode:
     """One node of the expansion tree: a truncation w plus its bookkeeping.
@@ -83,17 +108,22 @@ class BranchNode:
     ``minima`` holds (i, min(c_i)) for each nonzero Taylor coefficient c_i
     of f at w, over the exponent denominator ``M``, and ``leads`` the
     leading coefficient c_i[min(c_i)] by i; ``residual_valuation``,
-    ``residual_lead`` and ``lines`` are read off them.  Nodes hash by
+    ``residual_lead`` and ``lines`` are read off them.  ``field_degree`` is
+    the degree d over F_p of the field that f's and w's coefficients
+    generate, so sigma^d fixes f and w; it is tracked while w lies in a field with tables and
+    is None above them, where orbits are not shared.  Nodes hash by
     identity: ``_edge_children`` keys its live children by node.
     """
 
     __slots__ = ("w", "last_r", "multiplicity", "M", "minima", "leads", "status",
-                 "step_zeta", "term_lines", "parent", "children", "accumulation", "_lines")
+                 "step_zeta", "term_lines", "parent", "children", "accumulation",
+                 "field_degree", "_lines")
 
     def __init__(self, w: HahnSeries, last_r: Fraction | None, multiplicity: int, M: int = 1,
                  minima: list[tuple[int, int]] | None = None, leads: dict[int, FF] | None = None,
                  status: str = "live", step_zeta: FF | None = None,
-                 term_lines: frozenset[int] = frozenset(), parent: "BranchNode | None" = None):
+                 term_lines: frozenset[int] = frozenset(), parent: "BranchNode | None" = None,
+                 field_degree: int | None = 1):
         self.w = w
         self.last_r = last_r
         self.multiplicity = multiplicity
@@ -106,11 +136,15 @@ class BranchNode:
         self.parent = parent
         self.children: list[BranchNode] = []
         self.accumulation: AccumulationReport | None = None
+        self.field_degree = field_degree
         self._lines: tuple[NewtonLine, ...] | None = None
 
     @property
     def residual_valuation(self) -> Fraction | float:
-        """v(f(w)); INF when f(w) = 0."""
+        """v(f(w)) - v(f_n), the valuation of c_0 = D'*f(w)/f_n with v(D') = 0
+        (see the module docstring); INF when f(w) = 0.  The CLI prints it
+        under the label v(f(w)), which it is only when v(f_n) = 0 (ROADMAP
+        item 18)."""
         if self.minima and self.minima[0][0] == 0:
             return Fraction(self.minima[0][1], self.M)
         return INF
@@ -192,12 +226,42 @@ def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.Ro
     return equation, ffield.poly_roots(equation)
 
 
-def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode, TaylorData]]:
+def _edge_roots(ctx: FieldCtx, lead: dict[int, FF], on_edge: tuple[int, ...]) -> ffield.RootsResult:
+    """The roots of an edge's equation sum lead[i]*z^i, i in on_edge.
+
+    A two-point edge {j, j+p^a} has the one nonzero root
+    (-b_j/b_(j+p^a))^(1/p^a), of multiplicity p^a and in ctx, as
+    ``poly_roots`` finds it, and it gets that root without the solve: the
+    p^a-th root is the Frobenius power sigma^(-a mod k).  Every other edge
+    goes through ``poly_roots``.
+    """
+    if len(on_edge) == 2:
+        j, top = on_edge
+        gap, a = top - j, 0
+        while gap % ctx.p == 0:
+            gap //= ctx.p
+            a += 1
+        if gap == 1:
+            zeta = (-lead[j] / lead[top]).frobenius(-a % ctx.k)
+            return ffield.RootsResult(ctx, ctx.identity, ((zeta, top - j),))
+    return _tied_roots(ctx, {i: lead[i] for i in on_edge})[1]
+
+
+def _child_key(kid: BranchNode) -> tuple:
+    # the exact-root leaf of a root w first, then the steps by r and coefficient
+    if kid.step_zeta is None:
+        return False, Fraction(0), ()
+    return True, kid.last_r, kid.step_zeta.sort_key()
+
+
+def _edge_children(node: BranchNode, data: TaylorData,
+                   images: list[tuple[BranchNode, BranchNode, int]]) -> list[tuple[BranchNode, TaylorData]]:
     """All children of a node, including an exact-root leaf when f(w) = 0.
 
     ``data`` is the node's denominator-cleared Taylor data; each step
-    child gets its own by ``taylor_shift``.  Returns the live children with
-    their Taylor data.
+    child that represents its orbit gets its own by ``taylor_shift``.
+    Returns the live representatives with their Taylor data, and appends
+    each other orbit member to ``images`` as (member, representative, s).
 
     The children come from the hull edges past ``last_r``, which
     ``newton_edges`` walks on the node's integer minima.  Each step child
@@ -206,32 +270,35 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
     leading terms along that edge, so every step child has v(f(child)) > L.
     The inequality is strict over v(f(w)) exactly when the edge passes
     through index 0 (then L = v(f(w))); a tie edge avoids index 0, its level
-    lies below v(f(w)), and its child may keep or lower v(f(w)).  A
-    two-point edge {j, j+1} has the one root -b_j/b_(j+1), in w's field.
+    lies below v(f(w)), and its child may keep or lower v(f(w)).
+
+    sigma^d, d the node's ``field_degree``, fixes w and the edge equation,
+    so it permutes an edge's roots.  In a field with tables the roots fall
+    into sigma^d-orbits: the first root of an orbit in ``poly_roots``' order
+    is its representative, and the member sigma^s(zeta) is a stub built by
+    ``_conjugate`` whose subtree ``_fill_image`` copies once the
+    representative's is finished.
     """
     w, M, lead, last_r = node.w, node.M, node.leads, node.last_r
     kids: list[BranchNode] = []
     live: dict[BranchNode, TaylorData] = {}
     order = node.minima[0][0]
     if order > 0:
-        kids.append(
-            BranchNode(w=w, last_r=last_r, multiplicity=order, status="exact_root", parent=node)
-        )
+        kids.append(BranchNode(w=w, last_r=last_r, multiplicity=order, status="exact_root",
+                               parent=node, field_degree=node.field_degree))
     above = None if last_r is None else last_r.numerator * (M // last_r.denominator)
     for r, on_edge in newton_edges(node.minima, M, above):
+        solved = _edge_roots(w.ctx, lead, on_edge)
         w_base, data_base = w, data
-        if len(on_edge) == 2 and on_edge[1] == on_edge[0] + 1:
-            roots = [(-lead[on_edge[0]] / lead[on_edge[1]], 1)]
-        else:
-            _, solved = _tied_roots(w.ctx, {i: lead[i] for i in on_edge})
-            roots = solved.roots
-            if solved.ctx != w.ctx:
-                emb = solved.embed
-                w_base = w.embed(emb)
-                data_base = M, [{e: emb(c) for e, c in d.items()} for d in data[1]]
+        if solved.ctx != w.ctx:
+            emb = solved.embed
+            w_base = w.embed(emb)
+            data_base = M, [{e: emb(c) for e, c in d.items()} for d in data[1]]
         term_lines = frozenset(i for i in on_edge if i >= 1)
-        for zeta, mult in roots:
-            if not zeta:
+        d = node.field_degree if solved.ctx.has_tables else None
+        seen: set[FF] = set()
+        for zeta, mult in solved.roots:
+            if not zeta or zeta in seen:
                 continue
             kid_data = taylor_shift(data_base, zeta, r)
             kid = _node(
@@ -242,26 +309,73 @@ def _edge_children(node: BranchNode, data: TaylorData) -> list[tuple[BranchNode,
                 step_zeta=zeta,
                 term_lines=term_lines,
                 parent=node,
+                field_degree=None,
             )
             if kid.residual_lead is None:
                 kid.status = "exact_root"
             else:
                 live[kid] = kid_data
             kids.append(kid)
+            if d is None:
+                continue
+            # the orbit zeta, sigma^d(zeta), ..: it closes at s = lcm(d, deg zeta)
+            s, z = d, zeta.frobenius(d)
+            members = []
+            while z != zeta:
+                members.append((z, s))
+                s, z = s + d, z.frobenius(d)
+            kid.field_degree = s
+            for z, shift in members:
+                seen.add(z)
+                image = _conjugate(kid, shift, node)
+                images.append((image, kid, shift))
+                kids.append(image)
     total = sum(k.multiplicity for k in kids)
     if total != node.multiplicity:
         raise AssertionError(
             f"child multiplicities {total} fail to account for the node's {node.multiplicity}"
         )
-    kids.sort(
-        key=lambda k: (
-            k.step_zeta is not None,
-            k.last_r if k.step_zeta is not None else Fraction(0),
-            k.step_zeta.sort_key() if k.step_zeta is not None else (),
-        )
-    )
+    kids.sort(key=_child_key)
     node.children = kids
     return [(kid, live[kid]) for kid in kids if kid in live]
+
+
+def _conjugate(node: BranchNode, s: int, parent: BranchNode) -> BranchNode:
+    """sigma^s of a node, without children, under ``parent``, the image of
+    its parent (the parent itself where sigma^s fixes it): w is the parent image's w plus one conjugated term, or every
+    term conjugated where the node's field is larger than its parent's; the
+    leads and step coefficient are conjugated; M, minima, multiplicity,
+    status and term lines are the node's own."""
+    zeta = node.step_zeta
+    if zeta is None:
+        w = parent.w
+    else:
+        zeta = zeta.frobenius(s)
+        if node.w.ctx == node.parent.w.ctx:
+            w = parent.w.append_term(node.last_r, zeta)
+        else:
+            w = HahnSeries(node.w.ctx, tuple((e, c.frobenius(s)) for e, c in node.w.terms))
+    return BranchNode(w=w, last_r=node.last_r, multiplicity=node.multiplicity, M=node.M,
+                      minima=node.minima,
+                      leads={i: c.frobenius(s) for i, c in node.leads.items()},
+                      status=node.status, step_zeta=zeta, term_lines=node.term_lines,
+                      parent=parent, field_degree=node.field_degree)
+
+
+def _fill_image(image: BranchNode, rep: BranchNode, s: int) -> None:
+    """Give an orbit member the sigma^s-image of its representative's
+    finished subtree: statuses, accumulation reports and children, each
+    node's children re-sorted as ``_edge_children`` sorts them."""
+    stack = [(image, rep)]
+    while stack:
+        img, src = stack.pop()
+        img.status = src.status
+        if src.accumulation is not None:
+            img.accumulation = src.accumulation.conjugate(s)
+        kids = [_conjugate(kid, s, img) for kid in src.children]
+        stack.extend(zip(kids, src.children))
+        kids.sort(key=_child_key)
+        img.children = kids
 
 
 class ExpansionTree:
@@ -295,16 +409,23 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
     if f.is_zero() or f.degree < 1:
         raise ValueError("expansion requires a polynomial of degree >= 1")
     data = _cleared_coefficients(f)
-    root = _node(HahnSeries.zero(f.ctx), data, last_r=None, multiplicity=f.degree)
+    # sigma^k fixes f's coefficients, k = 1 for the parser's F_p(t)
+    root = _node(HahnSeries.zero(f.ctx), data, last_r=None, multiplicity=f.degree,
+                 field_degree=f.ctx.k)
     tree = ExpansionTree(f, depth, root)
     # a node's Taylor data lives only on the frontier, until its children exist
     frontier = [(root, data)]
+    images: list[tuple[BranchNode, BranchNode, int]] = []
     while frontier:
         node, data = frontier.pop()
         if node.depth() >= depth:
             _close_out(f, node)
             continue
-        frontier.extend(_edge_children(node, data))
+        frontier.extend(_edge_children(node, data, images))
+    # an image may lie in the subtree of the representative of one recorded
+    # before it, never of one recorded after it, so the last is filled first
+    for image, rep, s in reversed(images):
+        _fill_image(image, rep, s)
     return tree
 
 

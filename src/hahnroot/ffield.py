@@ -116,6 +116,11 @@ class FieldCtx:
         return self.p**self.k
 
     @property
+    def has_tables(self) -> bool:
+        """Whether the field computes by table lookup (order at most 1024)."""
+        return self._tables is not None
+
+    @property
     def identity(self) -> "Embedding":
         """The identity embedding of this field, built on first read."""
         if self._identity is None:

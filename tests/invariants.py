@@ -4,7 +4,8 @@
 both check a polynomial f through this module.  A ``Case`` holds f, its
 additive companion P, P's intersection points and f's expansion tree.
 Each acceptance criterion (``companion`` 4, ``sites`` 6, ``census`` 7a,
-``ascent`` 7b, ``bounds`` 8) is a function of a case that returns its
+``ascent`` 7b, ``bounds`` 8) and the Frobenius closure of the leaf set
+(``frobenius_closure``) is a function of a case that returns its
 problems, one line each, and counts what it checked in a ``Counter``.
 
 ``divides(f, P)`` proves f | P from the n+1 residues X^(p^i) mod f,
@@ -284,7 +285,40 @@ def bounds(case: Case, counts: Counter) -> list[str]:
     return problems
 
 
-CRITERIA = {"4": companion, "6": sites, "7a": census, "7b": ascent, "8": bounds}
+def _leaf_image(leaf, s: int) -> tuple:
+    """A leaf's data under sigma^s, coefficient-wise: its field, terms,
+    multiplicity, status, residual valuation and accumulation report, whose
+    solutions are re-sorted as poly_roots orders them (s = 0 keeps the
+    printed order)."""
+    acc = leaf.accumulation
+    if acc is not None:
+        solutions = [(z.frobenius(s), flag) for z, flag in acc.solutions]
+        if s:
+            solutions.sort(key=lambda sol: sol[0].sort_key())
+        acc = (acc.r_star, acc.J_star, acc.ctx, acc.heuristic,
+               tuple(c.frobenius(s) for c in acc.equation), tuple(solutions))
+    terms = tuple((e, c.frobenius(s)) for e, c in leaf.w.terms)
+    return (leaf.w.ctx, terms, leaf.multiplicity, leaf.status, leaf.residual_valuation, acc)
+
+
+def frobenius_closure(case: Case, counts: Counter) -> list[str]:
+    """The leaf set is closed under Frobenius sigma: f has coefficients in
+    F_p(t), so sigma maps roots of f to roots of f, and the sigma-image of a
+    leaf is a leaf with the same exponents, multiplicity, status, residual
+    valuation and accumulation data, its equation and solutions conjugated;
+    counts "frobenius_images"."""
+    leaves = case.tree.leaves()
+    printed = {_leaf_image(leaf, 0) for leaf in leaves}
+    problems = []
+    for leaf in leaves:
+        counts["frobenius_images"] += 1
+        if _leaf_image(leaf, 1) not in printed:
+            problems.append(f"the Frobenius image of the leaf {leaf.w} is not a leaf")
+    return problems
+
+
+CRITERIA = {"4": companion, "6": sites, "7a": census, "7b": ascent, "8": bounds,
+            "frobenius": frobenius_closure}
 
 
 def check(case: Case, counts: Counter | None = None) -> list[str]:

@@ -2,7 +2,8 @@
 
 Corpus-wide data (expansions to depth 25 and additive companions for fifty
 seeded random polynomials) is computed once per module and shared.  Criteria
-4, 6, 7a, 7b and 8 are stated in ``invariants``, which the corpus sweep
+4, 6, 7a, 7b and 8 and the Frobenius closure of the leaves are stated in
+``invariants``, which the corpus sweep
 ``scripts/run_corpus.py`` checks too; the tests here keep their PASS lines
 and the corpus-wide assertions.
 """
@@ -217,3 +218,10 @@ def test_criterion_8_bound_soundness(corpus_cases):
         f"\nACCEPTANCE 8: PASS (exponent groups x{counts['exponents']},"
         f" coefficient degrees x{counts['coefficients']})"
     )
+
+
+def test_leaves_are_closed_under_frobenius(corpus_cases):
+    counts = Counter()
+    failures = _failures(invariants.frobenius_closure, corpus_cases, counts)
+    assert failures == []
+    print(f"\nFROBENIUS CLOSURE: PASS (leaf images x{counts['frobenius_images']})")

@@ -290,6 +290,17 @@ def test_prime_above_the_primality_limit_is_an_error():
     assert "318665857834031151167461" in err["message"]
 
 
+def _roots_json_sha256(ps, count, depth):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for f in corpus(seed=20260810, count=count, ps=ps, max_deg=4):
+        code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=depth, fmt="json"))
+        assert code == 0
+        digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
+
 # sha256 over `roots --format json --depth 25` for the 50-poly acceptance
 # corpus, one response and a newline each; the shifted Taylor data of deep
 # nodes (rebased exponent groups, embedded towers) must leave it unchanged
@@ -297,14 +308,17 @@ ROOTS_DEPTH_25_SHA256 = "4fb4db5ba11f259d512c96ae3dd4eb11d302af9efd29ba4a1eac0d8
 
 
 def test_roots_json_at_depth_25_is_pinned():
-    import hashlib
+    assert _roots_json_sha256((2, 3), 50, 25) == ROOTS_DEPTH_25_SHA256
 
-    digest = hashlib.sha256()
-    for f in corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4):
-        code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=25, fmt="json"))
-        assert code == 0
-        digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == ROOTS_DEPTH_25_SHA256
+
+# the same digest at depth 100, where the Frobenius orbits nest deepest: the
+# engine expands one subtree per orbit and builds the others as its images,
+# which must print exactly as an expansion of each would
+ROOTS_DEPTH_100_SHA256 = "0c297623de23522e16226916d7e60147c3a624983f77ce6dc623b292ffb5b171"
+
+
+def test_roots_json_at_depth_100_is_pinned():
+    assert _roots_json_sha256((2, 3), 50, 100) == ROOTS_DEPTH_100_SHA256
 
 
 def test_roots_branches_of_f_and_a_scalar_multiple_agree():
@@ -356,17 +370,15 @@ def test_text_format_is_pinned(verb, p, text, depth):
 # not reach: towers F_25 .. F_625, the last above the root scan's limit, so
 # there edge equations of degree 2 or more are solved by trace splitting
 ROOTS_DEPTH_25_P5_P7_SHA256 = "21d6bd8d342a8610a01bb72ea48486f052ee310780c1ed79b2fb06631b2dd65d"
+ROOTS_DEPTH_100_P5_P7_SHA256 = "a6a65409e69cabb9bb175f4b3e2863da9c120f45a47e94ff4f0a0956b066c8dd"
 
 
 def test_roots_json_at_depth_25_over_p5_p7_is_pinned():
-    import hashlib
+    assert _roots_json_sha256((5, 7), 20, 25) == ROOTS_DEPTH_25_P5_P7_SHA256
 
-    digest = hashlib.sha256()
-    for f in corpus(seed=20260810, count=20, ps=(5, 7), max_deg=4):
-        code, text = run(Command("roots", f.ctx.p, poly_text(f), depth=25, fmt="json"))
-        assert code == 0
-        digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == ROOTS_DEPTH_25_P5_P7_SHA256
+
+def test_roots_json_at_depth_100_over_p5_p7_is_pinned():
+    assert _roots_json_sha256((5, 7), 20, 100) == ROOTS_DEPTH_100_P5_P7_SHA256
 
 
 _CAPPED_MAIN = (

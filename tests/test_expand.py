@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -189,14 +191,40 @@ def test_tie_child_keeps_valuation_over_lower_edge_level():
     assert set(by_terms) == {tie.w.terms, approx.w.terms}
 
 
+def _orbit_representatives(tree):
+    # the root and every step child that is not the image sigma^(j*d)(zeta)
+    # of an earlier sibling's coefficient on its edge, d the degree of the
+    # field the parent's coefficients generate, under a representative
+    # itself; the exact-root leaf of a root w keeps w and is not counted
+    reps = [tree.root]
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        d = math.lcm(1, *(c.degree() for _, c in node.w.terms))
+        firsts = []
+        for kid in node.children:
+            zeta = kid.step_zeta
+            if zeta is None:
+                continue
+            orbit = {zeta.frobenius(j * d) for j in range(zeta.degree())}
+            if any(kid.last_r == r and z in orbit for r, z in firsts):
+                continue
+            firsts.append((kid.last_r, zeta))
+            reps.append(kid)
+            stack.append(kid)
+    return reps
+
+
 def test_taylor_data_is_shifted_not_recomputed(monkeypatch):
     # the root's Taylor data is the denominator-cleared f; every step child
-    # derives its own from its parent's by one Taylor shift, so no node runs
-    # taylor_at or evaluate, and the order > 0 exact-root leaf of X^3 - t*X^2
-    # reuses the root's w and computes nothing
-    from hahnroot import expand, hasse
+    # that represents its Frobenius orbit derives its own from its parent's
+    # by one Taylor shift, the other members are its conjugates and shift
+    # nothing, so no node runs taylor_at or evaluate, and the order > 0
+    # exact-root leaf of X^3 - t*X^2 reuses the root's w and computes nothing.
+    # Every field here has tables, where orbits are shared
+    from hahnroot import expand, ffield, hasse
 
-    calls = dict.fromkeys(("taylor_at", "evaluate", "taylor_shift", "clear"), 0)
+    calls = dict.fromkeys(("taylor_at", "evaluate", "taylor_shift", "clear", "poly_roots"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -212,18 +240,108 @@ def test_taylor_data_is_shifted_not_recomputed(monkeypatch):
     monkeypatch.setattr(
         expand, "_cleared_coefficients", counted("clear", expand._cleared_coefficients)
     )
-    for text, depth, expected in (
-        ("X^3-X^2-1/t", 12, 13),
-        ("X^2+X+t", 3, 7),
-        ("X^3-t*X^2", 4, 2),
+    monkeypatch.setattr(ffield, "poly_roots", counted("poly_roots", ffield.poly_roots))
+    # (p, f, depth, fresh nodes, orbit representatives)
+    for p, text, depth, fresh_count, rep_count in (
+        (3, "X^3-X^2-1/t", 12, 13, 13),
+        (3, "X^2+X+t", 3, 7, 7),
+        (3, "X^3-t*X^2", 4, 2, 2),
+        # the cube roots of unity over F_2 and the fourth roots of 2 over
+        # F_3 lie in orbits of two, whose second members are images
+        (2, "X^3+t", 3, 4, 3),
+        (3, "X^4+t", 4, 5, 3),
+        (2, "X^5+X+1/t", 6, 31, 13),
     ):
         calls.update(dict.fromkeys(calls, 0))
-        tree = expand_roots(parse_polynomial(text, 3), depth)
+        tree = expand_roots(parse_polynomial(text, p), depth)
         nodes = [tree.root] + [kid for _, kid in edges(tree)]
         fresh = [n for n in nodes if n.parent is None or n.w is not n.parent.w]
-        assert calls["clear"] + calls["taylor_shift"] == len(fresh) == expected
+        assert len(fresh) == fresh_count
+        assert calls["clear"] + calls["taylor_shift"] == len(_orbit_representatives(tree)) == rep_count
         assert calls["clear"] == 1
         assert calls["taylor_at"] == calls["evaluate"] == 0
+    # every edge of X^2 + X + 1/t over F_2 is {j, j + 2^a}, whose one root is
+    # a Frobenius power, so the one solve left is the leaf's accumulation
+    # equation z^2 + z
+    calls["poly_roots"] = 0
+    expand_roots(parse_polynomial("X^2+X+1/t", 2), 6)
+    assert calls["poly_roots"] == 1
+
+
+# P(X - s/t)*P(X - (s+1)/t) over F_2, P(Y) = Y^4 + Y + 1/t and s^2 = s + 1:
+# its two branches are conjugate, and each accumulates at r = 0 with the
+# equation z^4 + z, whose solutions 0, s, 1, s+1 Frobenius reorders
+CONJUGATE_ACCUMULATIONS = "X^8 + (t^3+1)/t^4*X^4 + X^2 + (t^3+1)/t^4*X + (t^6+t^3+1)/t^8"
+
+
+def test_orbit_images_print_as_their_expansions(monkeypatch):
+    # the engine expands one member per Frobenius orbit and builds the rest
+    # as its images; with orbits shared nowhere it expands every member, and
+    # every response must be the same bytes
+    from hahnroot.cli import Command, poly_text, run
+    from hahnroot.corpus import corpus
+    from hahnroot.ffield import FieldCtx
+
+    requests = [(2, CONJUGATE_ACCUMULATIONS, 12), (3, "X^4+t", 4), (2, "X^5+X+1/t", 12)]
+    for ps, count in (((2, 3), 50), ((5, 7), 30)):
+        requests += [(f.ctx.p, poly_text(f), 25)
+                     for f in corpus(seed=20260810, count=count, ps=ps, max_deg=4)]
+
+    def responses():
+        return [run(Command("roots", p, text, depth=depth, fmt="json")) for p, text, depth in requests]
+
+    shared = responses()
+    monkeypatch.setattr(FieldCtx, "has_tables", property(lambda ctx: False))
+    assert responses() == shared
+
+
+def test_conjugate_accumulations_are_frobenius_images():
+    import invariants
+
+    tree = expand_roots(parse_polynomial(CONJUGATE_ACCUMULATIONS, 2), 12)
+    leaves = tree.leaves()
+    assert [leaf.status for leaf in leaves] == ["accumulating"] * 2
+    for leaf in leaves:
+        solutions = [z for z, _ in leaf.accumulation.solutions]
+        assert [str(z) for z in solutions] == ["0", "s", "1", "s+1"]
+    case = invariants.Case(tree.f, None, [], tree)
+    assert invariants.frobenius_closure(case, Counter()) == []
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (3, 2), (3, 4), (7, 3), (2, 11), (3, 7)])
+def test_p_power_edge_root_matches_poly_roots(p, k):
+    # an edge {j, j + p^a} has the one root (-b_j/b_(j+p^a))^(1/p^a), of
+    # multiplicity p^a, in the node's own field: the same context, root and
+    # multiplicity as poly_roots gives, in fields with tables (F_2 .. F_343)
+    # and without them (F_(2^11), F_(3^7))
+    import random
+
+    from hahnroot import ffield
+    from hahnroot.expand import _edge_roots
+
+    ctx = field_ctx(p, k)
+    assert ctx.has_tables == (p**k <= 1024)
+    rng = random.Random(p * 100 + k)
+
+    def nonzero():
+        while True:
+            x = ctx.from_coeffs([rng.randrange(p) for _ in range(k)])
+            if x:
+                return x
+
+    for a in (0, 1, 2):
+        for j in (0, 1, 2):
+            b_j, b_top = nonzero(), nonzero()
+            top = j + p**a
+            solved = _edge_roots(ctx, {j: b_j, top: b_top}, (j, top))
+            equation = [ctx.zero] * (top + 1)
+            equation[j], equation[top] = b_j, b_top
+            expected = ffield.poly_roots(equation)
+            assert solved.ctx == expected.ctx == ctx
+            assert solved.roots == tuple((z, m) for z, m in expected.roots if z)
+            ((zeta, mult),) = solved.roots
+            assert mult == p**a
+            assert b_j + b_top * zeta ** (p**a) == ctx.zero
 
 
 def _poly_from_roots(ctx, roots):
@@ -436,7 +554,7 @@ def test_hensel_step_boundary():
 
     # line 2 meets line 1 exactly at last_r: the walk's one edge past last_r
     # joins indices 0 and 1 alone, and its one child is t - t^3
-    (kid, _), = _edge_children(*_regime_node(1))
+    (kid, _), = _edge_children(*_regime_node(1), [])
     assert kid.w.terms == ((Fraction(1), F3.one), (Fraction(3), -F3.one))
     assert kid.term_lines == frozenset({1}) and kid.multiplicity == 1
 
@@ -444,8 +562,37 @@ def test_hensel_step_boundary():
     # finds a second edge, which a node of multiplicity 1 cannot have, so the
     # census refuses it
     with pytest.raises(AssertionError, match="fail to account"):
-        _edge_children(*_regime_node(0))
+        _edge_children(*_regime_node(0), [])
     # and when line 1 reaches v(c_0) at last_r itself (R = L), no edge lies
     # past last_r
     with pytest.raises(AssertionError, match="fail to account"):
-        _edge_children(*_regime_node(1, e0=3))
+        _edge_children(*_regime_node(1, e0=3), [])
+
+
+# ROADMAP item 15: an exact-root child is closed with its edge root's
+# multiplicity, which counts every root of f below it, so a root of lower
+# order hides the others; its fix flips these two tests
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_exact_root_of_lower_order_keeps_the_live_branch_over_f2():
+    one = field_ctx(2).one
+    leaves = expand_roots(parse_polynomial("t*X^3 + (t + 1)*X^2 + 1", 2), 8).leaves()
+    assert sum(leaf.multiplicity for leaf in leaves) == 3
+    exact = [leaf for leaf in leaves if leaf.status == "exact_root"]
+    assert [(leaf.w.terms, leaf.multiplicity) for leaf in exact] == [(((Fraction(0), one),), 1)]
+    # the root 1 + t + t^3 + t^7 + .. of f, beside 1 and the one of valuation -1
+    live = [leaf for leaf in leaves if leaf.w.valuation() == 0 and leaf.status != "exact_root"]
+    assert [[e for e, _ in leaf.w.terms][:4] for leaf in live] == [[0, 1, 3, 7]]
+    assert all(c == one for _, c in live[0].w.terms) and live[0].multiplicity == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+def test_exact_roots_of_one_prefix_are_both_found_over_f3():
+    # (X - t)(X - t - t^2)
+    one = F3.one
+    leaves = expand_roots(parse_polynomial("X^2 - (t^2 + 2*t)*X + t^3 + t^2", 3), 8).leaves()
+    assert {(leaf.w.terms, leaf.multiplicity, leaf.status) for leaf in leaves} == {
+        (((Fraction(1), one),), 1, "exact_root"),
+        (((Fraction(1), one), (Fraction(2), one)), 1, "exact_root"),
+    }
