@@ -192,10 +192,10 @@ def test_tie_child_keeps_valuation_over_lower_edge_level():
 
 
 def _orbit_representatives(tree):
-    # the root and every step child that is not the image sigma^(j*d)(zeta)
-    # of an earlier sibling's coefficient on its edge, d the degree of the
-    # field the parent's coefficients generate, under a representative
-    # itself; the exact-root leaf of a root w keeps w and is not counted
+    # the root, and each step child of a representative whose coefficient
+    # is not sigma^(j*d) of an earlier sibling's on the same edge, d the
+    # degree of the field that the parent's coefficients generate; the
+    # exact-root leaf of a root w keeps w and is not counted
     reps = [tree.root]
     stack = [tree.root]
     while stack:
