@@ -14,6 +14,17 @@ fraction asks for at most ``ratfun._REDUCE_SPAN`` + 1 terms, the content
 and lcm of the companion's input coefficients for as many as the input
 spells out.
 
+Schoolbook remainders over F_p with p(p-1) < 256, that is p <= 13, run on
+byte lanes once the divisor b has _LANE_TERMS terms (``_lane_rem``): the
+remainder is a bytearray, one coefficient a byte, and each nonzero quotient
+term c adds (p-c)*b, packed once per distinct c, to the top deg b + 1 bytes
+as one big-int sum, then folds them back to residues with one translate.
+A slot of that sum holds at most (p-1) + (p-1)^2 = p(p-1), so no byte
+carries: the bound on p is the arithmetic's, not a setting.  ``divmod_``'s
+schoolbook branch takes this loop, and ``gcd`` keeps both operands as byte
+strings through its remainder sequence until the divisor is shorter; the
+list loops serve larger p and shorter divisors.
+
 ``dot`` is the one product kernel: it sums a*b over any number of pairs.
 ``mul`` is ``dot`` of one pair once a constant factor has been ruled out;
 the companion's residue and elimination entries are ``dot``s of many.  One
@@ -35,8 +46,9 @@ one big-int sum of byte strings and one translate.
 
 The fast paths reach ``mul`` and ``divmod_`` through the module globals, so
 a wrapper installed on those names sees every product but the sums passed
-to ``dot`` directly, and every division that does not go through a
-``Divisor``'s own inverse.
+to ``dot`` directly, and every division but a ``Divisor``'s Newton
+divisions by its own inverse and the remainders ``gcd`` takes on byte
+lanes.
 """
 
 from __future__ import annotations
@@ -110,6 +122,13 @@ _BYTE_THRESHOLD = 64
 _DOT_THRESHOLD = 30
 # from this divisor degree on, a schoolbook step updates one slice at a time
 _SLICE_THRESHOLD = 24
+# from this many divisor terms on, where _lanes(p), schoolbook remainders
+# run on byte lanes (_lane_rem); below it the list loops are faster.
+# Measured on dense operands at p = 2 to 13: divmod_ costs the same both
+# ways at 7 to 9 terms for 40-term quotients and at 9 to 10 terms for the
+# reductions of a product by a field modulus (2k-1 by k+1 terms); Euclid's
+# loop costs the same with any switching point from 4 to 16 terms
+_LANE_TERMS = 10
 # Newton division from this many quotient terms, once the schoolbook work is
 # as much as over a divisor of this degree (see _newton_pays); it runs in
 # blocks of this many quotient terms, or of deg b if that is more
@@ -123,8 +142,10 @@ _ITEMS = ((4, "I"), (8, "Q"))
 
 @lru_cache(maxsize=None)
 def _table(p: int, c: int) -> bytes:
-    # the bytes.translate table of b -> b*c mod p
-    return bytes(b * c % p for b in range(256))
+    # the bytes.translate table of b -> b*c mod p, p < 256: b*c mod p has
+    # period p in b, so p residues repeated, one twelfth of the work at
+    # p = 2 and 3, where a request that starts cold builds up to p tables
+    return (bytes(b * c % p for b in range(p)) * (256 // p + 1))[:256]
 
 
 def _byte_unpack(raw: bytes, w: int, p: int) -> list[int]:
@@ -262,6 +283,39 @@ def _newton_divmod(a: list[int], b: list[int], inv: list[int], p: int) -> tuple[
     return [c for q in reversed(blocks) for c in q], _strip(r)
 
 
+def _lanes(p: int) -> bool:
+    # a remainder slot below p plus a slot of (p-c)*b, at most (p-1)^2,
+    # sums to at most p(p-1): below 256, no byte of the big-int sum carries,
+    # for every prime p <= 13 (17*16 = 272)
+    return p * (p - 1) < 256
+
+
+def _lane_rem(r: bytearray, b: bytearray, p: int, q: list[int] | None = None) -> bytearray:
+    """r mod b on byte lanes, one coefficient a byte, for b trimmed and
+    _lanes(p); r is reduced in place, and the trimmed remainder returned.
+
+    Each nonzero quotient term c, from the top, is one big-int sum of the
+    top deg b + 1 bytes of r and (p-c)*b, no slot carrying (``_lanes``),
+    and one ``bytes.translate`` back to residues; (p-c)*b is packed once
+    per distinct c.  Quotient terms go into q at their degree, if given."""
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    fold = _table(p, 1)
+    multiples: dict[int, int] = {}
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i]:
+            c = r[i] * inv % p
+            if q is not None:
+                q[i - db] = c
+            bc = multiples.get(c)
+            if bc is None:
+                bc = multiples[c] = int.from_bytes(b.translate(_table(p, p - c)), "little")
+            lo = i - db
+            r[lo:i + 1] = (int.from_bytes(r[lo:i + 1], "little") + bc).to_bytes(db + 1, "little").translate(fold)
+    del r[db:]
+    return r.rstrip(b"\0")
+
+
 def _newton_pays(m: int, db: int) -> bool:
     # whether Newton division beats the schoolbook loop for an m-term
     # quotient over a divisor of degree db; a constant divisor is a scal.
@@ -289,8 +343,11 @@ def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
         return scal(r, pow(b[0], p - 2, p), p), []
     if _newton_pays(m, db):
         return _newton_divmod(r, b, _series_inverse(b[::-1], _newton_precision(m, db), p), p)
-    inv_lb = pow(b[-1], p - 2, p)
     q = [0] * m
+    if len(b) >= _LANE_TERMS and _lanes(p):
+        r = _lane_rem(bytearray(r), bytearray(b), p, q)
+        return _strip(q), list(r)
+    inv_lb = pow(b[-1], p - 2, p)
     if db < _SLICE_THRESHOLD:
         for i in range(len(r) - 1, db - 1, -1):
             if r[i]:
@@ -370,9 +427,15 @@ def monic(a: list[int], p: int) -> list[int]:
 
 
 def gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd, by Euclid's loop of remainders."""
+    """The monic gcd, by Euclid's loop of remainders: where ``_lanes(p)``,
+    on byte strings while the divisor has _LANE_TERMS terms or more."""
     if len(a) < len(b):
         a, b = b, a
+    if len(b) >= _LANE_TERMS and _lanes(p):
+        a, b = bytearray(a).rstrip(b"\0"), bytearray(b).rstrip(b"\0")
+        while len(b) >= _LANE_TERMS:
+            a, b = b, _lane_rem(a, b, p)
+        a, b = list(a), list(b)
     while b:
         a, b = b, mod(a, b, p)
     return monic(a, p)

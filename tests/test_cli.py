@@ -76,6 +76,17 @@ def test_round_trip_on_corpus():
         assert parse_polynomial(poly_text(g), g.ctx.p) == g
 
 
+# the corpus polynomials whose text parses back to another polynomial: a
+# negated constant coefficient of several terms loses its parentheses, so
+# over F_3 2 + 2t = -(t + 1) prints as "- t + 1" (ROADMAP item 11)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.parametrize("count, ps, index", [(50, (2, 3), 34)]
+                         + [(30, (5, 7), i) for i in (3, 10, 16, 25, 26, 28)])
+def test_corpus_text_parses_back_to_its_polynomial(count, ps, index):
+    f = corpus(20260810, count, ps=ps, max_deg=4)[index]
+    assert parse_polynomial(poly_text(f), f.ctx.p) == f
+
+
 def test_roots_command_json():
     code, out = run(Command("roots", 3, "X^2-t", depth=5, fmt="json"))
     assert code == 0
@@ -339,6 +350,15 @@ def test_roots_branches_of_f_and_a_scalar_multiple_agree():
             assert code == 0
             branches.append(json.loads(out)["branches"])
         assert branches[0] == branches[1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_residual_valuation_is_the_valuation_of_f_at_the_prefix():
+    # f = t*(X^2 + X + t): v(f(w)) is v(t) = 1 more than for X^2 + X + t,
+    # whose two depth-3 prefixes have v(f(w)) = 3 and 4
+    code, out = run(Command("roots", 3, "t*X^2+t*X+t^2", depth=3, fmt="json"))
+    assert code == 0
+    assert [b["residual_valuation"] for b in json.loads(out)["branches"]] == ["4", "5"]
 
 
 # sha256 of each request's `--format text` report; every gate request and CI

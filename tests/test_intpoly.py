@@ -65,7 +65,9 @@ def test_irreducibility():
 
 # -- the fast paths against schoolbook oracles, across every size threshold --
 
-PRIMES = [2, 3, 11, 65537, 2**31 - 1, 2**61 - 1]  # the last two pack as bytes
+# the last two pack as bytes; 13 and 17 lie on either side of the byte
+# lanes' bound p(p-1) < 256
+PRIMES = [2, 3, 11, 13, 17, 65537, 2**31 - 1, 2**61 - 1]
 
 
 def _oracle_divmod(a, b, p):
@@ -140,10 +142,13 @@ def test_mul_matches_schoolbook_across_the_packing_threshold(p, monkeypatch):
 def test_divmod_matches_schoolbook_across_the_division_thresholds(p, monkeypatch):
     rng = random.Random(p)
     newton = _spy(monkeypatch, "_newton_divmod")
-    s, n = intpoly._SLICE_THRESHOLD, intpoly._NEWTON_THRESHOLD
-    # (quotient length, divisor degree)
+    lanes = _spy(monkeypatch, "_lane_rem")
+    s, n, lt = intpoly._SLICE_THRESHOLD, intpoly._NEWTON_THRESHOLD, intpoly._LANE_TERMS
+    # (quotient length, divisor degree); divisors of lt - 1 and lt terms
+    # straddle the byte lanes' crossover
     shapes = [(1, 0), (200, 0), (1, 200), (5, s - 1), (5, s), (n - 1, n), (n, n - 1),
-              (n, n), (n + 1, n), (3 * n, 2 * n), (1, 3 * n)]
+              (n, n), (n + 1, n), (3 * n, 2 * n), (1, 3 * n),
+              (1, lt - 2), (5, lt - 2), (n - 1, lt - 2), (1, lt - 1), (5, lt - 1), (n - 1, lt - 1)]
     for m, db in shapes:
         a, b = _rand(rng, m + db, p), _rand(rng, db + 1, p)
         q, r = intpoly.divmod_(a, b, p)
@@ -159,6 +164,7 @@ def test_divmod_matches_schoolbook_across_the_division_thresholds(p, monkeypatch
         b = [1] + [0] * (gap - 1) + [p - 1] + [0] * (db - gap - 1) + [1]
         assert intpoly.divmod_(a, b, p) == _oracle_divmod(a, b, p)
     assert newton
+    assert bool(lanes) == (p * (p - 1) < 256)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -218,15 +224,19 @@ def test_divisor_inverts_once_per_longer_precision(monkeypatch):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p):
-    # shapes on both sides of 256 and 48 terms, where a subquadratic gcd
-    # would switch paths, and one of _REDUCE_SPAN + 1 terms, the longest
+def test_gcd_matches_euclid_across_the_lane_threshold(p, monkeypatch):
+    # shapes on both sides of 256 and 48 terms; operands of lt - 1 to lt + 1
+    # terms, on either side of where Euclid's loop leaves the byte lanes, and
+    # common factors of as many; one of _REDUCE_SPAN + 1 terms, the longest
     # gcd a reduced fraction asks for
+    lanes = _spy(monkeypatch, "_lane_rem")
     rng = random.Random(p)
-    h, n = 256, _REDUCE_SPAN + 1
+    h, n, lt = 256, _REDUCE_SPAN + 1, intpoly._LANE_TERMS
     # (common factor, cofactor of a, cofactor of b) lengths
     for lc, la, lb in ((1, h, h - 5), (40, h - 30, h - 39), (60, h, h - 1),
-                       (1, 2 * h + 7, 2 * h), (h // 2, 3, 2 * h), (31, n - 30, n - 35)):
+                       (1, 2 * h + 7, 2 * h), (h // 2, 3, 2 * h),
+                       (1, lt + 1, lt), (1, lt, lt - 1), (lt - 1, 3, 2), (lt, 2, 1), (lt + 1, 1, 1),
+                       (31, n - 30, n - 35)):
         c = _rand(rng, lc, p)
         a = intpoly.mul(_rand(rng, la, p), c, p)
         b = intpoly.mul(_rand(rng, lb, p), c, p)
@@ -237,6 +247,30 @@ def test_gcd_matches_euclid_across_the_half_gcd_thresholds(p):
         assert intpoly.gcd(a, [], p) == monic_a == intpoly.gcd([], a, p)
     assert len(a) == n
     assert intpoly.gcd([], [], p) == []
+    assert bool(lanes) == (p * (p - 1) < 256)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_divmod_and_gcd_match_the_oracles(p, data):
+    # b = c*y and a = q*b + r, lengths on both sides of the lane threshold,
+    # from a seed: exact multiples (no r), common factors of t^k times a
+    # polynomial (zero low terms), dividends shorter than the divisor (no
+    # q) and dividends passed with zeros above their top term
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    lt = intpoly._LANE_TERMS
+    length = st.one_of(st.integers(1, lt + 2), st.integers(lt + 3, 60))
+    c = [0] * data.draw(st.integers(0, 3)) + _rand(rng, data.draw(length), p)
+    b = intpoly.mul(c, _rand(rng, data.draw(length), p), p)
+    q = _rand(rng, data.draw(st.one_of(st.just(0), length)), p)
+    r = _rand(rng, data.draw(st.integers(0, len(b) - 1)), p) if data.draw(st.booleans()) else []
+    a = add(intpoly.mul(q, b, p), r, p)
+    tail = [0] * data.draw(st.integers(0, 3))
+    assert intpoly.divmod_(a + tail, b, p) == _oracle_divmod(a, b, p)
+    g = _oracle_gcd(a, b, p)
+    assert intpoly.gcd(a, b, p) == g == intpoly.gcd(b, a, p)
+    if not r:
+        assert intpoly.mod(a, g, p) == [] and len(g) >= len(intpoly.trim(c))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
