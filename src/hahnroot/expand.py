@@ -9,10 +9,11 @@ leading coefficients and Newton lines of f/f_n at every w, and its Taylor
 data c_i = D^(i)(D'*f/f_n)(w) are Laurent polynomials.  The engine holds
 them as ``hasse.TaylorData``, one exponent denominator M and a sparse dict
 per c_i, and does no ``RatFun`` arithmetic.  At w = 0 the data are the
-cleared coefficients; a child w + zeta*t^r derives its own from its
-parent's by a monomial shift (``hasse.taylor_shift``), so no node computes
-Taylor data from scratch.  The data lives on the frontier only until the
-node's children are built; the node keeps M, the integer minima
+cleared coefficients (``hasse.cleared_coefficients``); a child
+w + zeta*t^r derives its own from its parent's by a monomial shift
+(``hasse.taylor_shift``), so no node computes Taylor data from scratch.
+The data lives on the frontier only until the node's children are built;
+the node keeps M, the integer minima
 e_i = min(c_i) and the leading coefficients c_i[e_i] of the nonzero c_i,
 read off the dicts in one scan, and derives v(f(w)) = e_0/M and its Newton
 lines from them.  The candidate next exponents r are the negated slopes of
@@ -57,20 +58,21 @@ the leaf's ``newton_edges`` edge at that exponent), and the branch equation
 with its solutions.  For inputs that are not additive in X the detector is
 an extrapolation and is labelled heuristic.  ``newton_edges`` is the only
 Newton-polygon query here; the tests check the index-0 steps against a
-from-scratch oracle that computes Taylor data with ``hasse.taylor_at``.
+from-scratch oracle in ``tests/oracles.py`` that computes Taylor data in
+``RatFun`` arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import ffield
-from .ffield import FF, FieldCtx, sparse_addmul, sparse_mul
+from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import (INF, NewtonLine, Poly, TaylorData, is_additive, newton_edges,
-                    taylor_shift)
-# not called here; perfbench/tracing.py wraps expand.taylor_at and
+from .hasse import (INF, NewtonLine, Poly, TaylorData, cleared_coefficients, is_additive,
+                    newton_edges, taylor_shift)
+# not called here: the engine's route to any w, which tests/oracles.py checks
+# against RatFun arithmetic; perfbench/tracing.py wraps expand.taylor_at and
 # expand.evaluate by name until ROADMAP item 3
 from .hasse import evaluate, taylor_at  # noqa: F401
 
@@ -189,33 +191,6 @@ def _node(w: HahnSeries, data: TaylorData, **fields) -> BranchNode:
             minima.append((i, e))
             leads[i] = c[e]
     return BranchNode(w=w, M=M, minima=minima, leads=leads, **fields)
-
-
-def _cleared_coefficients(f: Poly) -> TaylorData:
-    """The coefficients of D*f/(lam*u^e0), the Taylor data at w = 0.
-
-    D is the product of f's distinct denominators and lam*u^e0 the leading
-    term of f_n's numerator; every product is a new dict, so no dict of f
-    changes.
-    """
-    M = math.lcm(*(c.M for c in f.coeffs))
-    coeffs = [c.rebase(M) for c in f.coeffs]
-    dens: list[dict[int, FF]] = []
-    for c in coeffs:
-        if len(c.den) > 1 and c.den not in dens:
-            dens.append(c.den)
-    top = coeffs[-1].num
-    e0 = min(top)
-    inv = top[e0].inverse()
-    out = []
-    for c in coeffs:
-        acc: dict[int, FF] = {}
-        sparse_addmul(acc, c.num, inv, -e0)
-        for d in dens:
-            if d != c.den:
-                acc = sparse_mul(acc, d)
-        out.append(acc)
-    return M, out
 
 
 def _tied_roots(ctx: FieldCtx, tied: dict[int, FF]) -> tuple[list[FF], ffield.RootsResult]:
@@ -408,7 +383,7 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
         raise ValueError("expansion depth must be at least 1")
     if f.is_zero() or f.degree < 1:
         raise ValueError("expansion requires a polynomial of degree >= 1")
-    data = _cleared_coefficients(f)
+    data, _ = cleared_coefficients(f)
     # sigma^k fixes f's coefficients, k = 1 for the parser's F_p(t)
     root = _node(HahnSeries.zero(f.ctx), data, last_r=None, multiplicity=f.degree,
                  field_degree=f.ctx.k)

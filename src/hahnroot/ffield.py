@@ -29,9 +29,6 @@ from itertools import product
 
 from . import intpoly
 
-# Fields small enough to scan element by element instead of trace-splitting.
-_BRUTE_FORCE_ORDER = 512
-
 # Fields of at most this order get interned elements and log/exp tables.
 _TABLE_ORDER = 1024
 
@@ -158,8 +155,9 @@ class FieldCtx:
 
     def elements(self):
         """All elements of a field with tables (order at most 1024) in
-        canonical (lex on coefficient vector) order."""
-        return iter(self._tables.lex)
+        canonical (lex on coefficient vector) order, made on demand."""
+        by_coeffs = self._tables.by_coeffs
+        return (by_coeffs[c] for c in product(range(self.p), repeat=self.k))
 
     @property
     def label(self) -> str:
@@ -397,8 +395,7 @@ class _Tables:
     itself when alpha^i is zero.  ``half`` is the log of -1.
     """
 
-    __slots__ = ("n", "half", "frob", "exp", "zech", "by_coeffs", "lex",
-                 "ints", "zero", "one")
+    __slots__ = ("n", "half", "frob", "exp", "zech", "by_coeffs", "ints", "zero", "one")
 
     def __init__(self, ctx: FieldCtx):
         p, k = ctx.p, ctx.k
@@ -430,8 +427,6 @@ class _Tables:
             zech[d] = d
         self.zech = zech
 
-        # the order ``elements`` promises
-        self.lex = [by_coeffs[c] for c in product(range(p), repeat=k)]
         self.ints = [by_coeffs[(c,) + (0,) * (k - 1)] for c in range(p)]
         self.zero, self.one = zero, self.ints[1]
 
@@ -697,7 +692,10 @@ def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
 
     Callers guarantee that: ``poly_roots`` passes a radical over a tower
     that holds all its roots, ``find_embedding`` an irreducible modulus
-    whose degree divides ctx's.
+    whose degree divides ctx's.  A field with tables is scanned, zero and
+    then the powers of its primitive element, so the roots come in that
+    order, not in ``sort_key`` order: ``poly_roots`` sorts them and
+    ``find_embedding`` takes the least.  A larger field is trace-split.
     """
     h = poly_monic(poly_trim(list(h)))
     if not h:
@@ -706,8 +704,9 @@ def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
         return []
     if poly_deg(h) == 1:
         return [-h[0]]
-    if ctx.order <= _BRUTE_FORCE_ORDER:
-        return [x for x in ctx.elements() if not poly_eval(h, x)]
+    t = ctx._tables
+    if t is not None:
+        return [x for x in (t.zero, *t.exp[:t.n]) if not poly_eval(h, x)]
     return _trace_split(h, ctx)
 
 

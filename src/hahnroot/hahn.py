@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 from .ffield import FF, FieldCtx, Embedding
-from .ratfun import RatFun
 
 INF = math.inf
 
@@ -117,23 +116,7 @@ def expands_at(prefix_coeffs: list[FF], zeta: FF) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Conversions and text.
-
-
-def to_ratfun(x: HahnSeries, M: int | None = None) -> RatFun:
-    """The finite series as an element of F_{p^k}(u).
-
-    Only hasse.taylor_at and hasse.evaluate call it, which stay for the
-    benchmark's perfbench/micro.py and perfbench/tracing.py until ROADMAP
-    item 3.
-    """
-    need = math.lcm(1, *(e.denominator for e, _ in x.terms))
-    if M is None:
-        M = need
-    elif M % need:
-        raise ValueError(f"exponents of the series do not live in (1/{M})Z")
-    num = {int(e * M): c for e, c in x.terms}
-    return RatFun(x.ctx, M, num, {0: x.ctx.one})
+# Text.
 
 
 def _exp_text(e: Fraction) -> str:

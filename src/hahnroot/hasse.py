@@ -8,15 +8,17 @@ are the divided-power (Hasse) derivatives that replace d/dX in
 characteristic p.
 The expansion engine carries them as ``TaylorData``: one exponent
 denominator M and, per c_k, a sparse dict {u-exponent: coefficient} in
-u = t^(1/M), with no ``RatFun`` and no denominator.  ``taylor_shift`` moves
-such data from w to w + zeta*t^r by monomial shifts whose multiply-adds run
-in ``ffield.sparse_addmul``, on the log/Zech tables for fields of order at
-most 1024.  The module also holds the one Newton-polygon routine,
+u = t^(1/M), with no ``RatFun`` and no denominator.  At w = 0 they are
+the cleared coefficients of f (``cleared_coefficients``), and
+``taylor_shift`` moves them from w to w + zeta*t^r by monomial shifts
+whose multiply-adds run in ``ffield.sparse_addmul``, on the log/Zech
+tables for fields of order at most 1024.  ``taylor_at`` and ``evaluate``
+take the same route to every term of a finite series w and multiply the
+result back by the clearing factor; only the tests and the benchmark call
+them.  The module also holds the one Newton-polygon routine,
 ``newton_edges``, a left-to-right walk of the lower hull that can stop at
 a bound on r: the engine's next exponents past ``last_r`` and the
-companion's breakpoints both come from it.  ``taylor_at`` and
-``evaluate`` compute from scratch in ``RatFun`` arithmetic; only the tests
-and the benchmark call them.
+companion's breakpoints both come from it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .ffield import FF, FieldCtx, find_embedding, sparse_addmul
-from .hahn import HahnSeries, to_ratfun
+from .ffield import FF, FieldCtx, find_embedding, sparse_addmul, sparse_mul
+from .hahn import HahnSeries
 from .ratfun import RatFun
 
 INF = math.inf
@@ -41,9 +43,9 @@ MAX_DIGITS = 4300
 def _binomial_rows(n: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of Pascal's triangle mod p: ``rows[i][k]`` is C(i, k) mod p.
 
-    Built by Pascal's rule rather than ``binom_mod_p``, which ``taylor_at``
-    uses, so comparing ``taylor_shift`` with ``taylor_at`` checks each
-    against the other.
+    Built by Pascal's rule rather than Lucas' digit product, which the
+    tests' ``RatFun``-arithmetic oracle uses, so comparing ``taylor_shift``
+    with that oracle checks each against the other.
     """
     rows = [(1,)]
     for _ in range(n):
@@ -113,6 +115,36 @@ def is_additive(f: Poly) -> bool:
 TaylorData = tuple[int, list[dict[int, FF]]]
 
 
+def cleared_coefficients(f: Poly) -> tuple[TaylorData, tuple[FF, int, dict[int, FF]]]:
+    """The coefficients of D*f/(lam*u^e0), the Taylor data at w = 0, and the
+    clearing factor (lam, e0, D) that multiplies them back to f's.
+
+    D is the product of f's distinct denominators and lam*u^e0 the leading
+    term of f_n's numerator, all in u = t^(1/M); every product is a new
+    dict, so no dict of f changes.
+    """
+    M = math.lcm(*(c.M for c in f.coeffs))
+    coeffs = [c.rebase(M) for c in f.coeffs]
+    dens: list[dict[int, FF]] = []
+    D = {0: f.ctx.one}
+    for c in coeffs:
+        if len(c.den) > 1 and c.den not in dens:
+            dens.append(c.den)
+            D = sparse_mul(D, c.den)
+    top = coeffs[-1].num
+    e0 = min(top)
+    inv = top[e0].inverse()
+    out = []
+    for c in coeffs:
+        acc: dict[int, FF] = {}
+        sparse_addmul(acc, c.num, inv, -e0)
+        for d in dens:
+            if d != c.den:
+                acc = sparse_mul(acc, d)
+        out.append(acc)
+    return (M, out), (top[e0], e0, D)
+
+
 def taylor_shift(data: TaylorData, zeta: FF, r: Fraction) -> TaylorData:
     """Taylor data at w + zeta*t^r from Taylor data (M, [c_0, .., c_n]) at w.
 
@@ -148,6 +180,40 @@ def taylor_shift(data: TaylorData, zeta: FF, r: Fraction) -> TaylorData:
             sparse_addmul(acc, src, ctx.from_int(b) * powers[i - k], (i - k) * step)
         out.append(cs[k] if acc is None else acc)
     return M, out
+
+
+def taylor_at(f: Poly, w: HahnSeries) -> list[RatFun]:
+    """[c_0, .., c_n] with f(X) = sum c_k (X - w)^k; c_k is the k-th Hasse
+    derivative of f at the finite series w.  Exact.
+
+    The engine's route: the cleared coefficients, embedded in w's field and
+    rebased once to an M that holds every exponent of w, are shifted by
+    each term of w with ``taylor_shift`` and multiplied back by the
+    clearing factor.  Imported by perfbench/micro.py.
+    """
+    if f.is_zero():
+        raise ValueError("no Taylor data for the zero polynomial")
+    if not isinstance(w, HahnSeries):
+        raise TypeError(f"cannot evaluate at {type(w).__name__}")
+    (M, cs), (lam, e0, D) = cleared_coefficients(f)
+    ctx = w.ctx
+    if f.ctx != ctx:
+        emb = find_embedding(f.ctx, ctx)
+        cs = [{e: emb(c) for e, c in d.items()} for d in cs]
+        lam, D = emb(lam), {e: emb(c) for e, c in D.items()}
+    s = math.lcm(M, *(e.denominator for e, _ in w.terms)) // M
+    data = M * s, [{e * s: c for e, c in d.items()} for d in cs]
+    for r, zeta in w.terms:
+        data = taylor_shift(data, zeta, r)
+    den = {e * s: c for e, c in D.items()}
+    return [RatFun(ctx, M * s, {e + e0 * s: c * lam for e, c in d.items()}, den)
+            for d in data[1]]
+
+
+def evaluate(f: Poly, w: HahnSeries) -> RatFun:
+    """f(w), exactly, for a nonzero f and a finite series w: c_0 of
+    ``taylor_at``.  Wrapped as expand.evaluate by perfbench/tracing.py."""
+    return taylor_at(f, w)[0]
 
 
 class NewtonLine:
@@ -211,101 +277,3 @@ def newton_edges(points, d=1, above=None) -> list[tuple[Fraction, tuple[int, ...
             break
         edges.append((Fraction(-dy, dx * d), tuple(xs)))
     return edges
-
-
-# ---------------------------------------------------------------------------
-# Taylor data from scratch.  Nothing in src/ calls it: the engine derives
-# every node's Taylor data with taylor_shift.  It stays for the benchmark
-# until ROADMAP item 3 gives it the kernel's own counters, because
-# perfbench/micro.py imports taylor_at at load (hasse.taylor_us.cubic20) and
-# perfbench/tracing.py wraps expand.taylor_at and expand.evaluate by name.
-# The tests check taylor_shift against taylor_at.
-
-
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by Lucas' digit product (for taylor_at)."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        out = (out * math.comb(nd, kd)) % p
-    return out
-
-
-def _as_ratfun(w) -> RatFun:
-    # for taylor_at and evaluate, the one caller of hahn.to_ratfun
-    if isinstance(w, HahnSeries):
-        return to_ratfun(w)
-    if isinstance(w, RatFun):
-        return w
-    raise TypeError(f"cannot evaluate at {type(w).__name__}")
-
-
-def _lift_poly(f: Poly, ctx: FieldCtx, M: int) -> list[RatFun]:
-    """Re-express f's coefficients over the target context and exponent group
-    (for taylor_at and evaluate)."""
-    out = []
-    emb = None
-    for c in f.coeffs:
-        if c.ctx != ctx:
-            if emb is None:
-                emb = find_embedding(c.ctx, ctx)
-            c = c.embed(emb)
-        out.append(c.rebase(math.lcm(c.M, M)))
-    return out
-
-
-class _LazyPowers:
-    """Powers of a fixed point, computed on demand via base-p decomposition
-    (for taylor_at and evaluate)."""
-
-    def __init__(self, x: RatFun):
-        self.x = x
-        self.cache = {0: RatFun.one(x.ctx, x.M), 1: x}
-
-    def __getitem__(self, e: int) -> RatFun:
-        got = self.cache.get(e)
-        if got is None:
-            got = self.x**e
-            self.cache[e] = got
-        return got
-
-
-def taylor_at(f: Poly, w) -> list[RatFun]:
-    """[c_0, .., c_n] with f(X) = sum c_k (X - w)^k; c_k is the k-th Hasse
-    derivative of f at w.  Exact.  Imported by perfbench/micro.py."""
-    if f.is_zero():
-        raise ValueError("no Taylor data for the zero polynomial")
-    x = _as_ratfun(w)
-    coeffs = _lift_poly(f, x.ctx, x.M)
-    n = len(coeffs) - 1
-    p = x.ctx.p
-    powers = _LazyPowers(x)
-    out = []
-    for k in range(n + 1):
-        acc = RatFun.zero(x.ctx, x.M)
-        for i in range(k, n + 1):
-            b = binom_mod_p(i, k, p)
-            if b and not coeffs[i].is_zero():
-                acc = acc + coeffs[i].scale(x.ctx.from_int(b)) * powers[i - k]
-        out.append(acc)
-    return out
-
-
-def evaluate(f: Poly, w) -> RatFun:
-    """f(w), exactly, for a finite exact series or rational-function point.
-    Wrapped as expand.evaluate by perfbench/tracing.py."""
-    x = _as_ratfun(w)
-    if f.is_zero():
-        return RatFun.zero(x.ctx, x.M)
-    coeffs = _lift_poly(f, x.ctx, x.M)
-    powers = _LazyPowers(x)
-    acc = RatFun.zero(x.ctx, x.M)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            acc = acc + c * powers[i]
-    return acc

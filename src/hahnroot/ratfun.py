@@ -18,8 +18,11 @@ int sides when its coefficients are first read, with no ``RatFun`` on the
 way, and ``fraction_text`` prints int sides and ``RatFun`` sides alike.
 Negation and scaling by a nonzero constant map a normalised fraction to a
 normalised one, so they skip the constructor's work.  ``RatFun``s with
-M > 1 or k > 1 come only from ``hasse.taylor_at``, the tests and the
-benchmark's micro timings, and stay unreduced.
+M > 1 or k > 1 come only from ``hasse.taylor_at``, which multiplies the
+engine's shifted carriers back by f's clearing factor, the tests and the
+benchmark's micro timings, and stay unreduced.  Powers and field
+embeddings of a ``RatFun`` belong to the tests' ``RatFun``-arithmetic
+oracle (``tests/oracles.py``), the one route that needs them.
 """
 
 from __future__ import annotations
@@ -27,39 +30,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ffield import FF, FieldCtx, Embedding, sparse_addmul, sparse_mul
+from .ffield import FF, FieldCtx, sparse_addmul, sparse_mul
 
 # Largest exponent span (max - min) for which fractions are densified and
 # gcd-reduced.
 _REDUCE_SPAN = 1024
 
 INFINITE_VALUATION = math.inf
-
-
-def _sp_frobenius(a: dict[int, FF], p: int) -> dict[int, FF]:
-    # (sum c u^e)^p = sum c^p u^(e*p) in characteristic p
-    return {e * p: c.frobenius() for e, c in a.items()}
-
-
-def _sp_pow(a: dict[int, FF], e: int, ctx: FieldCtx) -> dict[int, FF]:
-    """a**e, decomposing e in base p so Frobenius steps stay sparse."""
-    if e < 0:
-        raise ValueError("negative exponent on a sparse carrier")
-    if e == 0:
-        return {0: ctx.one}
-    result: dict[int, FF] | None = None
-    base = a
-    while e:
-        e, digit = divmod(e, ctx.p)
-        if digit:
-            piece = base
-            for _ in range(digit - 1):
-                piece = sparse_mul(piece, base)
-            result = piece if result is None else sparse_mul(result, piece)
-        if e:
-            base = _sp_frobenius(base, ctx.p)
-    assert result is not None
-    return result
 
 
 class RatFun:
@@ -160,12 +137,6 @@ class RatFun:
         return RatFun(self.ctx, M_new, {e * f: c for e, c in self.num.items()},
                       {e * f: c for e, c in self.den.items()})
 
-    def embed(self, embedding: Embedding) -> "RatFun":
-        """Move every coefficient through a field embedding."""
-        return RatFun(embedding.dst, self.M,
-                      {e: embedding(c) for e, c in self.num.items()},
-                      {e: embedding(c) for e, c in self.den.items()})
-
     def _aligned(self, other: "RatFun") -> tuple["RatFun", "RatFun"]:
         if self.ctx != other.ctx:
             raise ValueError("rational functions live over different fields")
@@ -209,12 +180,6 @@ class RatFun:
 
     def inverse(self) -> "RatFun":
         return RatFun.one(self.ctx, self.M) / self
-
-    def __pow__(self, e: int) -> "RatFun":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return RatFun(self.ctx, self.M, _sp_pow(self.num, e, self.ctx),
-                      _sp_pow(self.den, e, self.ctx))
 
     def scale(self, c: FF) -> "RatFun":
         if not c:

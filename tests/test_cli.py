@@ -387,8 +387,8 @@ def test_text_format_is_pinned(verb, p, text, depth):
 
 
 # the same digest over a p = 5, 7 corpus, which the benchmark (p = 2, 3) does
-# not reach: towers F_25 .. F_625, the last above the root scan's limit, so
-# there edge equations of degree 2 or more are solved by trace splitting
+# not reach: towers F_25 .. F_625, all with tables, so their edge equations
+# of degree 2 or more are solved by a scan of the field's elements
 ROOTS_DEPTH_25_P5_P7_SHA256 = "21d6bd8d342a8610a01bb72ea48486f052ee310780c1ed79b2fb06631b2dd65d"
 ROOTS_DEPTH_100_P5_P7_SHA256 = "a6a65409e69cabb9bb175f4b3e2863da9c120f45a47e94ff4f0a0956b066c8dd"
 

@@ -238,7 +238,7 @@ def test_taylor_data_is_shifted_not_recomputed(monkeypatch):
     monkeypatch.setattr(hasse, "evaluate", counted("evaluate", hasse.evaluate))
     monkeypatch.setattr(expand, "taylor_shift", counted("taylor_shift", expand.taylor_shift))
     monkeypatch.setattr(
-        expand, "_cleared_coefficients", counted("clear", expand._cleared_coefficients)
+        expand, "cleared_coefficients", counted("clear", expand.cleared_coefficients)
     )
     monkeypatch.setattr(ffield, "poly_roots", counted("poly_roots", ffield.poly_roots))
     # (p, f, depth, fresh nodes, orbit representatives)
@@ -346,8 +346,8 @@ def test_p_power_edge_root_matches_poly_roots(p, k):
 
 def _poly_from_roots(ctx, roots):
     from hahnroot.hasse import Poly
-    from hahnroot.hahn import to_ratfun
     from hahnroot.ratfun import RatFun
+    from oracles import to_ratfun
 
     f = Poly.make([RatFun.one(ctx)])
     for root in roots:
@@ -450,8 +450,7 @@ def test_budget_exhausted_without_cycle():
 def _assert_nodes_match_taylor_at(f, depth):
     # the engine's shifted, denominator-cleared Taylor data must give every
     # node the Newton data that taylor_at computes from scratch at its w
-    from hahnroot.hasse import taylor_at
-    from oracles import leading_term, newton_data
+    from oracles import leading_term, newton_data, taylor_at
 
     tree = expand_roots(f, depth)
     g = monic(f)

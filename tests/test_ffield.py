@@ -209,19 +209,25 @@ def _trace(x):
     return out
 
 
-@pytest.mark.parametrize("p,k", [(1009, 1), (65537, 1), (3, 6), (5, 4)])
-def test_splitting_recovers_chosen_roots_above_the_brute_force_order(p, k):
-    # these fields are too large for the brute-force scan, so the roots come
-    # from trace splitting
+@pytest.mark.parametrize("p,k", [(1031, 1), (65537, 1), (3, 7), (5, 5)])
+def test_splitting_recovers_chosen_roots_in_fields_without_tables(p, k):
+    # fields with tables are scanned, so the roots of these come from trace
+    # splitting
     ctx = field_ctx(p, k)
+    assert not ctx.has_tables
     rng = random.Random(p * k)
     chosen = set()
     while len(chosen) < 5:
         chosen.add(ctx.from_coeffs([rng.randrange(p) for _ in range(k)]))
     if k > 1:
-        # two roots with the same trace, which the probes at beta = 1 cannot separate
+        # two roots with the same trace, which the probes at beta = 1 cannot
+        # separate: Tr(y^p - y) = 0, and y^p != y for y outside F_p
         a = next(iter(chosen))
-        twin = next(x for x in ctx.elements() if x != a and x not in chosen and _trace(x) == _trace(a))
+        y = ctx.gen
+        while a + y**p - y in chosen:
+            y = y + ctx.one
+        twin = a + y**p - y
+        assert twin != a and _trace(twin) == _trace(a)
         chosen.add(twin)
     g = [ctx.one]
     for x in chosen:

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hahnroot.ffield import field_ctx
-from hahnroot.hahn import HahnSeries, expands_at, to_ratfun
-from oracles import from_ratfun, ramifies_at
+from hahnroot.hahn import HahnSeries, expands_at
+from oracles import from_ratfun, ramifies_at, to_ratfun
 
 
 F3 = field_ctx(3)

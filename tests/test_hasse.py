@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahnroot import hasse
 from hahnroot.cli import parse_polynomial
-from hahnroot.ffield import enlarge, field_ctx
+from hahnroot.corpus import corpus
+from hahnroot.expand import expand_roots
+from hahnroot.ffield import FieldError, enlarge, field_ctx
 from hahnroot.hahn import HahnSeries
-from hahnroot.hasse import INF, Poly, evaluate, newton_edges, taylor_at, taylor_shift
+from hahnroot.hasse import INF, Poly, newton_edges, taylor_shift
 from hahnroot.ratfun import RatFun
 from oracles import (
+    evaluate,
     from_int_coeffs,
     gamma_J,
     hasse_derivative,
@@ -18,7 +22,9 @@ from oracles import (
     poly_add,
     poly_mul,
     poly_scale,
+    ratfun_pow,
     t_power,
+    taylor_at,
 )
 
 
@@ -79,7 +85,7 @@ def test_taylor_of_pth_power():
     f = from_int_coeffs(F3, [0, 0, 0, 1])
     lam = RatFun.from_t_coeffs(F3, {1: 1, 0: 2})
     cs = taylor_at(f, lam)
-    assert cs[0] == lam**3
+    assert cs[0] == ratfun_pow(lam, 3)
     assert cs[1].is_zero() and cs[2].is_zero()
     assert cs[3] == RatFun.one(F3)
 
@@ -183,7 +189,7 @@ def test_line_value_is_term_valuation(r, c):
     y = t_power(F3, r).scale(F3.from_int(c))
     for line in newton_data(taylor_at(CUBIC, w)):
         d = evaluate(hasse_derivative(CUBIC, line.i), w)
-        assert (d * y**line.i).valuation() == line.gamma(r)
+        assert (d * ratfun_pow(y, line.i)).valuation() == line.gamma(r)
 
 
 def brute_edges(points):
@@ -374,3 +380,47 @@ def test_taylor_shift_drops_a_cancelled_term():
     g = parse_polynomial("X - t", 3)
     _, shifted = _check_shift(g, HahnSeries.zero(F3), F3.one, Fraction(1))
     assert shifted[1][0] == {}
+
+
+# ---------------------------------------------------------------------------
+# hasse.taylor_at, the engine's route, against the RatFun-arithmetic oracle
+
+
+def _assert_routes_agree(f, w):
+    cs = hasse.taylor_at(f, w)
+    assert all(c.ctx == w.ctx for c in cs)
+    assert cs == taylor_at(f, w)
+    assert hasse.evaluate(f, w) == cs[0]
+
+
+@pytest.mark.parametrize("ps, count", [((2, 3), 50), ((5, 7), 30)])
+def test_taylor_at_matches_the_oracle_at_every_corpus_prefix(ps, count):
+    for f in corpus(seed=20260810, count=count, ps=ps, max_deg=4):
+        tree = expand_roots(f, 8)
+        stack, seen = [tree.root], set()
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.w not in seen:
+                seen.add(node.w)
+                _assert_routes_agree(f, node.w)
+
+
+def test_taylor_at_matches_the_oracle_at_the_micro_leaf_and_in_a_larger_field():
+    # the depth-20 leaf that perfbench/micro.py times
+    (leaf,) = expand_roots(CUBIC, 20).leaves()
+    assert leaf.w.ctx == F3 and len(leaf.w.terms) == 20
+    _assert_routes_agree(CUBIC, leaf.w)
+    # f over F_3 at a series over F_9, with exponents in (1/6)Z
+    F9 = field_ctx(3, 2)
+    w = HahnSeries(F9, ((Fraction(-1, 3), F9.gen), (Fraction(1, 2), F9.gen + F9.one)))
+    _assert_routes_agree(parse_polynomial("(t+2)/t*X^4 + t*X^2 - X + 1/(t+1)", 3), w)
+
+
+def test_taylor_at_takes_only_a_series_whose_field_holds_f():
+    with pytest.raises(TypeError):
+        hasse.taylor_at(CUBIC, RatFun.one(F3))
+    f9, f27 = field_ctx(3, 2), field_ctx(3, 3)
+    f = Poly.make([RatFun.from_ff(f9.gen), RatFun.one(f9)])
+    with pytest.raises(FieldError):
+        hasse.taylor_at(f, HahnSeries.monomial(f27, 1, f27.gen))

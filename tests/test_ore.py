@@ -9,13 +9,14 @@ from hahnroot import intpoly
 from hahnroot.cli import Command, additive_text, parse_polynomial, poly_text, run
 from hahnroot.corpus import corpus, random_ratfun
 from hahnroot.ffield import field_ctx
-from hahnroot.hasse import Poly, evaluate
+from hahnroot.hasse import Poly
 from hahnroot.ore import _echelon, _frobenius_step, _frobenius_table, _kernel, addpol, is_additive
 from hahnroot.intpoly import deg, divmod_, gcd, trim
 from hahnroot.ratfun import _REDUCE_SPAN, RatFun, to_text
 from invariants import divides
-from oracles import (cramer_addpol, cramer_kernel, divided_sides, frobenius_residue, from_int_coeffs,
-                     poly_mul, ratfun_coeffs, ratfun_rendering, t_power, to_poly)
+from oracles import (cramer_addpol, cramer_kernel, divided_sides, evaluate, frobenius_residue,
+                     from_int_coeffs, poly_mul, ratfun_coeffs, ratfun_pow, ratfun_rendering,
+                     t_power, to_poly)
 
 
 F2 = field_ctx(2)
@@ -357,7 +358,7 @@ def _oracle_inputs(draw):
     f = poly(draw(st.integers(1, top)))
     if shape == "lc_shares":
         a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-        lc = t_power(ctx, a) * RatFun.from_t_coeffs(ctx, {0: 1, 1: 1}) ** b
+        lc = t_power(ctx, a) * ratfun_pow(RatFun.from_t_coeffs(ctx, {0: 1, 1: 1}), b)
         f = Poly.make([*f.coeffs[:-1], lc])
     return f
 
