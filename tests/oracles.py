@@ -133,7 +133,7 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 
 def _as_ratfun(w) -> RatFun:
-    # for taylor_at and evaluate, the one caller of to_ratfun
+    # for taylor_at and evaluate
     if isinstance(w, HahnSeries):
         return to_ratfun(w)
     if isinstance(w, RatFun):
