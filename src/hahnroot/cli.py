@@ -325,6 +325,8 @@ def additive_text(P: ore.AdditivePolynomial) -> str:
 
 
 def _fraction_str(r) -> str:
+    if r.__class__ is Fraction:
+        return str(r)
     return "inf" if r == INF else str(Fraction(r))
 
 

@@ -54,12 +54,16 @@ Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
 Instead, a stable two-line zigzag over the last steps of a chain is detected
 and reported as the limit exponent, the line set tied there (the points on
-the leaf's ``newton_edges`` edge at that exponent), and the branch equation
-with its solutions.  For inputs that are not additive in X the detector is
-an extrapolation and is labelled heuristic.  ``newton_edges`` is the only
+the leaf's hull edge at that exponent), and the branch equation with its
+solutions.  The detector, which closes every depth-limit leaf, compares the
+integer minima over M of each window node and its parent by
+cross-multiplication, each over its own M, and builds a ``Fraction`` only
+for a report.  For inputs that are not additive in X the detector is an
+extrapolation and is labelled heuristic.  ``newton_edges`` is the only
 Newton-polygon query here; the tests check the index-0 steps against a
 from-scratch oracle in ``tests/oracles.py`` that computes Taylor data in
-``RatFun`` arithmetic.
+``RatFun`` arithmetic, and the detector against its ``Fraction`` and
+``NewtonLine`` form there.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ from fractions import Fraction
 from . import ffield
 from .ffield import FF, FieldCtx
 from .hahn import HahnSeries, expands_at
-from .hasse import (INF, NewtonLine, Poly, TaylorData, cleared_coefficients, is_additive,
-                    newton_edges, taylor_shift)
+from .hasse import (INF, Poly, TaylorData, cleared_coefficients, is_additive, newton_edges,
+                    taylor_shift)
 # not called here: the engine's route to any w, which tests/oracles.py checks
 # against RatFun arithmetic; perfbench/tracing.py wraps expand.taylor_at and
 # expand.evaluate by name until ROADMAP item 3
@@ -109,8 +113,9 @@ class BranchNode:
 
     ``minima`` holds (i, min(c_i)) for each nonzero Taylor coefficient c_i
     of f at w, over the exponent denominator ``M``, and ``leads`` the
-    leading coefficient c_i[min(c_i)] by i; ``residual_valuation``,
-    ``residual_lead`` and ``lines`` are read off them.  ``field_degree`` is
+    leading coefficient c_i[min(c_i)] by i; ``residual_valuation`` and
+    ``residual_lead`` are read off them, and the Newton line of index
+    i >= 1 is min(c_i)/M + i*r.  ``field_degree`` is
     the degree d over F_p of the field that f's and w's coefficients
     generate, so sigma^d fixes f and w; it is tracked while w lies in a field with tables and
     is None above them, where orbits are not shared.  Nodes hash by
@@ -119,7 +124,7 @@ class BranchNode:
 
     __slots__ = ("w", "last_r", "multiplicity", "M", "minima", "leads", "status",
                  "step_zeta", "term_lines", "parent", "children", "accumulation",
-                 "field_degree", "_lines")
+                 "field_degree")
 
     def __init__(self, w: HahnSeries, last_r: Fraction | None, multiplicity: int, M: int = 1,
                  minima: list[tuple[int, int]] | None = None, leads: dict[int, FF] | None = None,
@@ -139,7 +144,6 @@ class BranchNode:
         self.children: list[BranchNode] = []
         self.accumulation: AccumulationReport | None = None
         self.field_degree = field_degree
-        self._lines: tuple[NewtonLine, ...] | None = None
 
     @property
     def residual_valuation(self) -> Fraction | float:
@@ -155,16 +159,6 @@ class BranchNode:
     def residual_lead(self) -> FF | None:
         """The leading coefficient of f(w); None when f(w) = 0."""
         return self.leads.get(0)
-
-    @property
-    def lines(self) -> tuple[NewtonLine, ...]:
-        """The Newton lines v(c_i) + i*r of the nonzero c_i with i >= 1,
-        built on first read."""
-        if self._lines is None:
-            M, leads = self.M, self.leads
-            self._lines = tuple(NewtonLine(i, Fraction(e, M), leads[i])
-                                for i, e in self.minima if i)
-        return self._lines
 
     def chain(self) -> list["BranchNode"]:
         out: list[BranchNode] = []
@@ -421,61 +415,63 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
     data unchanged; the limit is then the exact intersection of the two
     lines, approached monotonically from below.  Returns None if no such
     stable cycle exists.
+
+    The lines are those of the parents' minima: line i of a node is
+    e_i/M + i*r.  Every test is an integer cross-multiplication of the
+    minima over each node's own M, so only a report builds a ``Fraction``.
     """
     steps = [n for n in chain if n.parent is not None and n.step_zeta is not None]
     if len(steps) < _STABLE_STEPS:
         return None
     window = steps[-_STABLE_STEPS:]
-    pairs = []
+    ref = None
     for node in window:
         parent = node.parent
-        assert parent is not None
-        if len(node.term_lines) != 1:
+        if len(node.term_lines) != 1 or node.minima[0][0]:
             return None
         (ell,) = node.term_lines
-        if node.residual_valuation == INF:
-            return None
-        matches = {
-            line.i
-            for line in parent.lines
-            if line.i != ell and line.gamma(node.last_r) == node.residual_valuation
-        }
+        rn, rd, Mp = node.last_r.numerator, node.last_r.denominator, parent.M
+        # line i at r = rn/rd meets v(f(node)) = e_0/M: (e_i*rd + i*rn*Mp)*M == e_0*Mp*rd
+        v = node.minima[0][1] * Mp * rd
+        matches = [i for i, e in parent.minima
+                   if i and i != ell and (e * rd + i * rn * Mp) * node.M == v]
         if len(matches) != 1:
             return None
-        (m,) = matches
-        line_map = {line.i: line for line in parent.lines}
-        pairs.append((ell, m, line_map[ell], line_map[m]))
-    ref = pairs[0]
-    if any(p[:2] != ref[:2] for p in pairs):
-        return None
-    ell, m = ref[0], ref[1]
-    if any(p[2] != ref[2] or p[3] != ref[3] for p in pairs):
-        return None
-    line_l, line_m = ref[2], ref[3]
-    r_star = Fraction(line_m.rho - line_l.rho, line_l.i - line_m.i)
+        m = matches[0]
+        e = dict(parent.minima)
+        key = ell, m, parent.leads[ell], parent.leads[m]
+        if ref is None:
+            ref, M0, e_l, e_m = key, Mp, e[ell], e[m]
+        elif key != ref or e[ell] * M0 != e_l * Mp or e[m] * M0 != e_m * Mp:
+            return None
+    ell, m, b_l, b_m = ref
+    # r_star = (rho_m - rho_l)/(l - m) = num/den, den > 0
+    num, den = e_m - e_l, M0 * (ell - m)
+    if den < 0:
+        num, den = -num, -den
     exponents = [n.last_r for n in window]
     if any(b <= a for a, b in zip(exponents, exponents[1:])):
         return None
-    if any(e >= r_star for e in exponents):
+    if any(r.numerator * den >= num * r.denominator for r in exponents):
         return None
 
     leaf = chain[-1]
-    # the lines tied at r_star are the points on the leaf's hull edge of
-    # negated slope r_star; with no such edge one line alone is minimal there
-    edges = newton_edges([(i, e) for i, e in leaf.minima if i], leaf.M)
-    J_star = next((frozenset(xs) for r, xs in edges if r == r_star), None)
-    if J_star is None or not {ell, m} <= J_star:
+    # the lines tied at r_star are those of least e_i/ML + i*r_star, scaled
+    # by ML*den; two or more tie exactly on the leaf's hull edge at r_star
+    e, ML = dict(leaf.minima), leaf.M
+    at_r = {i: x * den + i * num * ML for i, x in e.items() if i}
+    low = min(at_r.values(), default=None)
+    J_star = frozenset(i for i, x in at_r.items() if x == low)
+    if (not {ell, m} <= J_star or e[ell] * M0 != e_l * ML or e[m] * M0 != e_m * ML
+            or leaf.leads[ell] != b_l or leaf.leads[m] != b_m):
         return None
-    by_index = {line.i: line for line in leaf.lines}
-    if by_index[ell] != line_l or by_index[m] != line_m:
-        return None
-    equation, solved = _tied_roots(leaf.w.ctx, {j: by_index[j].b for j in J_star})
+    equation, solved = _tied_roots(leaf.w.ctx, {j: leaf.leads[j] for j in J_star})
     prefix = [c for _, c in leaf.w.terms]
     solutions = tuple(
         (zeta, expands_at(prefix, zeta)) for zeta, _ in solved.roots
     )
     return AccumulationReport(
-        r_star=r_star,
+        r_star=Fraction(num, den),
         J_star=J_star,
         equation=tuple(equation),
         solutions=solutions,

@@ -83,11 +83,16 @@ class HahnSeries:
         """Extend by one term beyond the current support.
 
         Only the new term is checked, so a chain of appends costs O(1)
-        checks per step rather than a rescan of the whole support.
+        checks per step rather than a rescan of the whole support: a
+        ``Fraction`` exponent is kept as it is and compared with the last
+        one by one integer cross-product.
         """
-        e = Fraction(e)
-        if self.terms and e <= self.terms[-1][0]:
-            raise ValueError("appended exponent must exceed the support")
+        if e.__class__ is not Fraction:
+            e = Fraction(e)
+        if self.terms:
+            last = self.terms[-1][0]
+            if e.numerator * last.denominator <= last.numerator * e.denominator:
+                raise ValueError("appended exponent must exceed the support")
         if not c:
             return self
         out = object.__new__(HahnSeries)

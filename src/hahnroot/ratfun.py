@@ -241,8 +241,7 @@ def reduced_t_sides(num: dict[int, int], den: dict[int, int], p: int) -> tuple[d
     g = intpoly.gcd(dn, dd, p)
     if intpoly.deg(g) == 0:
         return num, den
-    dn = intpoly.divexact(dn, g, p)
-    dd = intpoly.divexact(dd, g, p)
+    dn, dd = intpoly.Divisor(g, p).divexact_all([dn, dd])
     inv = pow(dd[0], p - 2, p)
     return ({e + nlo: c * inv % p for e, c in enumerate(dn) if c},
             {e: c * inv % p for e, c in enumerate(dd) if c})

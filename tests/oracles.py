@@ -9,6 +9,10 @@ method became a function that takes the object first):
   sums of products;
 - ``approximation_terms`` finds a node's valuation-raising steps from
   scratch (``taylor_at``), where the engine shifts Taylor data;
+- ``node_lines`` builds a node's Newton lines as ``NewtonLine``s with
+  ``Fraction`` offsets, and ``reference_accumulation_analysis`` detects a
+  zigzag limit by comparing them, where ``expand`` cross-multiplies the
+  integer minima over each node's M;
 - ``taylor_at`` and ``evaluate`` compute Taylor data and values from
   scratch in ``RatFun`` arithmetic, with Lucas' binomials
   (``binom_mod_p``) and cached powers of the point, at a finite series
@@ -54,10 +58,11 @@ from fractions import Fraction
 
 from hahnroot import intpoly
 from hahnroot.cli import _X_DEGREE_LIMIT, ParseError, _terms_text
-from hahnroot.expand import ExpansionTree, _tied_roots
+from hahnroot.expand import (_STABLE_STEPS, AccumulationReport, BranchNode, ExpansionTree,
+                             _tied_roots)
 from hahnroot.ffield import FF, Embedding, FieldCtx, field_ctx, find_embedding, sparse_mul
-from hahnroot.hahn import HahnSeries, prime_exponent
-from hahnroot.hasse import INF, NewtonLine, Poly
+from hahnroot.hahn import HahnSeries, expands_at, prime_exponent
+from hahnroot.hasse import INF, NewtonLine, Poly, is_additive, newton_edges
 from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
 from hahnroot.ratfun import RatFun, to_text
 
@@ -103,6 +108,83 @@ def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]
     _, J = gamma_J(lines, r)
     _, solved = _tied_roots(w.ctx, {0: b} | {line.i: line.b for line in lines if line.i in J})
     return [(r, zeta, mult) for zeta, mult in solved.roots if zeta]
+
+
+def node_lines(node: BranchNode) -> tuple[NewtonLine, ...]:
+    """The Newton lines v(c_i) + i*r of a node's nonzero c_i with i >= 1."""
+    M, leads = node.M, node.leads
+    return tuple(NewtonLine(i, Fraction(e, M), leads[i]) for i, e in node.minima if i)
+
+
+def reference_accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationReport | None:
+    """Detect a two-line zigzag limit at the end of a chain.
+
+    The last steps must use one fixed term line l (a singleton edge) while
+    the residual valuation lands on one fixed other line m, with both lines'
+    data unchanged; the limit is then the exact intersection of the two
+    lines, approached monotonically from below.  Returns None if no such
+    stable cycle exists.
+    """
+    steps = [n for n in chain if n.parent is not None and n.step_zeta is not None]
+    if len(steps) < _STABLE_STEPS:
+        return None
+    window = steps[-_STABLE_STEPS:]
+    pairs = []
+    for node in window:
+        parent = node.parent
+        assert parent is not None
+        if len(node.term_lines) != 1:
+            return None
+        (ell,) = node.term_lines
+        if node.residual_valuation == INF:
+            return None
+        matches = {
+            line.i
+            for line in node_lines(parent)
+            if line.i != ell and line.gamma(node.last_r) == node.residual_valuation
+        }
+        if len(matches) != 1:
+            return None
+        (m,) = matches
+        line_map = {line.i: line for line in node_lines(parent)}
+        pairs.append((ell, m, line_map[ell], line_map[m]))
+    ref = pairs[0]
+    if any(p[:2] != ref[:2] for p in pairs):
+        return None
+    ell, m = ref[0], ref[1]
+    if any(p[2] != ref[2] or p[3] != ref[3] for p in pairs):
+        return None
+    line_l, line_m = ref[2], ref[3]
+    r_star = Fraction(line_m.rho - line_l.rho, line_l.i - line_m.i)
+    exponents = [n.last_r for n in window]
+    if any(b <= a for a, b in zip(exponents, exponents[1:])):
+        return None
+    if any(e >= r_star for e in exponents):
+        return None
+
+    leaf = chain[-1]
+    # the lines tied at r_star are the points on the leaf's hull edge of
+    # negated slope r_star; with no such edge one line alone is minimal there
+    edges = newton_edges([(i, e) for i, e in leaf.minima if i], leaf.M)
+    J_star = next((frozenset(xs) for r, xs in edges if r == r_star), None)
+    if J_star is None or not {ell, m} <= J_star:
+        return None
+    by_index = {line.i: line for line in node_lines(leaf)}
+    if by_index[ell] != line_l or by_index[m] != line_m:
+        return None
+    equation, solved = _tied_roots(leaf.w.ctx, {j: by_index[j].b for j in J_star})
+    prefix = [c for _, c in leaf.w.terms]
+    solutions = tuple(
+        (zeta, expands_at(prefix, zeta)) for zeta, _ in solved.roots
+    )
+    return AccumulationReport(
+        r_star=r_star,
+        J_star=J_star,
+        equation=tuple(equation),
+        solutions=solutions,
+        ctx=solved.ctx,
+        heuristic=not is_additive(f),
+    )
 
 
 def edges(tree: ExpansionTree):

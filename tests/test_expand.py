@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from hahnroot.cli import parse_polynomial
-from hahnroot.expand import accumulation_analysis, expand_roots
+from hahnroot.expand import BranchNode, accumulation_analysis, expand_roots
 from hahnroot.ffield import coeffs_text, field_ctx
 from hahnroot.hahn import HahnSeries
 from hahnroot.hasse import INF
-from oracles import AlreadyRootError, approximation_terms, edges, gamma_J, monic, poly_mul
+from oracles import (AlreadyRootError, approximation_terms, edges, gamma_J, monic, node_lines,
+                     poly_mul, reference_accumulation_analysis)
 
 
 F3 = field_ctx(3)
@@ -139,7 +140,7 @@ def test_branch_children_on_zero_edge_match_approximation_terms():
     f = parse_polynomial("X^4 + t*X^2 + X + t^2", 3)
     tree = expand_roots(f, 5)
     for node, kid in edges(tree):
-        if kid.step_zeta is None or node.lines == ():
+        if kid.step_zeta is None or node_lines(node) == ():
             continue
         if 0 in _edge_full_indices(f, node, kid):
             expected = {(r, z.coeffs, m) for r, z, m in approximation_terms(f, node.w)}
@@ -150,7 +151,7 @@ def test_branch_children_on_zero_edge_match_approximation_terms():
 def _edge_full_indices(f, node, kid):
     # the hull edge of this step touched index 0 iff the step raised the
     # residual valuation from exactly v(f(w))
-    gamma, _ = gamma_J(node.lines, kid.last_r)
+    gamma, _ = gamma_J(node_lines(node), kid.last_r)
     return {0, *kid.term_lines} if gamma == node.residual_valuation else set(kid.term_lines)
 
 
@@ -163,7 +164,7 @@ def test_every_step_beats_its_edge_level():
         for node, kid in edges(tree):
             if kid.step_zeta is None:
                 continue
-            level, _ = gamma_J(node.lines, kid.last_r)
+            level, _ = gamma_J(node_lines(node), kid.last_r)
             edge_level = min(level, node.residual_valuation)
             assert kid.residual_valuation > edge_level
 
@@ -181,12 +182,12 @@ def test_tie_child_keeps_valuation_over_lower_edge_level():
 
     tie = by_terms[((Fraction(0), two),)]
     assert tie.term_lines == frozenset({1, 2})
-    assert gamma_J(root.lines, tie.last_r)[0] == 0
+    assert gamma_J(node_lines(root), tie.last_r)[0] == 0
     assert tie.residual_valuation == 1
 
     approx = by_terms[((Fraction(1), two),)]
     assert approx.term_lines == frozenset({1})
-    assert gamma_J(root.lines, approx.last_r)[0] == 1
+    assert gamma_J(node_lines(root), approx.last_r)[0] == 1
     assert approx.residual_valuation == 2
     assert set(by_terms) == {tie.w.terms, approx.w.terms}
 
@@ -439,6 +440,92 @@ def test_accumulation_none_for_exact_roots():
     assert accumulation_analysis(monic(f), leaf.chain()) is None
 
 
+def _report_fields(report):
+    if report is None:
+        return None
+    return (report.r_star, report.J_star, report.equation, report.solutions, report.ctx,
+            report.heuristic)
+
+
+def _detector_inputs():
+    from hahnroot.corpus import corpus
+
+    polys = corpus(20260810, 50) + corpus(20260810, 30, ps=(5, 7))
+    polys += [parse_polynomial(f"X^{p}-X-1/t", p) for p in (2, 3, 5)]
+    polys += [parse_polynomial(text, 3) for text in ("X^3-X^2-1/t", "X^3-X-1/t",
+                                                     "X^3-t^2*X-1/t")]
+    for f in polys:
+        for depth in (10, 25):
+            stack = [expand_roots(f, depth).root]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children)
+                yield f, node.chain()
+
+
+def _assert_detectors_agree(f, chain):
+    got = _report_fields(accumulation_analysis(f, chain))
+    assert got == _report_fields(reference_accumulation_analysis(f, chain))
+    return got is not None
+
+
+def test_accumulation_analysis_matches_the_reference_on_every_chain():
+    # the detector cross-multiplies integer minima over each node's M; the
+    # reference compares NewtonLines with Fraction offsets.  Every node's
+    # chain is compared, not only the leaves the engine closes
+    chains = reports = 0
+    for f, chain in _detector_inputs():
+        reports += _assert_detectors_agree(f, chain)
+        chains += 1
+    assert chains > 5000 and reports > 200
+
+
+def _raised(minima, lines, x):
+    return [(i, e + x if i in lines else e) for i, e in minima]
+
+
+def _variants(chain):
+    # replacements {k: (M, minima, leads)} for one of the last five nodes,
+    # the window's parents and the leaf, whose lines the detector compares:
+    # the same lines over 2M, all lines or one raised by 1, one raised by
+    # 1/M, one lead moved, and one line raised by 1 with the child's
+    # residual valuation, so that it still meets it
+    for j in range(len(chain) - 5, len(chain)):
+        M, minima, leads = chain[j].M, chain[j].minima, chain[j].leads
+        lines = {i for i, _ in minima if i}
+        yield {j: (2 * M, [(i, 2 * e) for i, e in minima], leads)}
+        yield {j: (M, _raised(minima, lines, M), leads)}
+        for i in lines:
+            yield {j: (M, _raised(minima, {i}, 1), leads)}
+            if leads[i] + leads[i].ctx.one:
+                yield {j: (M, minima, leads | {i: leads[i] + leads[i].ctx.one})}
+            kid = chain[j + 1] if j + 1 < len(chain) else None
+            if kid is not None and kid.minima and kid.minima[0][0] == 0:
+                yield {j: (M, _raised(minima, {i}, M), leads),
+                       j + 1: (kid.M, _raised(kid.minima, {0}, kid.M), kid.leads)}
+
+
+def _perturbed(chain, replace):
+    out = []
+    for k, node in enumerate(chain):
+        M, minima, leads = replace.get(k, (node.M, node.minima, node.leads))
+        out.append(BranchNode(node.w, node.last_r, node.multiplicity, M, minima, leads,
+                              step_zeta=node.step_zeta, term_lines=node.term_lines,
+                              parent=out[-1] if out else None))
+    return out
+
+
+def test_accumulation_analysis_matches_the_reference_on_perturbed_chains():
+    cases = reports = 0
+    for f, chain in _detector_inputs():
+        if accumulation_analysis(f, chain) is None:
+            continue
+        for replace in _variants(chain):
+            reports += _assert_detectors_agree(f, _perturbed(chain, replace))
+            cases += 1
+    assert cases > 5000 and 0 < reports < cases
+
+
 def test_budget_exhausted_without_cycle():
     # 1/(1-t) = 1 + t + t^2 + ...: exponents march to infinity, no finite limit
     f = parse_polynomial("(1-t)*X - 1", 3)
@@ -459,7 +546,7 @@ def _assert_nodes_match_taylor_at(f, depth):
         coeffs = taylor_at(g, node.w)
         expected = (INF, None) if coeffs[0].is_zero() else leading_term(coeffs[0])
         assert (node.residual_valuation, node.residual_lead) == expected
-        assert node.lines == newton_data(coeffs)
+        assert node_lines(node) == newton_data(coeffs)
     return nodes
 
 

@@ -73,4 +73,12 @@ def test_append_term_guards_order():
     assert chain == HahnSeries(F3, tuple(terms))
     # a zero coefficient leaves the series as it was
     assert chain.append_term(Fraction(7), F3.zero) is chain
+    # exponents over big denominators: 1 - 1/3^201 exceeds 1 - 1/3^200, and
+    # the same exponent again or a smaller one is refused
+    a, b = 1 - Fraction(1, 3**200), 1 - Fraction(1, 3**201)
+    big = HahnSeries.zero(F3).append_term(a, F3.one).append_term(b, F3.one)
+    assert big.terms == ((a, F3.one), (b, F3.one))
+    for e in (b, a, Fraction(b.numerator - 1, b.denominator)):
+        with pytest.raises(ValueError):
+            big.append_term(e, F3.one)
 
