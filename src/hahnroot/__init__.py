@@ -11,7 +11,7 @@ _HOMES = {
     "ffield": ("FF", "FieldCtx", "Embedding", "field_ctx", "poly_roots"),
     "ratfun": ("RatFun",),
     "hahn": ("HahnSeries", "expands_at"),
-    "hasse": ("Poly", "NewtonLine", "taylor_at", "evaluate", "is_additive"),
+    "hasse": ("Poly", "taylor_at", "evaluate", "is_additive"),
     "ore": ("AdditivePolynomial", "addpol"),
     "envelope": ("Breakpoint", "companion_points", "intersection_points", "maxram",
                  "maxexp", "maxexp_base", "paper_base", "order_type_bound"),

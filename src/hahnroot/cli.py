@@ -12,12 +12,13 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .ffield import FieldCtx, coeffs_text, field_ctx
 from .hahn import series_text
-from .hasse import INF, MAX_DIGITS, Poly
-from .ratfun import RatFun, fraction_text, to_text
+from .hasse import MAX_DIGITS, Poly
+from .ratfun import RatFun, fraction_text
 
 # ``expand``, ``ore`` and ``envelope`` are imported inside the verbs that run
 # them, so that a process loads only its verb's modules.  ``run`` reaches
@@ -300,13 +301,21 @@ def _terms_text(terms) -> str:
 
 
 def poly_text(f: Poly) -> str:
-    """Canonical text of f, round-trippable through parse_polynomial."""
+    """Canonical text of f, round-trippable through parse_polynomial.
+
+    Each coefficient is printed from its int sides, as the companion's are;
+    p is read from the coefficients, so the zero polynomial prints as "0".
+    Raises ValueError on a coefficient outside F_p or with M != 1.
+    """
     terms = []
     for i in range(f.degree, -1, -1):
         c = f.coeffs[i]
         if c.num:
-            neg = c.ctx.k == 1 and _folds(c.num[max(c.num)].coeffs[0], c.ctx.p)
-            terms.append((i, (neg, to_text(-c if neg else c))))
+            if c.M != 1:
+                raise ValueError("text form is defined for exponent denominator 1")
+            num = {e: x.as_int() for e, x in c.num.items()}
+            den = {e: x.as_int() for e, x in c.den.items()}
+            terms.append((i, _signed_text(num, den, c.ctx.p)))
     return _terms_text(terms)
 
 
@@ -324,43 +333,17 @@ def additive_text(P: ore.AdditivePolynomial) -> str:
     return _additive_rendering(P)[0]
 
 
-def _fraction_str(r) -> str:
-    if r.__class__ is Fraction:
-        return str(r)
-    return "inf" if r == INF else str(Fraction(r))
+def _fraction_str(r: Fraction | float) -> str:
+    # r is a Fraction or INF
+    return str(r) if r.__class__ is Fraction else "inf"
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 
-class Command:
-    """One CLI request; equal and hashed by value."""
-
-    __slots__ = ("verb", "p", "poly_text", "depth", "fmt", "mode")
-
-    def __init__(self, verb: str, p: int, poly_text: str, depth: int = 10,
-                 fmt: str = "text", mode: str = "sharp"):
-        self.verb = verb
-        self.p = p
-        self.poly_text = poly_text
-        self.depth = depth
-        self.fmt = fmt
-        self.mode = mode
-
-    def _key(self) -> tuple:
-        return (self.verb, self.p, self.poly_text, self.depth, self.fmt, self.mode)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Command:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "Command({})".format(", ".join(map(repr, self._key())))
+# One CLI request; equal and hashed by value.
+Command = namedtuple("Command", "verb p poly_text depth fmt mode", defaults=(10, "text", "sharp"))
 
 
 def _branch_json(node: expand.BranchNode) -> dict:

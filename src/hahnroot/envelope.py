@@ -11,6 +11,7 @@ be; the bound algorithms here just read those breakpoints off.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .hahn import prime_exponent
@@ -18,23 +19,11 @@ from .hasse import INF, MAX_DIGITS, Poly, newton_edges
 from .ore import AdditivePolynomial, addpol
 
 
-class Breakpoint:
-    """A value of r (rational, or +infinity) where the argmin has >= 2 lines;
-    equal and hashed by value."""
+class Breakpoint(namedtuple("Breakpoint", "r J")):
+    """A value r (rational, or +infinity) where the argmin has >= 2 lines,
+    with the frozenset J of those lines; equal and hashed by value."""
 
-    __slots__ = ("r", "J")
-
-    def __init__(self, r: Fraction | float, J: frozenset[int]):
-        self.r = r
-        self.J = J
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Breakpoint:
-            return NotImplemented
-        return self.r == other.r and self.J == other.J
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.J))
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:

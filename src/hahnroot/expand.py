@@ -68,11 +68,12 @@ from-scratch oracle in ``tests/oracles.py`` that computes Taylor data in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ffield
 from .ffield import FF, FieldCtx
-from .hahn import HahnSeries, expands_at
+from .hahn import HahnSeries, expands_at, prime_exponent
 from .hasse import (INF, Poly, TaylorData, cleared_coefficients, is_additive, newton_edges,
                     taylor_shift)
 # not called here: the engine's route to any w, which tests/oracles.py checks
@@ -84,28 +85,21 @@ from .hasse import evaluate, taylor_at  # noqa: F401
 _STABLE_STEPS = 4
 
 
-class AccumulationReport:
-    """Limit data for a chain whose exponents pile up below r_star."""
+class AccumulationReport(namedtuple("AccumulationReport",
+                                    "r_star J_star equation solutions ctx heuristic")):
+    """Limit data for a chain whose exponents pile up below r_star: the
+    tied lines J_star, the branch equation over ctx, its (zeta, expands)
+    solutions and the heuristic flag; equal and hashed by value."""
 
-    __slots__ = ("r_star", "J_star", "equation", "solutions", "ctx", "heuristic")
-
-    def __init__(self, r_star: Fraction, J_star: frozenset[int], equation: tuple[FF, ...],
-                 solutions: tuple[tuple[FF, bool], ...], ctx: FieldCtx, heuristic: bool):
-        self.r_star = r_star
-        self.J_star = J_star
-        self.equation = equation
-        self.solutions = solutions
-        self.ctx = ctx
-        self.heuristic = heuristic
+    __slots__ = ()
 
     def conjugate(self, s: int) -> "AccumulationReport":
         """The report of the sigma^s-image chain: the equation and solutions
         conjugated, the solutions re-sorted as ``poly_roots`` orders them."""
         solutions = sorted(((z.frobenius(s), flag) for z, flag in self.solutions),
                            key=lambda sol: sol[0].sort_key())
-        return AccumulationReport(self.r_star, self.J_star,
-                                  tuple(c.frobenius(s) for c in self.equation),
-                                  tuple(solutions), self.ctx, self.heuristic)
+        return self._replace(equation=tuple(c.frobenius(s) for c in self.equation),
+                             solutions=tuple(solutions))
 
 
 class BranchNode:
@@ -206,11 +200,8 @@ def _edge_roots(ctx: FieldCtx, lead: dict[int, FF], on_edge: tuple[int, ...]) ->
     """
     if len(on_edge) == 2:
         j, top = on_edge
-        gap, a = top - j, 0
-        while gap % ctx.p == 0:
-            gap //= ctx.p
-            a += 1
-        if gap == 1:
+        a = prime_exponent(top - j, ctx.p)
+        if top - j == ctx.p ** a:
             zeta = (-lead[j] / lead[top]).frobenius(-a % ctx.k)
             return ffield.RootsResult(ctx, ctx.identity, ((zeta, top - j),))
     return _tied_roots(ctx, {i: lead[i] for i in on_edge})[1]
@@ -347,13 +338,10 @@ def _fill_image(image: BranchNode, rep: BranchNode, s: int) -> None:
         img.children = kids
 
 
-class ExpansionTree:
-    __slots__ = ("f", "depth", "root")
+class ExpansionTree(namedtuple("ExpansionTree", "f depth root")):
+    """The expansion of f to a depth: the root node w = 0 and its subtree."""
 
-    def __init__(self, f: Poly, depth: int, root: BranchNode):
-        self.f = f
-        self.depth = depth
-        self.root = root
+    __slots__ = ()
 
     def leaves(self) -> list[BranchNode]:
         out = []
@@ -414,7 +402,10 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
     the residual valuation lands on one fixed other line m, with both lines'
     data unchanged; the limit is then the exact intersection of the two
     lines, approached monotonically from below.  Returns None if no such
-    stable cycle exists.
+    stable cycle exists.  The window's exponents ascend strictly by
+    construction: ``_edge_children`` asks ``newton_edges`` only for edges
+    above ``last_r``, so each step's r exceeds its parent's, and only their
+    bound by the limit is tested.
 
     The lines are those of the parents' minima: line i of a node is
     e_i/M + i*r.  Every test is an integer cross-multiplication of the
@@ -449,10 +440,7 @@ def accumulation_analysis(f: Poly, chain: list[BranchNode]) -> AccumulationRepor
     num, den = e_m - e_l, M0 * (ell - m)
     if den < 0:
         num, den = -num, -den
-    exponents = [n.last_r for n in window]
-    if any(b <= a for a, b in zip(exponents, exponents[1:])):
-        return None
-    if any(r.numerator * den >= num * r.denominator for r in exponents):
+    if any(n.last_r.numerator * den >= num * n.last_r.denominator for n in window):
         return None
 
     leaf = chain[-1]

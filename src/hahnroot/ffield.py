@@ -24,6 +24,7 @@ roots live in.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -797,15 +798,10 @@ def _distinct_degrees(rad: list[FF], ctx: FieldCtx) -> list[int]:
     return degrees
 
 
-class RootsResult:
-    """Roots of a polynomial, all expressed in one (possibly enlarged) context."""
-
-    __slots__ = ("ctx", "embed", "roots")
-
-    def __init__(self, ctx: FieldCtx, embed: Embedding, roots: tuple[tuple[FF, int], ...]):
-        self.ctx = ctx
-        self.embed = embed
-        self.roots = roots
+# Roots of a polynomial, all expressed in one (possibly enlarged) context
+# ctx: (root, multiplicity) pairs, and the Embedding of the input context
+# into ctx; equal and hashed by value.
+RootsResult = namedtuple("RootsResult", "ctx embed roots")
 
 
 def poly_roots(g: list[FF]) -> RootsResult:

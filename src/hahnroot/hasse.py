@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ffield import FF, FieldCtx, find_embedding, sparse_addmul, sparse_mul
-from .hahn import HahnSeries
+from .hahn import HahnSeries, prime_exponent
 from .ratfun import RatFun
 
 INF = math.inf
@@ -100,11 +100,7 @@ def is_additive(f: Poly) -> bool:
     for i, c in enumerate(f.coeffs):
         if c.is_zero():
             continue
-        if i == 0:
-            return False
-        while i % p == 0:
-            i //= p
-        if i != 1:
+        if i == 0 or i != p ** prime_exponent(i, p):
             return False
     return True
 
@@ -214,31 +210,6 @@ def evaluate(f: Poly, w: HahnSeries) -> RatFun:
     """f(w), exactly, for a nonzero f and a finite series w: c_0 of
     ``taylor_at``.  Wrapped as expand.evaluate by perfbench/tracing.py."""
     return taylor_at(f, w)[0]
-
-
-class NewtonLine:
-    """gamma(r) = rho + i*r for the index-i term, with leading coefficient b;
-    equal and hashed by value."""
-
-    __slots__ = ("i", "rho", "b")
-
-    def __init__(self, i: int, rho: Fraction, b: FF):
-        self.i = i
-        self.rho = rho
-        self.b = b
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not NewtonLine:
-            return NotImplemented
-        return (self.i, self.rho, self.b) == (other.i, other.rho, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.rho, self.b))
-
-    def gamma(self, r) -> Fraction | float:
-        if r == INF:
-            return INF
-        return self.rho + self.i * Fraction(r)
 
 
 def newton_edges(points, d=1, above=None) -> list[tuple[Fraction, tuple[int, ...]]]:

@@ -15,7 +15,9 @@ applies it to every such fraction with a denominator of two or more terms;
 the parser builds those once per X-power and once per term whose
 denominator has two or more terms.  The companion applies it to each a_i's
 int sides when its coefficients are first read, with no ``RatFun`` on the
-way, and ``fraction_text`` prints int sides and ``RatFun`` sides alike.
+way, and ``fraction_text`` prints int sides: the companion's, and f's
+coefficients, whose sides ``cli.poly_text`` reads with ``FF.as_int``;
+``to_text`` prints a ``RatFun``'s own sides for ``repr`` and the tests.
 Negation and scaling by a nonzero constant map a normalised fraction to a
 normalised one, so they skip the constructor's work.  ``RatFun``s with
 M > 1 or k > 1 come only from ``hasse.taylor_at``, which multiplies the

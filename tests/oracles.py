@@ -9,6 +9,8 @@ method became a function that takes the object first):
   sums of products;
 - ``approximation_terms`` finds a node's valuation-raising steps from
   scratch (``taylor_at``), where the engine shifts Taylor data;
+- ``NewtonLine``, a namedtuple (i, rho, b) with ``gamma(r) = rho + i*r``,
+  was ``hasse``'s; only these oracles build Newton lines as objects;
 - ``node_lines`` builds a node's Newton lines as ``NewtonLine``s with
   ``Fraction`` offsets, and ``reference_accumulation_analysis`` detects a
   zigzag limit by comparing them, where ``expand`` cross-multiplies the
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from hahnroot import intpoly
@@ -62,7 +65,7 @@ from hahnroot.expand import (_STABLE_STEPS, AccumulationReport, BranchNode, Expa
                              _tied_roots)
 from hahnroot.ffield import FF, Embedding, FieldCtx, field_ctx, find_embedding, sparse_mul
 from hahnroot.hahn import HahnSeries, expands_at, prime_exponent
-from hahnroot.hasse import INF, NewtonLine, Poly, is_additive, newton_edges
+from hahnroot.hasse import INF, Poly, is_additive, newton_edges
 from hahnroot.ore import AdditivePolynomial, _echelon, _sides, _stretch, _strip_content
 from hahnroot.ratfun import RatFun, to_text
 
@@ -86,6 +89,18 @@ def add(a: list[int], b: list[int], p: int) -> list[int]:
 
 class AlreadyRootError(ValueError):
     """Raised when next-term candidates are requested at an exact root."""
+
+
+class NewtonLine(namedtuple("NewtonLine", "i rho b")):
+    """gamma(r) = rho + i*r for the index-i term, with leading coefficient b;
+    equal and hashed by value."""
+
+    __slots__ = ()
+
+    def gamma(self, r) -> Fraction | float:
+        if r == INF:
+            return INF
+        return self.rho + self.i * Fraction(r)
 
 
 def approximation_terms(f: Poly, w: HahnSeries) -> list[tuple[Fraction, FF, int]]:

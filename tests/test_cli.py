@@ -76,6 +76,20 @@ def test_round_trip_on_corpus():
         assert parse_polynomial(poly_text(g), g.ctx.p) == g
 
 
+def test_poly_text_refuses_what_the_grammar_cannot_write():
+    # a coefficient outside F_p, here the generator of F_9, or over
+    # t^(1/M) with M > 1 has no text that parses back to it
+    F9 = field_ctx(3, 2)
+    outside = Poly.make([RatFun.zero(F9), RatFun.from_ff(F9.from_coeffs([0, 1]))])
+    with pytest.raises(ValueError, match="prime field"):
+        poly_text(outside)
+    inside = Poly.make([RatFun.from_int(F9, 2), RatFun.one(F9)])
+    assert poly_text(inside) == "X - 1"
+    ramified = Poly.make([RatFun(F3, 2, {1: F3.one}, {0: F3.one}), RatFun.one(F3)])
+    with pytest.raises(ValueError, match="exponent denominator 1"):
+        poly_text(ramified)
+
+
 # the corpus polynomials whose text parses back to another polynomial: a
 # negated constant coefficient of several terms loses its parentheses, so
 # over F_3 2 + 2t = -(t + 1) prints as "- t + 1" (ROADMAP item 11)

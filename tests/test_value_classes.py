@@ -6,10 +6,11 @@ import pytest
 
 from hahnroot.cli import Command, parse_polynomial
 from hahnroot.envelope import Breakpoint
-from hahnroot.expand import BranchNode
-from hahnroot.ffield import field_ctx
+from hahnroot.expand import BranchNode, expand_roots
+from hahnroot.ffield import field_ctx, poly_roots
 from hahnroot.hahn import HahnSeries
-from hahnroot.hasse import INF, NewtonLine
+from hahnroot.hasse import INF
+from oracles import NewtonLine
 
 
 def test_contexts_built_apart_are_one_value():
@@ -50,6 +51,44 @@ def test_series_lines_breakpoints_and_commands_compare_by_value():
     for a, b, c in pairs:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != c
+
+
+def _reports(text: str, p: int, depth: int) -> list:
+    tree = expand_roots(parse_polynomial(text, p), depth)
+    return [n.accumulation for n in tree.leaves() if n.accumulation is not None]
+
+
+def test_reports_and_root_sets_compare_and_hash_by_value():
+    reports, again = _reports("X^3-X^2-1/t", 3, 12), _reports("X^3-X^2-1/t", 3, 12)
+    assert reports
+    for a, b in zip(reports, again):
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a._replace(heuristic=not a.heuristic)
+    F9 = field_ctx(3, 2)
+    z2_plus_1 = [F9.one, F9.zero, F9.one]
+    a, b = poly_roots(z2_plus_1), poly_roots(list(z2_plus_1))
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != poly_roots([-F9.one, F9.zero, F9.one])
+
+
+def test_a_report_over_f_p_k_is_its_own_sigma_k_image():
+    reports = _reports("X^3-X^2-1/t", 3, 12)
+    assert {report.ctx.k for report in reports} == {2}
+    for report in reports:
+        assert report.conjugate(report.ctx.k) == report
+
+
+def test_commands_default_to_depth_10_text_and_sharp():
+    cmd = Command("roots", 3, "X^2-t")
+    assert (cmd.depth, cmd.fmt, cmd.mode) == (10, "text", "sharp")
+    assert cmd == Command(verb="roots", p=3, poly_text="X^2-t", depth=10, fmt="text", mode="sharp")
+
+
+def test_only_finite_breakpoints_are_finite():
+    assert not Breakpoint(INF, frozenset({0, 1})).is_finite
+    assert Breakpoint(Fraction(1, 2), frozenset({0, 1})).is_finite
 
 
 def test_polynomials_compare_by_value_and_are_unhashable():
