@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Seeded corpus sweep: expand random polynomials and check every corpus
 invariant of tests/invariants.py (acceptance criteria 4, 6, 7a, 7b and 8,
-and the Frobenius closure of the leaves) on each.  Prints one line per
+the Frobenius closure of the leaves and the Hensel step at every node of
+multiplicity 1) on each.  Prints one line per
 polynomial and a summary with the count of each check.
 """
 

@@ -46,24 +46,31 @@ children of a node of multiplicity mu account for exactly mu roots of f.
 
 A simple root separates from the others after a few terms; from then on
 its chain is in the Hensel regime, where each term is one linear step
-(Kung & Traub, J. ACM 1978).  The walk reads the regime off the hull: its
-one edge past ``last_r`` is {0, 1}, and its step from index 1 reaches no
-r above ``last_r``, so the node's one child needs no root solve.
+(Kung & Traub, J. ACM 1978).  The multiplicity decides the regime: at a
+node of multiplicity 1 with f(w) != 0, exactly one root of f(w + z) has
+valuation above ``last_r``, so the only hull edge past ``last_r`` is
+{0, 1} (ROADMAP item 12).  Such a node builds its one child
+w - (c_0[e_0]/c_1[e_1])*t^r, r = (e_0 - e_1)/M, in w's own field, with no
+walk, root solve or orbit split; O(n) integer comparisons check the
+theorem's hypothesis, and a node outside it takes the walk, whose census
+refuses it.
 
 Expansion never continues past an accumulation of exponents: a prefix with
 infinitely many terms below a finite bound has no exact finite carrier.
 Instead, a stable two-line zigzag over the last steps of a chain is detected
 and reported as the limit exponent, the line set tied there (the points on
 the leaf's hull edge at that exponent), and the branch equation with its
-solutions.  The detector, which closes every depth-limit leaf, compares the
-integer minima over M of each window node and its parent by
-cross-multiplication, each over its own M, and builds a ``Fraction`` only
-for a report.  For inputs that are not additive in X the detector is an
-extrapolation and is labelled heuristic.  ``newton_edges`` is the only
-Newton-polygon query here; the tests check the index-0 steps against a
-from-scratch oracle in ``tests/oracles.py`` that computes Taylor data in
-``RatFun`` arithmetic, and the detector against its ``Fraction`` and
-``NewtonLine`` form there.
+solutions.  A chain of multiplicity 1 lies in F_q((t^(1/M))) and cannot
+accumulate, so the detector closes only depth-limit leaves of multiplicity
+2 or more.  It compares the integer minima over M of each window node and
+its parent by cross-multiplication, each over its own M, and builds a
+``Fraction`` only for a report.  For inputs that are not additive in X the
+detector is an extrapolation and is labelled heuristic.  ``newton_edges``
+is the only Newton-polygon query here; the tests check the index-0 steps
+against a from-scratch oracle in ``tests/oracles.py`` that computes Taylor
+data in ``RatFun`` arithmetic, the multiplicity-1 children against the walk
+in ``tests/invariants.py``, and the detector against its ``Fraction`` and
+``NewtonLine`` form in the oracles.
 """
 
 from __future__ import annotations
@@ -223,9 +230,10 @@ def _edge_children(node: BranchNode, data: TaylorData,
     Returns the live representatives with their Taylor data, and appends
     each other orbit member to ``images`` as (member, representative, s).
 
-    The children come from the hull edges past ``last_r``, which
-    ``newton_edges`` walks on the node's integer minima.  Each step child
-    w + zeta*t^r comes from a hull edge of level
+    A node of multiplicity 1 with f(w) != 0 has the one child of
+    ``_hensel_child``.  Any other node's children come from the hull edges
+    past ``last_r``, which ``newton_edges`` walks on the node's integer
+    minima.  Each step child w + zeta*t^r comes from a hull edge of level
     L = min(min_i (v(D^(i)f(w)) + i*r), v(f(w))), and zeta cancels the
     leading terms along that edge, so every step child has v(f(child)) > L.
     The inequality is strict over v(f(w)) exactly when the edge passes
@@ -240,13 +248,17 @@ def _edge_children(node: BranchNode, data: TaylorData,
     representative's is finished.
     """
     w, M, lead, last_r = node.w, node.M, node.leads, node.last_r
+    order = node.minima[0][0]
+    above = None if last_r is None else last_r.numerator * (M // last_r.denominator)
+    if node.multiplicity == 1 and not order:
+        s = _hensel_exponent(node.minima, above)
+        if s is not None:
+            return _hensel_child(node, data, Fraction(s, M))
     kids: list[BranchNode] = []
     live: dict[BranchNode, TaylorData] = {}
-    order = node.minima[0][0]
     if order > 0:
         kids.append(BranchNode(w=w, last_r=last_r, multiplicity=order, status="exact_root",
                                parent=node, field_degree=node.field_degree))
-    above = None if last_r is None else last_r.numerator * (M // last_r.denominator)
     for r, on_edge in newton_edges(node.minima, M, above):
         solved = _edge_roots(w.ctx, lead, on_edge)
         w_base, data_base = w, data
@@ -298,6 +310,52 @@ def _edge_children(node: BranchNode, data: TaylorData,
     kids.sort(key=_child_key)
     node.children = kids
     return [(kid, live[kid]) for kid in kids if kid in live]
+
+
+def _hensel_exponent(minima: list[tuple[int, int]], above: int | None) -> int | None:
+    """s = e_0 - e_1 when the only hull edge past ``above`` = last_r*M is
+    {0, 1}, else None.
+
+    That holds exactly when s > above and every e_i, i >= 2, lies on or
+    above the line of slope -above through (1, e_1): then each point i lies
+    strictly above the edge {0, 1}, and the walk's step from index 1 reaches
+    no r above ``last_r``.  At the root (``above`` None) a node of
+    multiplicity 1 has deg f = 1, so there is no i >= 2.
+    """
+    if len(minima) < 2 or minima[1][0] != 1:
+        return None
+    e1 = minima[1][1]
+    s = minima[0][1] - e1
+    if above is not None and (s <= above or any(e < e1 - (i - 1) * above
+                                                for i, e in minima[2:])):
+        return None
+    return s
+
+
+_LINE_1 = frozenset({1})
+
+
+def _hensel_child(node: BranchNode, data: TaylorData,
+                  r: Fraction) -> list[tuple[BranchNode, TaylorData]]:
+    """The one child w - (c_0[e_0]/c_1[e_1])*t^r of a node in the Hensel
+    regime, with its Taylor data unless f(child) = 0.
+
+    It is the child that the walk's one edge {0, 1} gives: one root of
+    multiplicity 1 in w's field, which sigma^d fixes, so its orbit is
+    trivial and its field degree is the node's.  r's denominator divides
+    M, so ``taylor_shift`` keeps M.
+    """
+    w = node.w
+    zeta = -node.leads[0] / node.leads[1]
+    kid_data = taylor_shift(data, zeta, r)
+    kid = _node(w.append_term(r, zeta), kid_data, last_r=r, multiplicity=1, step_zeta=zeta,
+                term_lines=_LINE_1, parent=node,
+                field_degree=node.field_degree if w.ctx.has_tables else None)
+    node.children = [kid]
+    if kid.residual_lead is None:
+        kid.status = "exact_root"
+        return []
+    return [(kid, kid_data)]
 
 
 def _conjugate(node: BranchNode, s: int, parent: BranchNode) -> BranchNode:
@@ -387,7 +445,9 @@ def expand_roots(f: Poly, depth: int) -> ExpansionTree:
 
 
 def _close_out(f: Poly, node: BranchNode) -> None:
-    report = accumulation_analysis(f, node.chain())
+    # a chain of multiplicity 1 lies in F_q((t^(1/M))) (ROADMAP item 12), so
+    # its exponents cannot accumulate
+    report = accumulation_analysis(f, node.chain()) if node.multiplicity >= 2 else None
     if report is None:
         node.status = "budget_exhausted"
     else:

@@ -444,6 +444,11 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def lcm(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
+    # a nonzero constant divides everything
+    if len(a) == 1:
+        return monic(b, p)
+    if len(b) == 1:
+        return monic(a, p)
     return monic(divexact(mul(a, b, p), gcd(a, b, p), p), p)
 
 

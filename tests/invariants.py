@@ -4,8 +4,9 @@
 both check a polynomial f through this module.  A ``Case`` holds f, its
 additive companion P, P's intersection points and f's expansion tree.
 Each acceptance criterion (``companion`` 4, ``sites`` 6, ``census`` 7a,
-``ascent`` 7b, ``bounds`` 8) and the Frobenius closure of the leaf set
-(``frobenius_closure``) is a function of a case that returns its
+``ascent`` 7b, ``bounds`` 8), the Frobenius closure of the leaf set
+(``frobenius_closure``) and the Hensel step of ROADMAP item 12(a)
+(``hensel``) is a function of a case that returns its
 problems, one line each, and counts what it checked in a ``Counter``.
 
 ``divides(f, P)`` proves f | P from the n+1 residues X^(p^i) mod f,
@@ -34,7 +35,7 @@ from fractions import Fraction
 from hahnroot import intpoly
 from hahnroot.envelope import Breakpoint, companion_points, maxexp_base, maxram
 from hahnroot.expand import ExpansionTree, expand_roots
-from hahnroot.hasse import INF, Poly
+from hahnroot.hasse import INF, Poly, newton_edges
 from hahnroot.ore import AdditivePolynomial
 from oracles import add, edges, ramifies_at
 
@@ -285,6 +286,33 @@ def bounds(case: Case, counts: Counter) -> list[str]:
     return problems
 
 
+def hensel(case: Case, counts: Counter) -> list[str]:
+    """ROADMAP item 12(a): at every expanded node of multiplicity 1 with
+    f(w) != 0, the general walk past last_r finds the one edge {0, 1}, at
+    the r of the node's one child, and that child's coefficient is
+    -c_0[e_0]/c_1[e_1]; the engine builds such a child without the walk, so
+    the walk is the reference here.  Counts "hensel_nodes"."""
+    problems = []
+    stack = [case.tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.multiplicity != 1 or not node.children or node.minima[0][0]:
+            continue
+        counts["hensel_nodes"] += 1
+        last_r, M = node.last_r, node.M
+        above = None if last_r is None else last_r.numerator * (M // last_r.denominator)
+        walked = newton_edges(node.minima, M, above)
+        kid, zeta = node.children[0], -node.leads[0] / node.leads[1]
+        if len(node.children) != 1 or walked != [(kid.last_r, (0, 1))]:
+            problems.append(f"the walk past {last_r} at {node.w} gives {walked}, not the"
+                            f" one step to r = {kid.last_r} of {len(node.children)} children")
+        elif kid.step_zeta != zeta:
+            problems.append(f"the step coefficient at {node.w} is {kid.step_zeta},"
+                            f" not -c_0/c_1 = {zeta}")
+    return problems
+
+
 def _leaf_image(leaf, s: int) -> tuple:
     """A leaf's data under sigma^s, coefficient-wise: its field, terms,
     multiplicity, status, residual valuation and accumulation report, whose
@@ -318,7 +346,7 @@ def frobenius_closure(case: Case, counts: Counter) -> list[str]:
 
 
 CRITERIA = {"4": companion, "6": sites, "7a": census, "7b": ascent, "8": bounds,
-            "frobenius": frobenius_closure}
+            "frobenius": frobenius_closure, "hensel": hensel}
 
 
 def check(case: Case, counts: Counter | None = None) -> list[str]:

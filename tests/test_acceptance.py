@@ -2,10 +2,10 @@
 
 Corpus-wide data (expansions to depth 25 and additive companions for fifty
 seeded random polynomials) is computed once per module and shared.  Criteria
-4, 6, 7a, 7b and 8 and the Frobenius closure of the leaves are stated in
-``invariants``, which the corpus sweep
-``scripts/run_corpus.py`` checks too; the tests here keep their PASS lines
-and the corpus-wide assertions.
+4, 6, 7a, 7b and 8, the Frobenius closure of the leaves and the Hensel step
+at nodes of multiplicity 1 are stated in ``invariants``, which the corpus
+sweep ``scripts/run_corpus.py`` checks too; the tests here keep their PASS
+lines and the corpus-wide assertions.
 """
 
 import random
@@ -225,3 +225,11 @@ def test_leaves_are_closed_under_frobenius(corpus_cases):
     failures = _failures(invariants.frobenius_closure, corpus_cases, counts)
     assert failures == []
     print(f"\nFROBENIUS CLOSURE: PASS (leaf images x{counts['frobenius_images']})")
+
+
+def test_multiplicity_one_nodes_take_the_walks_one_step(corpus_cases):
+    # ROADMAP item 12(a): the engine builds these children without the walk
+    counts = Counter()
+    failures = _failures(invariants.hensel, corpus_cases, counts)
+    assert failures == [] and counts["hensel_nodes"] > 0
+    print(f"\nHENSEL STEP: PASS (multiplicity-1 nodes x{counts['hensel_nodes']})")

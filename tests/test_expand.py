@@ -475,7 +475,10 @@ def test_accumulation_analysis_matches_the_reference_on_every_chain():
     # chain is compared, not only the leaves the engine closes
     chains = reports = 0
     for f, chain in _detector_inputs():
-        reports += _assert_detectors_agree(f, chain)
+        reported = _assert_detectors_agree(f, chain)
+        # no chain of multiplicity 1 accumulates, so _close_out skips them
+        assert not (reported and chain[-1].multiplicity == 1)
+        reports += reported
         chains += 1
     assert chains > 5000 and reports > 200
 
@@ -609,18 +612,30 @@ def test_walk_bound_changes_no_answer(monkeypatch):
     from hahnroot.hasse import newton_edges
 
     bounded = _corpus_roots_json(25)
-    dropped = []
+    expanded, walkers, dropped = [], [], []
+    edge_children = expand._edge_children
+
+    def recording(node, data, images):
+        expanded.append(node)
+        return edge_children(node, data, images)
 
     def whole_hull(points, d=1, above=None):
+        walkers.append(expanded[-1])
         edges = newton_edges(points, d)
         kept = [(r, xs) for r, xs in edges if above is None or r * d > above]
         dropped.append(len(edges) - len(kept))
         return kept
 
+    monkeypatch.setattr(expand, "_edge_children", recording)
     monkeypatch.setattr(expand, "newton_edges", whole_hull)
     assert _corpus_roots_json(25) == bounded
-    # most walks end at the bound with edges left behind it
-    assert sum(1 for n in dropped if n) >= 0.8 * len(dropped) > 0
+    # a node of multiplicity 1 with f(w) != 0 builds its one child from the
+    # multiplicity theorem, with no walk (ROADMAP item 12); every other
+    # expanded node walks once
+    assert walkers == [node for node in expanded if node.multiplicity > 1 or node.minima[0][0]]
+    assert len(walkers) == 177 < len(expanded)
+    # and the bound still leaves edges behind it in the walks that remain
+    assert sum(1 for n in dropped if n) == 75
 
 
 def _regime_node(e2, e0=5):
@@ -653,6 +668,21 @@ def test_hensel_step_boundary():
     # past last_r
     with pytest.raises(AssertionError, match="fail to account"):
         _edge_children(*_regime_node(1, e0=3), [])
+
+
+def test_hensel_step_takes_no_walk(monkeypatch):
+    # at the regime's boundary, line 2 through (1, e_1) at slope -last_r, and
+    # one unit above it, the node's one child comes without newton_edges
+    from hahnroot import expand
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(expand, "newton_edges", no_walk)
+    for e2 in (1, 2):
+        (kid, _), = expand._edge_children(*_regime_node(e2), [])
+        assert kid.w.terms == ((Fraction(1), F3.one), (Fraction(3), -F3.one))
+        assert kid.term_lines == frozenset({1}) and kid.field_degree == 1
 
 
 # ROADMAP item 15: an exact-root child is closed with its edge root's

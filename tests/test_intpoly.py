@@ -56,6 +56,19 @@ def test_gcd_and_lcm():
     assert intpoly.mod(lcm, a, p) == [] and intpoly.mod(lcm, b, p) == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 13, 65537])
+def test_lcm_with_a_constant_is_the_other_made_monic(p):
+    # the shortcut against the product over the gcd, on both sides and for a
+    # constant pair, at lengths on both sides of the byte threshold
+    rng = random.Random(p)
+    for n in (1, 2, 7, 300):
+        b = _rand(rng, n, p)
+        c = [rng.randrange(1, p)]
+        general = intpoly.monic(intpoly.divexact(intpoly.mul(c, b, p), intpoly.gcd(c, b, p), p), p)
+        assert intpoly.lcm(c, b, p) == intpoly.lcm(b, c, p) == general == intpoly.monic(b, p)
+        assert intpoly.lcm(c, [], p) == [] == intpoly.lcm([], c, p)
+
+
 def test_irreducibility():
     assert intpoly.is_irreducible([1, 0, 1], 3)  # t^2 + 1
     assert not intpoly.is_irreducible([2, 0, 1], 3)  # t^2 + 2 = (t+1)(t+2)
