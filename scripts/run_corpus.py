@@ -2,8 +2,8 @@
 """Seeded corpus sweep: expand random polynomials and check every corpus
 invariant of tests/invariants.py (acceptance criteria 4, 6, 7a, 7b and 8,
 the Frobenius closure of the leaves and the Hensel step at every node of
-multiplicity 1) on each.  Prints one line per
-polynomial and a summary with the count of each check.
+multiplicity 1) on each.  Prints one line per polynomial and a summary with
+the count of each check.
 """
 
 import argparse
