@@ -691,11 +691,13 @@ def enlarge(ctx: FieldCtx, new_k: int) -> tuple[FieldCtx, Embedding]:
 def roots_in_field(h: list[FF], ctx: FieldCtx) -> list[FF]:
     """The roots of h, which must split into distinct linear factors over ctx.
 
-    Callers guarantee that: ``poly_roots`` passes a radical over a tower
-    that holds all its roots, ``find_embedding`` an irreducible modulus
-    whose degree divides ctx's.  A field with tables is scanned, zero and
-    then the powers of its primitive element, so the roots come in that
-    order, not in ``sort_key`` order: ``poly_roots`` sorts them and
+    Callers guarantee that.  ``poly_roots`` passes a radical over a tower
+    that holds all its roots; from a field with tables that may be a
+    rootless cofactor of degree 2 or 3, which is irreducible and so its own
+    radical.  ``find_embedding`` passes an irreducible modulus whose degree
+    divides ctx's.  A field with tables is scanned, zero and then the powers
+    of its primitive element, so the roots come in that order, not in
+    ``sort_key`` order: ``poly_roots`` sorts them and
     ``find_embedding`` takes the least.  A larger field is trace-split.
     """
     h = poly_monic(poly_trim(list(h)))
@@ -814,10 +816,11 @@ def poly_roots(g: list[FF]) -> RootsResult:
     The work follows the degree of what is left after each step.  The low
     zero coefficients give the root 0: X^j | g has it with multiplicity j,
     and the cofactor h = g[j:] goes on.  A linear h has its root -h_0/h_1
-    in g's own field.  Only an h of degree 2 or more goes through the
-    radical, its distinct-degree factorisation and one enlargement to the
-    tower holding its roots; each root's multiplicity then comes from
-    repeated synthetic division of h by (X - root).
+    in g's own field.  Over a field with tables an h of degree 2 or more
+    is scanned for the roots in g's field (``_scanned_roots``), and only a
+    rootless cofactor of degree 4 or more is factored; above the tables
+    every such h is factored (``_factored_roots``).  Either way one
+    enlargement builds the tower holding every root.
     """
     g = poly_trim(list(g))
     if not g:
@@ -834,33 +837,87 @@ def poly_roots(g: list[FF]) -> RootsResult:
         big, emb, pairs = ctx, ctx.identity, []
     elif poly_deg(h) == 1:
         big, emb, pairs = ctx, ctx.identity, [(-h[0] / h[1], 1)]
+    elif ctx._tables is None:
+        big, emb, pairs = _factored_roots(h, ctx)
     else:
-        rad = _radical(h, ctx)
-        factor_degrees = _distinct_degrees(rad, ctx)
-        k = ctx.k * math.lcm(*factor_degrees)
-        if k > _TOWER_DEGREE_LIMIT:
-            raise FieldError(f"the roots lie in F_{{{ctx.p}^{k}}}, of order {ctx.p**k}: "
-                             f"towers of degree above {_TOWER_DEGREE_LIMIT} are not built")
-        big, emb = enlarge(ctx, k)
-        # No smaller tower holds the roots: a root of a degree-d factor over
-        # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
-        # generate F_{p^(k*lcm(d_i))}, which is ``big``.
-        distinct = roots_in_field([emb(c) for c in rad], big)
-        h = [emb(c) for c in h]
-        pairs = []
-        for root in sorted(distinct, key=FF.sort_key):
-            mult = 0
-            q, r = _synthetic_division(h, root)
-            while not r:
-                mult += 1
-                h = q
-                q, r = _synthetic_division(h, root)
-            pairs.append((root, mult))
+        big, emb, pairs = _scanned_roots(h, ctx)
     if j:
         pairs.insert(0, (big.zero, j))
     if sum(m for _, m in pairs) != n:
         raise FieldError("root multiplicities failed to account for the degree")
     return RootsResult(big, emb, tuple(pairs))
+
+
+def _root_tower(ctx: FieldCtx, degree: int) -> tuple[FieldCtx, Embedding]:
+    """F_{p^(k*degree)} over ctx = F_{p^k}, within the tower-degree limit."""
+    k = ctx.k * degree
+    if k > _TOWER_DEGREE_LIMIT:
+        raise FieldError(f"the roots lie in F_{{{ctx.p}^{k}}}, of order {ctx.p**k}: "
+                         f"towers of degree above {_TOWER_DEGREE_LIMIT} are not built")
+    return enlarge(ctx, k)
+
+
+def _factored_roots(h: list[FF], ctx: FieldCtx) -> tuple[FieldCtx, Embedding, list]:
+    """The roots of h, of degree 2 or more with h(0) != 0, by factoring.
+
+    The radical's distinct-degree factorisation gives the tower; its roots
+    are found there, sorted by ``sort_key``, and each root's multiplicity
+    comes from repeated synthetic division of h by (X - root).
+    """
+    rad = _radical(h, ctx)
+    big, emb = _root_tower(ctx, math.lcm(*_distinct_degrees(rad, ctx)))
+    # No smaller tower holds the roots: a root of a degree-d factor over
+    # F_{p^k} generates F_{p^(k*d)}, so the roots and F_{p^k} together
+    # generate F_{p^(k*lcm(d_i))}, which is ``big``.
+    distinct = roots_in_field([emb(c) for c in rad], big)
+    h = [emb(c) for c in h]
+    pairs = []
+    for root in sorted(distinct, key=FF.sort_key):
+        mult, h = _multiplicity(h, root)
+        pairs.append((root, mult))
+    return big, emb, pairs
+
+
+def _scanned_roots(h: list[FF], ctx: FieldCtx) -> tuple[FieldCtx, Embedding, list]:
+    """The roots of h, of degree 2 or more with h(0) != 0, over a field
+    with tables: the same result as ``_factored_roots``.
+
+    Each nonzero element of ctx is tried, and each root's multiplicity
+    divided out of h.  What is left has no root in ctx, so it has no linear
+    factor.  If its degree is 2 or 3 it is irreducible, and separable over
+    a perfect field: its roots are distinct and generate the extension of
+    that degree.  One of degree 4 or more is factored.  The roots in ctx
+    have degree 1, so the tower is the one ``_factored_roots`` builds.
+    """
+    t = ctx._tables
+    found = []
+    for x in t.exp[:t.n]:
+        if not poly_eval(h, x):
+            mult, h = _multiplicity(h, x)
+            found.append((x, mult))
+            if poly_deg(h) == 0:
+                break
+    rest = poly_deg(h)
+    if rest < 4:
+        # a constant h leaves the roots in ctx, and roots_in_field finds none
+        big, emb = _root_tower(ctx, rest or 1)
+        pairs = [(root, 1) for root in roots_in_field([emb(c) for c in h], big)]
+    else:
+        big, emb, pairs = _factored_roots(h, ctx)
+    pairs += [(emb(x), m) for x, m in found]
+    pairs.sort(key=lambda pair: pair[0].sort_key())
+    return big, emb, pairs
+
+
+def _multiplicity(h: list[FF], root: FF) -> tuple[int, list[FF]]:
+    """(m, h / (X - root)^m) for the multiplicity m of root in h."""
+    mult = 0
+    q, r = _synthetic_division(h, root)
+    while not r:
+        mult += 1
+        h = q
+        q, r = _synthetic_division(h, root)
+    return mult, h
 
 
 def _synthetic_division(h: list[FF], root: FF) -> tuple[list[FF], FF]:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hahnroot.ffield import (
     FF,
     FieldCtx,
     FieldError,
+    _factored_roots,
     _is_prime,
     enlarge,
     field_ctx,
@@ -247,6 +249,132 @@ def test_roots_over_extension_field_input():
     assert len(res.roots) == 2
     image = res.embed(c)
     assert all(z * z == image and z.degree() == 4 for z, _ in res.roots)
+
+
+# ---------------------------------------------------------------------------
+# A field with tables scans itself for the roots of the cofactor and factors
+# only a rootless cofactor of degree 4 or more.  The factoring route on the
+# whole cofactor, which fields without tables take, is the reference.
+
+
+def _factoring_route(g):
+    # the zero split, then _factored_roots on the whole cofactor
+    ctx = g[-1].ctx
+    j = next(i for i, c in enumerate(g) if c)
+    big, emb, pairs = _factored_roots(g[j:], ctx)
+    if j:
+        pairs.insert(0, (big.zero, j))
+    return big, emb, tuple(pairs)
+
+
+def _outcome(route, g):
+    # (field, roots, image of the generator), or the text of the refusal,
+    # which only the tower limit may give
+    try:
+        big, emb, roots = route(g)
+    except FieldError as e:
+        assert "are not built" in str(e), e
+        return str(e)
+    return big, roots, emb(g[-1].ctx.gen)
+
+
+def _random_product(rng, ctx):
+    # monic factors of degree 1-4 with a nonzero constant, some repeated, of
+    # total degree 2-8, times X^j for the zero root
+    elements = list(ctx.elements())
+    target = rng.randrange(2, 9)
+    g, deg = [ctx.one], 0
+    while deg < target:
+        d = rng.randrange(1, min(4, target - deg) + 1)
+        f = [rng.choice(elements[1:])] + [rng.choice(elements) for _ in range(d - 1)] + [ctx.one]
+        for _ in range(rng.randrange(1, (target - deg) // d + 1)):
+            g = poly_mul(g, f, ctx)
+            deg += d
+    return [ctx.zero] * rng.randrange(3) + g
+
+
+# every field with tables and k >= 2, F_4 to F_1024, and prime fields to F_1021
+_TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                 for k in range(2, 11) if p**k <= 1024]
+_TABLE_FIELDS += [(p, 1) for p in (2, 3, 5, 7, 11, 13, 31, 1021)]
+
+
+@pytest.mark.parametrize("p,k", _TABLE_FIELDS)
+def test_scan_and_factoring_routes_agree(p, k):
+    ctx = field_ctx(p, k)
+    assert ctx.has_tables
+    rng = random.Random(20261021 + ctx.order)
+    # above F_64 most products reach towers without tables, where one
+    # solve costs 10 to 100 ms
+    for _ in range(8 if ctx.order <= 64 else 2):
+        g = _random_product(rng, ctx)
+        assert _outcome(poly_roots, g) == _outcome(_factoring_route, g), g
+
+
+def _irreducibles(ctx, d):
+    # the monic polynomials of degree d <= 4 over ctx with no root in
+    # F_{q^(d // 2)}, which holds the roots of every factor of degree at most
+    # d / 2: the irreducible ones, in lex order
+    big, emb = enlarge(ctx, ctx.k * max(d // 2, 1))
+    for cs in product(list(ctx.elements()), repeat=d):
+        g = [*cs, ctx.one]
+        image = [emb(c) for c in g]
+        if all(poly_eval(image, z) for z in big.elements()):
+            yield g
+
+
+def _check_roots(res, g, degree):
+    # the result field is F_{q^degree}, the roots come in sort_key order,
+    # and their product rebuilds the monic g
+    ctx = g[-1].ctx
+    assert res.ctx == field_ctx(ctx.p, ctx.k * degree)
+    keys = [root.sort_key() for root, _ in res.roots]
+    assert keys == sorted(keys)
+    prod = [res.ctx.one]
+    for root, mult in res.roots:
+        for _ in range(mult):
+            prod = poly_mul(prod, [-root, res.ctx.one], res.ctx)
+    assert prod == [res.embed(c) for c in g]
+
+
+def test_roots_in_the_field_take_it_unchanged():
+    # z^2 (z - 1)^3 (z - s) over F_9: every root in F_9, 1 three times
+    s = F9.gen
+    g = [F9.zero, F9.zero, F9.one]
+    for root in (F9.one, F9.one, F9.one, s):
+        g = poly_mul(g, [-root, F9.one], F9)
+    res = poly_roots(g)
+    _check_roots(res, g, 1)
+    assert res.embed(s) == s
+    assert res.roots == ((F9.zero, 2), (s, 1), (F9.one, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("ctx", [F4, F9])
+def test_a_rootless_quadratic_or_cubic_is_solved_in_its_own_degree(ctx, d):
+    # (z - 1) h, h irreducible of degree d: the scan takes the root 1, and
+    # h's d distinct roots lie in F_{q^d}
+    h = next(_irreducibles(ctx, d))
+    g = poly_mul(h, [-ctx.one, ctx.one], ctx)
+    res = poly_roots(g)
+    _check_roots(res, g, d)
+    assert [m for _, m in res.roots] == [1] * (d + 1)
+    assert (res.ctx.one, 1) in res.roots
+
+
+@pytest.mark.parametrize("ctx", [F3, F4])
+def test_a_rootless_quartic_is_factored(ctx):
+    quadratics = _irreducibles(ctx, 2)
+    a, b = next(quadratics), next(quadratics)
+    quartic = next(_irreducibles(ctx, 4))
+    # a^2 through the radical's gcd, a*b of degrees 2 + 2 in F_{q^2}, and an
+    # irreducible quartic in F_{q^4}
+    for g, degree, mults in [(poly_mul(a, a, ctx), 2, [2, 2]),
+                             (poly_mul(a, b, ctx), 2, [1] * 4),
+                             (quartic, 4, [1] * 4)]:
+        res = poly_roots(g)
+        _check_roots(res, g, degree)
+        assert [m for _, m in res.roots] == mults
 
 
 # ---------------------------------------------------------------------------
