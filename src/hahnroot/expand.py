@@ -71,10 +71,16 @@ against a from-scratch oracle in ``tests/oracles.py`` that computes Taylor
 data in ``RatFun`` arithmetic, the multiplicity-1 children against the walk
 in ``tests/invariants.py``, and the detector against its ``Fraction`` and
 ``NewtonLine`` form in the oracles.
+
+Each node owns its children and holds its parent only by a weak reference,
+so a tree has no reference cycle: reference counting frees it as soon as
+the caller drops the ``ExpansionTree``, with no cyclic collection.  Read
+chains and parent links while the tree is held.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 
@@ -121,11 +127,17 @@ class BranchNode:
     generate, so sigma^d fixes f and w; it is tracked while w lies in a field with tables and
     is None above them, where orbits are not shared.  Nodes hash by
     identity: ``_edge_children`` keys its live children by node.
+
+    A node owns its ``children``, and a child holds its ``parent`` weakly,
+    so a tree has no reference cycle and is freed as soon as its root is
+    dropped.  Read ``parent`` and ``chain()`` while the tree (or a chain
+    list, which holds every ancestor) is held; once the ancestors are gone
+    they raise ``ReferenceError``, and the node's own fields still read.
     """
 
     __slots__ = ("w", "last_r", "multiplicity", "M", "minima", "leads", "status",
-                 "step_zeta", "term_lines", "parent", "children", "accumulation",
-                 "field_degree")
+                 "step_zeta", "term_lines", "_parent", "children", "accumulation",
+                 "field_degree", "__weakref__")
 
     def __init__(self, w: HahnSeries, last_r: Fraction | None, multiplicity: int, M: int = 1,
                  minima: list[tuple[int, int]] | None = None, leads: dict[int, FF] | None = None,
@@ -141,10 +153,21 @@ class BranchNode:
         self.status = status
         self.step_zeta = step_zeta
         self.term_lines = term_lines
-        self.parent = parent
+        self._parent = None if parent is None else weakref.ref(parent)
         self.children: list[BranchNode] = []
         self.accumulation: AccumulationReport | None = None
         self.field_degree = field_degree
+
+    @property
+    def parent(self) -> "BranchNode | None":
+        """The node this one was expanded from; None at the root."""
+        if self._parent is None:
+            return None
+        parent = self._parent()
+        if parent is None:
+            raise ReferenceError("the node's parent is gone: hold the expansion tree "
+                                 "while reading parent links")
+        return parent
 
     @property
     def residual_valuation(self) -> Fraction | float:

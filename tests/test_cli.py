@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from hahnroot.cli import (
     run,
 )
 from hahnroot.corpus import corpus
+from hahnroot.expand import expand_roots
 from hahnroot.ffield import field_ctx
 from hahnroot.hasse import Poly
 from hahnroot.ratfun import RatFun
@@ -554,3 +557,52 @@ def test_limits_admit_their_boundary():
     f = parse_polynomial("X+t^67108864", 2)
     assert ore._t_span(f) == 2**26 == ore._T_SPAN_LIMIT
     assert ore._t_span(parse_polynomial("X^2+1/t^3*X+(t^2+1)/(t-1)", 3)) == 3 + 2
+
+
+_VERBS = ("roots", "addpol", "intersections", "bounds", "order-bound")
+
+# beside the corpus: Frobenius-orbit images over F_4 and F_9, an
+# accumulating chain, the deepest tree the CLI builds, roots in F_{7^4},
+# a tower without tables, and a FieldError raised inside the expansion
+_GARBAGE_CASES = (
+    Command("roots", 2, "X^3+t", depth=10, fmt="json"),
+    Command("roots", 3, "X^4+t", depth=10, fmt="json"),
+    Command("roots", 3, "X^3-X^2-1/t", depth=12, fmt="json"),
+    Command("roots", 3, "X^2+X+t", depth=800, fmt="json"),
+    Command("roots", 7, "X^5+t", depth=10, fmt="json"),
+    Command("roots", 3, "X^300+t", depth=10, fmt="json"),
+)
+
+
+def test_requests_leave_no_cyclic_garbage():
+    # every request's objects, the expansion tree among them, are freed by
+    # reference counting when run() returns, so the cyclic collector finds
+    # nothing; the caches are warmed first, since what they keep is not
+    # garbage, and the objects alive before the requests are frozen, so
+    # that each collection scans only what a request left
+    cmds = [Command(verb, f.ctx.p, poly_text(f), fmt="json")
+            for f in corpus(seed=20260810, count=50, ps=(2, 3), max_deg=4) for verb in _VERBS]
+    cmds += _GARBAGE_CASES
+    codes = [run(cmd)[0] for cmd in cmds]
+    assert codes[-1] == 2 and codes.count(2) == 2  # the tower refusal, one bounds
+    gc.collect()
+    gc.disable()
+    gc.freeze()
+    try:
+        for cmd in cmds:
+            run(cmd)
+            assert gc.collect() == 0, cmd
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_a_dropped_tree_is_freed_at_once():
+    tree = expand_roots(parse_polynomial("X^3-X^2-1/t", 3), 12)
+    root = weakref.ref(tree.root)
+    gc.disable()
+    try:
+        del tree
+        assert root() is None
+    finally:
+        gc.enable()

@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -436,8 +437,29 @@ def test_accumulation_artin_schreier():
 
 def test_accumulation_none_for_exact_roots():
     f = parse_polynomial("X^2 - t", 3)
-    leaf = expand_roots(f, 6).leaves()[0]
+    tree = expand_roots(f, 6)
+    leaf = tree.leaves()[0]
     assert accumulation_analysis(monic(f), leaf.chain()) is None
+
+
+def test_a_leaf_outlives_its_tree_but_not_its_links():
+    # children are owned and parents held weakly: once the tree is dropped,
+    # a leaf keeps its own fields, and its links refuse to give a short chain
+    tree = expand_roots(CUBIC, 12)
+    leaf = tree.leaves()[0]
+    fields = (leaf.w, leaf.status, leaf.multiplicity, leaf.residual_valuation,
+              leaf.accumulation)
+    assert len(leaf.chain()) == 13 and leaf.parent is not None
+    root = weakref.ref(tree.root)
+    del tree
+    assert root() is None
+    assert (leaf.w, leaf.status, leaf.multiplicity, leaf.residual_valuation,
+            leaf.accumulation) == fields
+    assert leaf.status == "accumulating" and leaf.accumulation.r_star == Fraction(-1, 6)
+    with pytest.raises(ReferenceError, match="hold the expansion tree"):
+        leaf.parent
+    with pytest.raises(ReferenceError):
+        leaf.chain()
 
 
 def _report_fields(report):
@@ -456,7 +478,9 @@ def _detector_inputs():
                                                      "X^3-t^2*X-1/t")]
     for f in polys:
         for depth in (10, 25):
-            stack = [expand_roots(f, depth).root]
+            # the tree stays bound while its chains are read
+            tree = expand_roots(f, depth)
+            stack = [tree.root]
             while stack:
                 node = stack.pop()
                 stack.extend(node.children)
